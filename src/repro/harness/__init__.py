@@ -2,8 +2,6 @@
 
 * :mod:`repro.harness.paper_data` — every number the paper publishes
   (Tables 3-7), used as the comparison baseline.
-* :mod:`repro.harness.platforms` — hardware/application spec registry
-  (Tables 4 and 5).
 * :mod:`repro.harness.report` — text-table formatting and
   paper-vs-measured comparison helpers.
 * :mod:`repro.harness.tables` — regenerate Tables 3, 4, 5, 6, 7.

@@ -50,7 +50,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Sequence
 
 from repro.errors import MappingError
 from repro.mapping.mapper import SEQ_SYNC_CYCLES, GateGroup, MappedDesign, _Placer
@@ -58,6 +58,7 @@ from repro.mapping.pipeline import PipelineGraph
 from repro.mapping.resources import ResourceReport
 from repro.plasticine.chip import PlasticineConfig
 from repro.plasticine.network import Coord
+from repro.registry import Registry
 from repro.spatial.builder import Program
 from repro.spatial.ir import LoopRecord
 
@@ -313,58 +314,15 @@ class MappingPass(ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-_REGISTRY: dict[str, type[MappingPass]] = {}
-
-P = TypeVar("P", bound=type)
-
-
-def register_pass(name: str) -> Callable[[P], P]:
-    """Class decorator registering a :class:`MappingPass` under a name.
-
-    Example::
-
-        >>> from repro.mapping.passes import MappingPass, register_pass
-        >>> from repro.mapping.passes import available_passes, unregister_pass
-        >>> @register_pass("noop")
-        ... class Noop(MappingPass):
-        ...     def run(self, state):
-        ...         pass
-        >>> "noop" in available_passes()
-        True
-        >>> unregister_pass("noop")
-    """
-
-    def decorate(cls: P) -> P:
-        if not (isinstance(cls, type) and issubclass(cls, MappingPass)):
-            raise MappingError(
-                f"@register_pass({name!r}) needs a MappingPass subclass"
-            )
-        if name in _REGISTRY:
-            raise MappingError(f"mapping pass {name!r} already registered")
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def unregister_pass(name: str) -> None:
-    """Remove a registered pass (tests)."""
-    _REGISTRY.pop(name, None)
-
-
-def get_pass(name: str) -> type[MappingPass]:
-    """Look up a registered pass class by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise MappingError(f"unknown mapping pass {name!r} (known: {known})") from None
-
-
-def available_passes() -> tuple[str, ...]:
-    """Names of all registered passes, sorted."""
-    return tuple(sorted(_REGISTRY))
+#: Every registered pass, keyed by name.  Unlike the serving kinds, a
+#: pass name can be registered only once, even by the same class.
+PASSES: Registry[MappingPass] = Registry(
+    "mapping pass", MappingPass, MappingError, idempotent=False
+)
+register_pass = PASSES.register
+unregister_pass = PASSES.unregister
+available_passes = PASSES.names
+get_pass = PASSES.get
 
 
 class PassManager:

@@ -7,8 +7,7 @@ from :data:`PLATFORMS`; nothing else should hard-code these numbers.
 
 It deliberately lives at the package top level (not under
 ``repro.harness``) so low-level modules can import it without pulling in
-the table/figure harness.  ``repro.harness.platforms`` re-exports it for
-backwards compatibility.
+the table/figure harness.
 """
 
 from __future__ import annotations

@@ -48,9 +48,10 @@ discipline already orders same-task requests back to back.
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from typing import Callable
 
 from repro.errors import ServingError
+from repro.registry import Registry
 from repro.serving.scheduler import QueuedRequest, Scheduler
 from repro.serving.traffic import length_band
 from repro.workloads.deepbench import RNNTask
@@ -151,118 +152,15 @@ class Batcher:
         return batch
 
 
-_REGISTRY: dict[str, type[Batcher]] = {}
-
-B = TypeVar("B", bound=type[Batcher])
-
-
-def register_batcher(name: str) -> Callable[[B], B]:
-    """Class decorator: register a :class:`Batcher` under ``name``.
-
-    Registering a different class under an existing name raises
-    :class:`~repro.errors.ServingError`, mirroring the platform and
-    scheduler registries.
-
-    Example::
-
-        >>> from repro.serving import register_batcher, Batcher
-        >>> from repro.serving.batching import unregister_batcher
-        >>> @register_batcher("pair")
-        ... class PairBatcher(Batcher):
-        ...     def __init__(self):
-        ...         super().__init__(max_batch=2)
-        >>> from repro.serving import available_batchers
-        >>> "pair" in available_batchers()
-        True
-        >>> unregister_batcher("pair")
-    """
-
-    def decorate(cls: B) -> B:
-        if not (isinstance(cls, type) and issubclass(cls, Batcher)):
-            raise ServingError(f"@register_batcher({name!r}) needs a Batcher subclass")
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing is not cls:
-            raise ServingError(
-                f"batcher {name!r} already registered by {existing.__name__}"
-            )
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def unregister_batcher(name: str) -> None:
-    """Remove a registration (primarily for tests)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_batchers() -> tuple[str, ...]:
-    """Sorted keys of every registered batcher.
-
-    Example::
-
-        >>> from repro.serving import available_batchers
-        >>> [b for b in ("adaptive", "none", "size-cap", "time-window")
-        ...  if b in available_batchers()]
-        ['adaptive', 'none', 'size-cap', 'time-window']
-    """
-    return tuple(sorted(_REGISTRY))
-
-
-def get_batcher(name: str, **options: object) -> Batcher:
-    """Instantiate a fresh batcher registered under ``name``.
-
-    Keyword options go to the policy constructor (``max_batch``,
-    ``window_ms``, ...).
-
-    Example::
-
-        >>> from repro.serving import get_batcher
-        >>> get_batcher("time-window", max_batch=4, window_ms=1.0).name
-        'time-window'
-    """
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ServingError(
-            f"unknown batcher {name!r}; registered: {', '.join(sorted(_REGISTRY))}"
-        ) from None
-    return cls(**options)
-
-
-def make_batcher(
-    spec: str | Batcher | Callable[[], Batcher],
-    **options: object,
-) -> Batcher:
-    """Resolve a batcher spec: a registry key, an instance, or a factory.
-
-    Fleets need one batcher *per replica* (each holds per-replica launch
-    state), so they call this once per replica with a key or factory.
-
-    Example::
-
-        >>> from repro.serving import make_batcher, SizeCapBatcher
-        >>> make_batcher("size-cap", max_batch=2).max_batch
-        2
-        >>> inst = SizeCapBatcher(max_batch=3)
-        >>> make_batcher(inst) is inst
-        True
-    """
-    if isinstance(spec, Batcher):
-        if options:
-            raise ServingError("batcher options only apply when given a registry key")
-        return spec
-    if isinstance(spec, str):
-        return get_batcher(spec, **options)
-    if callable(spec):
-        if options:
-            raise ServingError("batcher options only apply when given a registry key")
-        batcher = spec()
-        if not isinstance(batcher, Batcher):
-            raise ServingError("batcher factory must return a Batcher")
-        return batcher
-    raise ServingError(f"cannot build a batcher from {spec!r}")
+#: Every registered batching policy, keyed by name.  Fleets need one
+#: batcher *per replica* (each holds per-replica launch state), so they
+#: resolve a key or factory per replica.
+BATCHERS: Registry[Batcher] = Registry("batcher", Batcher, ServingError)
+register_batcher = BATCHERS.register
+unregister_batcher = BATCHERS.unregister
+available_batchers = BATCHERS.names
+get_batcher = BATCHERS.create
+make_batcher = BATCHERS.make
 
 
 @register_batcher("none")

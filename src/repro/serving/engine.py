@@ -40,7 +40,7 @@ from repro.serving.autoscaler import ScaleEvent
 from repro.serving.batching import Batcher, make_batcher
 from repro.serving.events import run_stream, single_replica_dispatch
 from repro.serving.faults import FaultPolicy, make_fault_policy
-from repro.serving.platform import Platform, PreparedModel, get_platform
+from repro.serving.platform import PLATFORMS, Platform, PreparedModel
 from repro.serving.request import ServeRequest, ServeResponse
 from repro.serving.result import FaultStats, ServingResult
 from repro.serving.scheduler import Scheduler, make_scheduler
@@ -456,8 +456,9 @@ class ServingEngine:
     Args:
         platform: A registry key (``"plasticine"``, ``"brainwave"``,
             ``"cpu"``, ``"gpu"``, or anything registered via
-            ``@register_platform``) or an already-built
-            :class:`~repro.serving.platform.Platform` instance.
+            ``@register_platform``), an already-built
+            :class:`~repro.serving.platform.Platform` instance, or a
+            zero-argument factory returning one.
         cache: Optional externally-owned prepared-model cache, keyed by
             task.  A :class:`~repro.serving.fleet.Fleet` passes one
             shared dict so replicas compile each task only once.
@@ -488,7 +489,7 @@ class ServingEngine:
 
     def __init__(
         self,
-        platform: str | Platform,
+        platform: str | Platform | Callable[[], Platform],
         *,
         cache: dict[RNNTask, PreparedModel] | None = None,
         memoize: bool = True,
@@ -496,14 +497,7 @@ class ServingEngine:
         memo_capacity: int = DEFAULT_MEMO_CAPACITY,
         **platform_options: object,
     ) -> None:
-        if isinstance(platform, Platform):
-            if platform_options:
-                raise ServingError(
-                    "platform options only apply when platform is given by name"
-                )
-            self.platform = platform
-        else:
-            self.platform = get_platform(platform, **platform_options)
+        self.platform = PLATFORMS.make(platform, **platform_options)
         if memo_capacity < 1:
             raise ServingError("memo_capacity must be >= 1")
         self._cache: dict[RNNTask, PreparedModel] = cache if cache is not None else {}

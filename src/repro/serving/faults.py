@@ -45,9 +45,9 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC
-from typing import Callable, TypeVar
 
 from repro.errors import ServingError
+from repro.registry import Registry
 from repro.serving.request import ServeRequest
 from repro.serving.result import FaultStats
 
@@ -69,7 +69,8 @@ _MASK64 = (1 << 64) - 1
 
 
 def _splitmix64(x: int) -> int:
-    """One SplitMix64 round (same mix as :mod:`repro.serving.parallel`)."""
+    """One SplitMix64 round; :mod:`repro.serving.parallel` derives its
+    shard seeds and hash shards from it too."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -160,105 +161,15 @@ class FaultPolicy(ABC):
         return False
 
 
-_REGISTRY: dict[str, type[FaultPolicy]] = {}
-
-F = TypeVar("F", bound=type[FaultPolicy])
-
-
-def register_fault_policy(name: str) -> Callable[[F], F]:
-    """Class decorator: register a :class:`FaultPolicy` under ``name``.
-
-    Registering a second class under an existing name raises
-    :class:`~repro.errors.ServingError`.
-
-    Example::
-
-        >>> from repro.serving import FaultPolicy, register_fault_policy
-        >>> from repro.serving.faults import unregister_fault_policy
-        >>> @register_fault_policy("cursed")
-        ... class Cursed(FaultPolicy):
-        ...     def straggler_factor(self, request): return 13.0
-        >>> from repro.serving import available_fault_policies
-        >>> "cursed" in available_fault_policies()
-        True
-        >>> unregister_fault_policy("cursed")
-    """
-
-    def decorate(cls: F) -> F:
-        if not (isinstance(cls, type) and issubclass(cls, FaultPolicy)):
-            raise ServingError(
-                f"@register_fault_policy({name!r}) needs a FaultPolicy subclass"
-            )
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing is not cls:
-            raise ServingError(
-                f"fault policy {name!r} already registered by {existing.__name__}"
-            )
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def unregister_fault_policy(name: str) -> None:
-    """Remove a registration (primarily for tests)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_fault_policies() -> tuple[str, ...]:
-    """Sorted keys of every registered fault policy.
-
-    Example::
-
-        >>> from repro.serving import available_fault_policies
-        >>> [p for p in ("chaos", "crash", "none", "preempt", "straggler")
-        ...  if p in available_fault_policies()]
-        ['chaos', 'crash', 'none', 'preempt', 'straggler']
-    """
-    return tuple(sorted(_REGISTRY))
-
-
-def get_fault_policy(name: str, **options: object) -> FaultPolicy:
-    """Instantiate a fresh fault policy registered under ``name``.
-
-    Example::
-
-        >>> from repro.serving import get_fault_policy
-        >>> get_fault_policy("straggler", prob=0.1).name
-        'straggler'
-    """
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ServingError(
-            f"unknown fault policy {name!r}; "
-            f"registered: {', '.join(sorted(_REGISTRY))}"
-        ) from None
-    return cls(**options)
-
-
-def make_fault_policy(
-    spec: "str | FaultPolicy | Callable[[], FaultPolicy]",
-) -> FaultPolicy:
-    """Resolve a fault-policy spec: a registry key, an instance, or a factory.
-
-    Example::
-
-        >>> from repro.serving import make_fault_policy
-        >>> make_fault_policy("none").name
-        'none'
-    """
-    if isinstance(spec, FaultPolicy):
-        return spec
-    if isinstance(spec, str):
-        return get_fault_policy(spec)
-    if callable(spec):
-        policy = spec()
-        if not isinstance(policy, FaultPolicy):
-            raise ServingError("fault policy factory must return a FaultPolicy")
-        return policy
-    raise ServingError(f"cannot build a fault policy from {spec!r}")
+#: Every registered fault policy, keyed by name.
+FAULT_POLICIES: Registry[FaultPolicy] = Registry(
+    "fault policy", FaultPolicy, ServingError
+)
+register_fault_policy = FAULT_POLICIES.register
+unregister_fault_policy = FAULT_POLICIES.unregister
+available_fault_policies = FAULT_POLICIES.names
+get_fault_policy = FAULT_POLICIES.create
+make_fault_policy = FAULT_POLICIES.make
 
 
 @register_fault_policy("none")

@@ -60,7 +60,7 @@ from repro.serving.autoscaler import Autoscaler
 from repro.serving.batching import make_batcher
 from repro.serving.engine import ServingEngine
 from repro.serving.events import normalize_arrivals
-from repro.serving.faults import make_fault_policy
+from repro.serving.faults import _MASK64, _splitmix64, make_fault_policy
 from repro.serving.fleet import Fleet
 from repro.serving.request import ServeRequest
 from repro.serving.scheduler import make_scheduler
@@ -79,16 +79,6 @@ __all__ = [
 #: How :func:`serve_parallel` partitions the stream; see the module
 #: docstring for what each mode guarantees.
 SHARD_MODES = ("replica", "tenant", "hash", "generate")
-
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(x: int) -> int:
-    """One SplitMix64 scramble round (the standard seed-derivation mix)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
 
 
 def shard_seed(seed: int, shard: int) -> int:

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, TypeVar
+from typing import Any
 
 from repro.errors import ServingError
+from repro.registry import Registry
 from repro.serving.result import ServingResult
 from repro.workloads.deepbench import RNNTask
 
@@ -268,94 +269,9 @@ def _check_batch_size(batch_size: int) -> None:
         raise ServingError(f"batch_size must be a positive int, got {batch_size!r}")
 
 
-_REGISTRY: dict[str, type[Platform]] = {}
-
-P = TypeVar("P", bound=type[Platform])
-
-
-def register_platform(name: str) -> Callable[[P], P]:
-    """Class decorator: register a :class:`Platform` under ``name``.
-
-    Registering a second class under an existing name raises
-    :class:`~repro.errors.ServingError` — silent replacement would let a
-    plugin hijack a built-in platform.
-
-    Example::
-
-        >>> from repro.serving import register_platform, Platform
-        >>> from repro.serving.platform import unregister_platform
-        >>> @register_platform("null")
-        ... class NullPlatform(Platform):
-        ...     def prepare(self, task):
-        ...         from repro.serving.platform import PreparedModel
-        ...         return PreparedModel("null", task, state=None)
-        ...     def serve(self, prepared):
-        ...         from repro.serving.result import ServingResult
-        ...         return ServingResult("null", prepared.task, 1e-3, 0.0)
-        >>> from repro.serving import available_platforms
-        >>> "null" in available_platforms()
-        True
-        >>> unregister_platform("null")
-    """
-
-    def decorate(cls: P) -> P:
-        if not (isinstance(cls, type) and issubclass(cls, Platform)):
-            raise ServingError(f"@register_platform({name!r}) needs a Platform subclass")
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing is not cls:
-            raise ServingError(
-                f"platform {name!r} already registered by {existing.__name__}"
-            )
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def unregister_platform(name: str) -> None:
-    """Remove a registration (primarily for tests)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_platforms() -> tuple[str, ...]:
-    """Sorted keys of every registered platform.
-
-    Example::
-
-        >>> from repro.serving import available_platforms
-        >>> [p for p in ("brainwave", "cpu", "gpu", "plasticine")
-        ...  if p in available_platforms()]
-        ['brainwave', 'cpu', 'gpu', 'plasticine']
-    """
-    _ensure_builtin()
-    return tuple(sorted(_REGISTRY))
-
-
-def get_platform(name: str, **options: Any) -> Platform:
-    """Instantiate the platform registered under ``name``.
-
-    Keyword options are forwarded to the platform constructor (e.g.
-    ``get_platform("plasticine", bits=8)``).
-
-    Example::
-
-        >>> from repro.serving import get_platform
-        >>> get_platform("brainwave").name
-        'brainwave'
-    """
-    _ensure_builtin()
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ServingError(
-            f"unknown platform {name!r}; registered: {', '.join(sorted(_REGISTRY))}"
-        ) from None
-    return cls(**options)
-
-
-def _ensure_builtin() -> None:
-    # The built-in platform classes register at import time; importing
-    # lazily here keeps `import repro.serving.platform` light and free of
-    # mapper/simulator dependencies.
-    import repro.serving.platforms  # noqa: F401
+#: Every registered platform, keyed by name.
+PLATFORMS: Registry[Platform] = Registry("platform", Platform, ServingError)
+register_platform = PLATFORMS.register
+unregister_platform = PLATFORMS.unregister
+available_platforms = PLATFORMS.names
+get_platform = PLATFORMS.create

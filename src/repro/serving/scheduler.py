@@ -35,9 +35,9 @@ import heapq
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
 
 from repro.errors import ServingError
+from repro.registry import Registry
 from repro.serving.request import ServeRequest
 from repro.serving.result import ServingResult
 from repro.workloads.deepbench import RNNTask
@@ -163,105 +163,15 @@ class _KeyedScheduler(Scheduler):
         return len(self._heap)
 
 
-_REGISTRY: dict[str, type[Scheduler]] = {}
-
-S = TypeVar("S", bound=type[Scheduler])
-
-
-def register_scheduler(name: str) -> Callable[[S], S]:
-    """Class decorator: register a :class:`Scheduler` under ``name``.
-
-    Registering a second class under an existing name raises
-    :class:`~repro.errors.ServingError`.
-
-    Example::
-
-        >>> from repro.serving import register_scheduler, Scheduler
-        >>> from repro.serving.scheduler import unregister_scheduler
-        >>> @register_scheduler("lifo")
-        ... class LIFOScheduler(Scheduler):
-        ...     def __init__(self): self._stack = []
-        ...     def push(self, entry): self._stack.append(entry)
-        ...     def pop(self): return self._stack.pop()
-        ...     def __len__(self): return len(self._stack)
-        >>> from repro.serving import available_schedulers
-        >>> "lifo" in available_schedulers()
-        True
-        >>> unregister_scheduler("lifo")
-    """
-
-    def decorate(cls: S) -> S:
-        if not (isinstance(cls, type) and issubclass(cls, Scheduler)):
-            raise ServingError(
-                f"@register_scheduler({name!r}) needs a Scheduler subclass"
-            )
-        existing = _REGISTRY.get(name)
-        if existing is not None and existing is not cls:
-            raise ServingError(
-                f"scheduler {name!r} already registered by {existing.__name__}"
-            )
-        cls.name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return decorate
-
-
-def unregister_scheduler(name: str) -> None:
-    """Remove a registration (primarily for tests)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_schedulers() -> tuple[str, ...]:
-    """Sorted keys of every registered scheduler.
-
-    Example::
-
-        >>> from repro.serving import available_schedulers
-        >>> [s for s in ("coalesce", "edf", "fifo", "priority", "sjf")
-        ...  if s in available_schedulers()]
-        ['coalesce', 'edf', 'fifo', 'priority', 'sjf']
-    """
-    return tuple(sorted(_REGISTRY))
-
-
-def get_scheduler(name: str, **options: object) -> Scheduler:
-    """Instantiate a fresh scheduler registered under ``name``.
-
-    Example::
-
-        >>> from repro.serving import get_scheduler
-        >>> get_scheduler("edf").name
-        'edf'
-    """
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ServingError(
-            f"unknown scheduler {name!r}; registered: {', '.join(sorted(_REGISTRY))}"
-        ) from None
-    return cls(**options)
-
-
-def make_scheduler(
-    spec: str | Scheduler | Callable[[], Scheduler],
-) -> Scheduler:
-    """Resolve a scheduler spec: a registry key, an instance, or a factory.
-
-    Fleets need one scheduler *per replica*, so they call this once per
-    replica with a key or factory; a shared instance would interleave
-    queues and is rejected at the fleet layer.
-    """
-    if isinstance(spec, Scheduler):
-        return spec
-    if isinstance(spec, str):
-        return get_scheduler(spec)
-    if callable(spec):
-        sched = spec()
-        if not isinstance(sched, Scheduler):
-            raise ServingError("scheduler factory must return a Scheduler")
-        return sched
-    raise ServingError(f"cannot build a scheduler from {spec!r}")
+#: Every registered queue discipline, keyed by name.  Fleets need one
+#: scheduler *per replica*, so they resolve a key or factory per replica;
+#: a shared instance would interleave queues and is rejected there.
+SCHEDULERS: Registry[Scheduler] = Registry("scheduler", Scheduler, ServingError)
+register_scheduler = SCHEDULERS.register
+unregister_scheduler = SCHEDULERS.unregister
+available_schedulers = SCHEDULERS.names
+get_scheduler = SCHEDULERS.create
+make_scheduler = SCHEDULERS.make
 
 
 def _doc_entry(seq: int, **overrides: object) -> QueuedRequest:

@@ -19,8 +19,8 @@ from repro.harness import (
     table7,
 )
 from repro.harness.paper_data import TABLE6, TABLE6_GEOMEAN_SPEEDUPS, paper_row
-from repro.harness.platforms import PLATFORMS, platform
 from repro.harness.report import compare
+from repro.platforms import PLATFORMS, platform
 from repro.workloads.deepbench import RNNTask
 
 
