@@ -19,10 +19,8 @@ is memoized, hoisted, and parallel:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from repro.errors import DSEError
 from repro.dse.runner import (
@@ -38,37 +36,19 @@ from repro.mapping.mapper import MappedDesign, map_rnn_program
 from repro.mapping.passes import PassConfig
 from repro.plasticine.chip import PlasticineConfig
 from repro.plasticine.simulator import simulate_pipeline
-from repro.rnn.gru_loop import build_gru_program
-from repro.rnn.lstm_loop import LoopParams, build_lstm_program
-from repro.rnn.params import GRUWeights, LSTMWeights
+from repro.rnn.gru_loop import declare_gru_program
+from repro.rnn.lstm_loop import LoopParams, declare_lstm_program
 from repro.workloads.deepbench import RNNTask
 
 __all__ = ["SearchPoint", "DSEResult", "search", "build_task_program"]
 
 
-def _zero_weights(task: RNNTask):
-    """Weight containers backed by broadcast zero views — no allocation,
-    usable for tracing/mapping (performance estimation only)."""
-    shape = task.shape
-    w = {
-        g: np.broadcast_to(0.0, (shape.hidden, shape.concat_dim))
-        for g in shape.gate_names
-    }
-    b = {g: np.broadcast_to(0.0, (shape.hidden,)) for g in shape.gate_names}
-    cls = LSTMWeights if task.kind == "lstm" else GRUWeights
-    return cls(shape=shape, w=w, b=b)
-
-
-def build_task_program(task: RNNTask, params: LoopParams, *, weights=None, xs=None):
-    """Build the loop-based program for a task (zero weights by default —
-    sufficient for mapping and timing; pass real weights for functional
-    runs)."""
-    if weights is None:
-        weights = _zero_weights(task)
-    if xs is None:
-        xs = np.broadcast_to(0.0, (task.timesteps, task.shape.input_dim))
-    builder = build_lstm_program if task.kind == "lstm" else build_gru_program
-    return builder(weights, xs, params)
+def build_task_program(task: RNNTask, params: LoopParams):
+    """Declare the task's loop-based program, binding no data: mapping and
+    timing read only SRAM shapes and the loop nest, and a run sees zeros.
+    ``build_lstm_program``/``build_gru_program`` bind real weights."""
+    declare = declare_lstm_program if task.kind == "lstm" else declare_gru_program
+    return declare(task.shape, task.timesteps, params)
 
 
 @dataclass(frozen=True)
@@ -298,29 +278,6 @@ def _points_from_cache(payload: dict) -> tuple[SearchPoint, ...]:
     )
 
 
-def _points_to_cache(points: "tuple[SearchPoint, ...]") -> list[dict]:
-    return [
-        {
-            "params": {
-                "hu": p.params.hu,
-                "ru": p.params.ru,
-                "rv": p.params.rv,
-                "hv": p.params.hv,
-            },
-            "cycles_per_step": p.cycles_per_step,
-            "total_cycles": p.total_cycles,
-            "fits": p.fits,
-            "pcus_used": p.pcus_used,
-            "pmus_used": p.pmus_used,
-            "pass_config": {
-                "fuse_gates": p.pass_config.fuse_gates,
-                "double_buffer": p.pass_config.double_buffer,
-            },
-        }
-        for p in points
-    ]
-
-
 def _result_from_points(
     task: RNNTask,
     chip: PlasticineConfig,
@@ -401,6 +358,6 @@ def search(
             cache_dir,
             "dse",
             digest,
-            {"task": task.name, "points": _points_to_cache(result.points)},
+            {"task": task.name, "points": [asdict(p) for p in result.points]},
         )
     return result

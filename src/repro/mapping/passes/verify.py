@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from repro.errors import MappingError
 from repro.mapping.passes.core import MappingState
+from repro.mapping.pipeline import kahn_order
 
 __all__ = ["verify_state"]
 
@@ -37,22 +38,8 @@ def _fail(state: MappingState, message: str) -> None:
 
 
 def _check_acyclic(state: MappingState) -> None:
-    """Kahn's algorithm on the drafts (cheaper than building networkx)."""
-    indeg = {name: 0 for name in state.stages}
-    succs: dict[str, list[str]] = {name: [] for name in state.stages}
-    for edge in state.edges:
-        indeg[edge.dst] += 1
-        succs[edge.src].append(edge.dst)
-    ready = [n for n, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        node = ready.pop()
-        seen += 1
-        for nxt in succs[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if seen != len(state.stages):
+    edges = ((edge.src, edge.dst) for edge in state.edges)
+    if len(kahn_order(state.stages, edges)) != len(state.stages):
         _fail(state, "stage graph contains a cycle")
 
 

@@ -14,11 +14,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.errors import MappingError
 
-__all__ = ["Stage", "PipelineGraph"]
+__all__ = ["Stage", "PipelineGraph", "kahn_order"]
+
+
+def kahn_order(nodes, edges) -> list:
+    """FIFO Kahn topological order, the one ``networkx.topological_sort``
+    gives: sources in ``nodes`` order, then each node's successors in
+    first-edge order, parallel edges counted once.  On a cycle the order
+    comes back short: it omits every node on or behind the cycle."""
+    succs: dict = {node: {} for node in nodes}
+    for src, dst in edges:
+        succs[src][dst] = None
+    indegree = dict.fromkeys(succs, 0)
+    for children in succs.values():
+        for dst in children:
+            indegree[dst] += 1
+    order = [node for node, deg in indegree.items() if deg == 0]
+    for node in order:  # appending while iterating: a FIFO queue
+        for dst in succs[node]:
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                order.append(dst)
+    return order
 
 
 @dataclass(frozen=True)
@@ -79,19 +98,11 @@ class PipelineGraph:
 
     # -- graph structure -----------------------------------------------------
 
-    def to_networkx(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        for name in self.stages:
-            g.add_node(name)
-        for src, dst, route in self.edges:
-            g.add_edge(src, dst, route=route)
-        return g
-
     def topological_order(self) -> list[str]:
-        g = self.to_networkx()
-        if not nx.is_directed_acyclic_graph(g):
+        order = kahn_order(self.stages, ((src, dst) for src, dst, _ in self.edges))
+        if len(order) != len(self.stages):
             raise MappingError(f"pipeline {self.name!r} contains a cycle")
-        return list(nx.topological_sort(g))
+        return order
 
     def predecessors(self, name: str) -> list[tuple[str, int]]:
         return [(src, route) for src, dst, route in self.edges if dst == name]

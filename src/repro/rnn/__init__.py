@@ -7,7 +7,8 @@
   bounds.
 * :mod:`repro.rnn.lstm_loop` / :mod:`repro.rnn.gru_loop` — the paper's
   loop-based cells written in the Spatial-like DSL, parameterized by the
-  design knobs ``hu``, ``ru``, ``rv``.
+  design knobs ``hu``, ``ru``, ``rv``: ``declare_*`` gives the data-free
+  program costing reads, ``build_*`` binds weights and inputs to it.
 """
 
 from repro.rnn.params import GRUWeights, LSTMWeights, RNNShape
@@ -18,8 +19,8 @@ from repro.rnn.reference import (
     lstm_step,
     sigmoid,
 )
-from repro.rnn.lstm_loop import build_lstm_program
-from repro.rnn.gru_loop import build_gru_program
+from repro.rnn.lstm_loop import build_lstm_program, declare_lstm_program
+from repro.rnn.gru_loop import build_gru_program, declare_gru_program
 
 __all__ = [
     "RNNShape",
@@ -30,6 +31,8 @@ __all__ = [
     "gru_step",
     "gru_sequence",
     "sigmoid",
+    "declare_lstm_program",
+    "declare_gru_program",
     "build_lstm_program",
     "build_gru_program",
 ]

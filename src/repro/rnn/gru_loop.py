@@ -22,15 +22,15 @@ from repro.errors import ConfigError
 from repro.precision.formats import FloatFormat
 from repro.rnn.luts import DEFAULT_LUT_ENTRIES, DEFAULT_LUT_RANGE, sigmoid, tanh
 from repro.rnn.lstm_loop import LoopParams
-from repro.rnn.params import GRUWeights
+from repro.rnn.params import GRUWeights, RNNShape
 from repro.spatial import Foreach, Program, Range, Reduce, Sequential
 
-__all__ = ["build_gru_program"]
+__all__ = ["declare_gru_program", "build_gru_program"]
 
 
-def build_gru_program(
-    weights: GRUWeights,
-    xs: np.ndarray,
+def declare_gru_program(
+    shape: RNNShape,
+    n_steps: int,
     params: LoopParams = LoopParams(),
     *,
     weight_dtype: FloatFormat | None = None,
@@ -38,16 +38,10 @@ def build_gru_program(
     lut_dtype: FloatFormat | None = None,
     lut_entries: int = DEFAULT_LUT_ENTRIES,
 ) -> Program:
-    """Build the loop-based GRU program for a full input sequence.
-
-    Mirrors :func:`repro.rnn.lstm_loop.build_lstm_program`; outputs land in
-    the ``y_seq`` SRAM.
-    """
-    shape = weights.shape
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != shape.input_dim:
-        raise ConfigError(f"xs must be (T, {shape.input_dim}), got {xs.shape}")
-    n_steps = xs.shape[0]
+    """Declare the loop-based GRU program, binding no data; mirrors
+    :func:`repro.rnn.lstm_loop.declare_lstm_program`."""
+    if shape.kind != "gru":
+        raise ConfigError(f"declare_gru_program requires a gru shape, got {shape.kind}")
     H, D = shape.hidden, shape.input_dim
     d_pad = -(-D // params.rv) * params.rv
     h_pad = -(-H // params.rv) * params.rv
@@ -64,16 +58,6 @@ def build_gru_program(
     b = {g: prog.sram(f"b{g}", (H,), dtype=weight_dtype) for g in shape.gate_names}
     lut_sig = prog.lut("sigmoid", sigmoid, lo=lo, hi=hi, entries=lut_entries, dtype=lut_dtype)
     lut_tanh = prog.lut("tanh", tanh, lo=lo, hi=hi, entries=lut_entries, dtype=lut_dtype)
-
-    for g in shape.gate_names:
-        wx_p = np.zeros((H, d_pad))
-        wx_p[:, :D] = weights.w[g][:, :D]
-        wh_p = np.zeros((H, h_pad))
-        wh_p[:, :H] = weights.w[g][:, D:]
-        prog.set_data(f"w{g}x", wx_p)
-        prog.set_data(f"w{g}h", wh_p)
-        prog.set_data(f"b{g}", weights.b[g])
-    prog.set_data("x_seq", xs)
 
     def step_body(t):
         Foreach(
@@ -116,4 +100,37 @@ def build_gru_program(
     def main():
         Sequential.Foreach(Range(n_steps), step_body, label="steps")
 
+    return prog
+
+
+def build_gru_program(
+    weights: GRUWeights,
+    xs: np.ndarray,
+    params: LoopParams = LoopParams(),
+    *,
+    weight_dtype: FloatFormat | None = None,
+    state_dtype: FloatFormat | None = None,
+    lut_dtype: FloatFormat | None = None,
+    lut_entries: int = DEFAULT_LUT_ENTRIES,
+) -> Program:
+    """Build the loop-based GRU program for the input sequence ``xs``:
+    :func:`declare_gru_program` with the zero-padded weights and ``xs`` bound."""
+    shape = weights.shape
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != shape.input_dim:
+        raise ConfigError(f"xs must be (T, {shape.input_dim}), got {xs.shape}")
+    prog = declare_gru_program(
+        shape, len(xs), params, weight_dtype=weight_dtype, state_dtype=state_dtype,
+        lut_dtype=lut_dtype, lut_entries=lut_entries,
+    )
+    H, D = shape.hidden, shape.input_dim
+    for g in shape.gate_names:
+        wx_p = np.zeros(prog.memories.srams[f"w{g}x"].shape)
+        wx_p[:, :D] = weights.w[g][:, :D]
+        wh_p = np.zeros(prog.memories.srams[f"w{g}h"].shape)
+        wh_p[:, :H] = weights.w[g][:, D:]
+        prog.set_data(f"w{g}x", wx_p)
+        prog.set_data(f"w{g}h", wh_p)
+        prog.set_data(f"b{g}", weights.b[g])
+    prog.set_data("x_seq", xs)
     return prog

@@ -21,10 +21,10 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.precision.formats import FloatFormat
 from repro.rnn.luts import DEFAULT_LUT_ENTRIES, DEFAULT_LUT_RANGE, sigmoid, tanh
-from repro.rnn.params import LSTMWeights
+from repro.rnn.params import LSTMWeights, RNNShape
 from repro.spatial import Foreach, Program, Range, Reduce, Sequential
 
-__all__ = ["LoopParams", "build_lstm_program"]
+__all__ = ["LoopParams", "declare_lstm_program", "build_lstm_program"]
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class LoopParams:
             )
 
 
-def build_lstm_program(
-    weights: LSTMWeights,
-    xs: np.ndarray,
+def declare_lstm_program(
+    shape: RNNShape,
+    n_steps: int,
     params: LoopParams = LoopParams(),
     *,
     weight_dtype: FloatFormat | None = None,
@@ -57,11 +57,16 @@ def build_lstm_program(
     lut_dtype: FloatFormat | None = None,
     lut_entries: int = DEFAULT_LUT_ENTRIES,
 ) -> Program:
-    """Build the Figure 5 program for a full input sequence.
+    """Declare the Figure 5 program's memories and loop nest, binding no data.
+
+    Mapping and cycle simulation read only this declaration (the SRAM
+    shapes and the loop structure), so design-space costing builds it
+    alone; an unbound SRAM runs as zeros.  :func:`build_lstm_program`
+    binds weights and inputs to the same declaration.
 
     Args:
-        weights: Concatenated-layout LSTM parameters.
-        xs: Input sequence, shape ``(T, D)``.
+        shape: An ``lstm`` cell shape.
+        n_steps: Sequence length ``T``.
         params: ``hu``/``ru``/``rv`` loop knobs.
         weight_dtype: Storage format of the weight SRAMs (e.g. FP8).
         state_dtype: Storage format of the ``xh``/``c`` state SRAMs.
@@ -72,11 +77,8 @@ def build_lstm_program(
         A :class:`Program` whose ``y_seq`` SRAM holds every step's output
         after :meth:`Program.run`.
     """
-    shape = weights.shape
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != shape.input_dim:
-        raise ConfigError(f"xs must be (T, {shape.input_dim}), got {xs.shape}")
-    n_steps = xs.shape[0]
+    if shape.kind != "lstm":
+        raise ConfigError(f"declare_lstm_program requires an lstm shape, got {shape.kind}")
     H, D, R = shape.hidden, shape.input_dim, shape.concat_dim
     # Pad the reduction dimension to a whole number of rv-blocks: the last
     # vector block reads past R (the paper's 1-D fragmentation, Figure 4b);
@@ -85,6 +87,7 @@ def build_lstm_program(
 
     prog = Program(f"lstm_h{H}_t{n_steps}")
     lo, hi = DEFAULT_LUT_RANGE
+    lut_kw = dict(lo=lo, hi=hi, entries=lut_entries, dtype=lut_dtype)
 
     c = prog.sram("c", (H,), dtype=state_dtype)
     xh = prog.sram("xh", (r_pad,), dtype=state_dtype)
@@ -93,24 +96,10 @@ def build_lstm_program(
     w = {g: prog.sram(f"w{g}", (H, r_pad), dtype=weight_dtype) for g in shape.gate_names}
     b = {g: prog.sram(f"b{g}", (H,), dtype=weight_dtype) for g in shape.gate_names}
     luts = {
-        g: prog.lut(
-            f"lut{g}",
-            tanh if g == "j" else sigmoid,
-            lo=lo,
-            hi=hi,
-            entries=lut_entries,
-            dtype=lut_dtype,
-        )
+        g: prog.lut(f"lut{g}", tanh if g == "j" else sigmoid, **lut_kw)
         for g in shape.gate_names
     }
-    lut_tanh = prog.lut("tanh", tanh, lo=lo, hi=hi, entries=lut_entries, dtype=lut_dtype)
-
-    for g in shape.gate_names:
-        w_padded = np.zeros((H, r_pad))
-        w_padded[:, :R] = weights.w[g]
-        prog.set_data(f"w{g}", w_padded)
-        prog.set_data(f"b{g}", weights.b[g])
-    prog.set_data("x_seq", xs)
+    lut_tanh = prog.lut("tanh", tanh, **lut_kw)
 
     def step_body(t):
         # Stream x_t into the head of the concatenated [x, h] SRAM.
@@ -152,4 +141,33 @@ def build_lstm_program(
     def main():
         Sequential.Foreach(Range(n_steps), step_body, label="steps")
 
+    return prog
+
+
+def build_lstm_program(
+    weights: LSTMWeights,
+    xs: np.ndarray,
+    params: LoopParams = LoopParams(),
+    *,
+    weight_dtype: FloatFormat | None = None,
+    state_dtype: FloatFormat | None = None,
+    lut_dtype: FloatFormat | None = None,
+    lut_entries: int = DEFAULT_LUT_ENTRIES,
+) -> Program:
+    """Build the Figure 5 program for the input sequence ``xs`` (``(T, D)``):
+    :func:`declare_lstm_program` with the zero-padded weights and ``xs`` bound."""
+    shape = weights.shape
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != shape.input_dim:
+        raise ConfigError(f"xs must be (T, {shape.input_dim}), got {xs.shape}")
+    prog = declare_lstm_program(
+        shape, len(xs), params, weight_dtype=weight_dtype, state_dtype=state_dtype,
+        lut_dtype=lut_dtype, lut_entries=lut_entries,
+    )
+    for g in shape.gate_names:
+        w_padded = np.zeros(prog.memories.srams[f"w{g}"].shape)
+        w_padded[:, : shape.concat_dim] = weights.w[g]
+        prog.set_data(f"w{g}", w_padded)
+        prog.set_data(f"b{g}", weights.b[g])
+    prog.set_data("x_seq", xs)
     return prog

@@ -76,10 +76,15 @@ class Program:
         return fn
 
     def set_data(self, name: str, array) -> None:
-        """Bind initial contents for a declared memory."""
+        """Bind initial contents for a declared memory (an SRAM's must
+        match its declared shape)."""
         if name not in self.memories.all_names():
             raise DSLError(f"no memory named {name!r} in program {self.name!r}")
-        self.data[name] = np.asarray(array, dtype=np.float64)
+        arr = np.asarray(array, dtype=np.float64)
+        sram = self.memories.srams.get(name)
+        if sram is not None and arr.shape != sram.shape:
+            raise DSLError(f"data for SRAM {name!r} has shape {arr.shape}, declared {sram.shape}")
+        self.data[name] = arr
 
     # -- engines ----------------------------------------------------------
 

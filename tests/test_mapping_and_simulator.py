@@ -1,5 +1,7 @@
 """Tests for the pipeline graph, mapper, and cycle-level simulator."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,6 +67,41 @@ class TestPipelineGraph:
         g.connect("b", "d")
         g.connect("c", "d")
         assert g.critical_path_cycles() == 1 + 10 + 1
+
+    def test_topological_order_pinned_on_a_diamond(self):
+        # Sources in insertion order, then successors in first-edge order;
+        # the doubled left->sink edge counts once.
+        g = PipelineGraph("d", n_iterations=1, steps=1)
+        for name in ("sink", "left", "right", "src", "solo"):
+            g.add_stage(Stage(name, ii=1, latency=1))
+        for src, dst in [("src", "right"), ("src", "left"), ("right", "sink"),
+                         ("left", "sink"), ("left", "sink")]:
+            g.connect(src, dst)
+        assert g.topological_order() == ["src", "solo", "right", "left", "sink"]
+
+    def test_topological_order_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2019)
+        for case in range(500):
+            names = [f"s{k}" for k in range(rng.randint(1, 12))]
+            rank = {name: k for k, name in enumerate(names)}
+            rng.shuffle(names)  # insertion order differs from the ranking
+            g = PipelineGraph("r", n_iterations=1, steps=1)
+            ref = nx.DiGraph()
+            for name in names:
+                g.add_stage(Stage(name, ii=1, latency=1))
+                ref.add_node(name)
+            for _ in range(rng.randint(0, 2 * len(names))):
+                a, b = rng.sample(names, 2) if len(names) > 1 else (names[0], names[0])
+                if rank[a] > rank[b] and rng.random() > 0.02:
+                    a, b = b, a  # mostly DAGs; a few back edges make cycles
+                g.connect(a, b)
+                ref.add_edge(a, b)
+            if nx.is_directed_acyclic_graph(ref):
+                assert g.topological_order() == list(nx.topological_sort(ref)), case
+            else:
+                with pytest.raises(MappingError, match="cycle"):
+                    g.topological_order()
 
     def test_resources_scale_with_replicas(self):
         g = _chain([1], [1])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import DSLBoundsError, DSLError
+from repro.errors import DSLBoundsError, DSLError, InterpreterError
 from repro.precision import FP8, FP16
 from repro.spatial import (
     Foreach,
@@ -67,6 +67,23 @@ class TestProgramDeclaration:
         prog = Program("p")
         with pytest.raises(DSLError):
             prog.set_data("ghost", np.zeros(4))
+
+    def test_set_data_shape_mismatch(self):
+        # Misshaped data fails where it is bound, naming both shapes; the
+        # executor still checks run(data=...) overrides, which bypass it.
+        prog = Program("p")
+        prog.sram("m", (4, 4))
+        with pytest.raises(DSLError, match=r"shape \(3,\), declared \(4, 4\)"):
+            prog.set_data("m", np.zeros(3))
+        assert prog.data == {}
+        prog.set_data("m", np.ones((4, 4)))
+
+        @prog.main
+        def body():
+            pass
+
+        with pytest.raises(InterpreterError, match=r"shape \(4,\), declared \(4, 4\)"):
+            prog.run(data={"m": np.zeros(4)})
 
     def test_constructs_require_engine(self):
         with pytest.raises(DSLError, match="no active engine"):

@@ -133,6 +133,8 @@ class TestSearch:
     def test_build_task_program_zero_weights(self):
         prog = build_task_program(task("lstm", 256), LoopParams(hu=2, ru=2, rv=64))
         assert prog.trace() is not None
+        # Costing binds no data: every SRAM runs as zeros.
+        assert prog.data == {}
 
 
 class TestPaperParams:
