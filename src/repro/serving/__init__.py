@@ -37,17 +37,23 @@ way real accelerator deployments are:
   O(1)-memory online mirror of :class:`StreamReport` behind
   ``serve_stream(..., mode="summary")``: exact streaming counters,
   histogram quantiles, and per-tenant/per-priority/per-length-band
-  rollups for million-request streams.
+  rollups for million-request streams.  Every derived figure (P99,
+  rates, SLO attainment, energy, $/1M, slices) is defined once here
+  and shared by both report representations.
 * :mod:`repro.serving.engine` — :class:`ServingEngine`, one
   accelerator's compile-once session with ``serve`` / ``serve_batch`` /
   ``serve_stream`` (queueing + SLO/tenant/priority accounting) and a
   per-shape result memo so deterministic cost models run once per
-  distinct shape.
+  distinct shape; :class:`StreamReport`, the materialized report of
+  one engine or a whole fleet, and the one ``serve_stream`` path both
+  take from arguments to report.
 * :mod:`repro.serving.fleet` — :class:`Fleet`, N replicas behind a
   round-robin, least-loaded, or affinity dispatcher, each with its own
   scheduler and batcher; a ``"name[:count],..."`` mix spec builds a
   heterogeneous fleet whose dispatch ranks replicas by projected
-  completion under each platform's own cost model.
+  completion under each platform's own cost model.  Its streams report
+  in the same :class:`StreamReport` / :class:`StreamSummary` as one
+  engine's, with per-replica assignments and the replica roster.
 * :mod:`repro.serving.parallel` — :func:`serve_parallel`, sharded
   multi-core simulation: one independent event loop per shard
   (replica/tenant/hash/generate sharding) on a ``multiprocessing``
@@ -119,7 +125,6 @@ from repro.serving.fleet import (
     AFFINITY_KEYS,
     SCHEDULING_POLICIES,
     Fleet,
-    FleetReport,
     parse_fleet_mix,
 )
 from repro.serving.platform import (
@@ -253,7 +258,6 @@ __all__ = [
     "make_fault_policy",
     "StreamOutcome",
     "Fleet",
-    "FleetReport",
     "SCHEDULING_POLICIES",
     "AFFINITY_KEYS",
     "parse_fleet_mix",

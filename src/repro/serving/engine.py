@@ -29,13 +29,12 @@ Example::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import ServingError
-from repro.platforms import ELECTRICITY_USD_PER_KWH, device_usd_per_hour, tdp_of
 from repro.serving.autoscaler import ScaleEvent
 from repro.serving.batching import Batcher, make_batcher
 from repro.serving.events import run_stream, single_replica_dispatch
@@ -46,8 +45,8 @@ from repro.serving.result import FaultStats, ServingResult
 from repro.serving.scheduler import Scheduler, make_scheduler
 # ``percentile`` is shared with the O(1) summary so both
 # representations interpolate identically.
-from repro.serving.stats import StreamSummary, percentile as _percentile
-from repro.serving.traffic import length_band, poisson_arrivals, uniform_arrivals
+from repro.serving.stats import StreamSummary, _StreamFigures, percentile as _percentile
+from repro.serving.traffic import poisson_arrivals, uniform_arrivals
 from repro.workloads.deepbench import RNNTask
 
 __all__ = [
@@ -91,10 +90,18 @@ class CacheStats:
         return self.hits + self.misses
 
 
+#: How :class:`StreamReport` reads each grouping field off a response.
+_RESPONSE_FIELDS = {
+    "tenant": attrgetter("request.tenant"),
+    "priority": attrgetter("request.priority"),
+    "outcome": attrgetter("outcome"),
+    "timesteps": attrgetter("request.task.timesteps"),
+    "slo_key": attrgetter("request.slo_ms"),
+}
 
 
 @dataclass(frozen=True)
-class StreamReport:
+class StreamReport(_StreamFigures):
     """Aggregate outcome of a request stream against an SLO.
 
     Responses are ordered by arrival, whatever order the scheduler
@@ -102,7 +109,11 @@ class StreamReport:
     slice the same stream into per-class sub-reports.  ``batcher``
     records the batching policy that ran the stream (``"none"`` = the
     paper's batch-1 serving) and ``scale_events`` any autoscaler actions
-    applied during it.
+    applied during it.  A :class:`~repro.serving.fleet.Fleet` reports in
+    the same class; its fields (``policy``, ``assignments``, replica
+    counts, the mixed ``platforms`` roster) default to one engine.  The
+    derived figures are shared with
+    :class:`~repro.serving.stats.StreamSummary`.
 
     Example::
 
@@ -128,6 +139,20 @@ class StreamReport:
     faults: str = "none"
     #: Injected-fault counters (all zero outside fault-injected runs).
     fault_stats: FaultStats = field(default=FaultStats(), repr=False)
+    #: Fleet dispatch policy (``None`` for a single engine).
+    policy: str | None = None
+    #: Replica index per response, in arrival order.
+    assignments: tuple[int, ...] = field(default=(), repr=False)
+    #: Total replicas the stream used (autoscaled replicas included) —
+    #: the peak capacity, not derived from the assignments, so idle
+    #: replicas still count toward it.
+    replicas: int = 1
+    #: Replicas still active when the stream drained; below ``replicas``
+    #: when the autoscaler scaled down.
+    active_replicas: int = 1
+    #: Platform key of each provisioned replica, in replica order.
+    #: Empty means "homogeneous" (every replica is ``platform``).
+    platforms: tuple[str, ...] = field(default=(), repr=False)
 
     def __post_init__(self) -> None:
         if not self.responses:
@@ -143,13 +168,9 @@ class StreamReport:
         # dataclasses permit; the responses tuple never changes.
         return tuple(sorted(r.sojourn_ms for r in self.responses))
 
-    @property
-    def p50_ms(self) -> float:
-        return _percentile(self._sojourns_ms, 50)
-
-    @property
-    def p99_ms(self) -> float:
-        return _percentile(self._sojourns_ms, 99)
+    def percentile_ms(self, q: float) -> float:
+        """Exact (numpy-interpolated) sojourn percentile."""
+        return _percentile(self._sojourns_ms, q)
 
     @property
     def mean_ms(self) -> float:
@@ -165,17 +186,6 @@ class StreamReport:
         their share of the batch latency)."""
         return sum(r.service_s for r in self.responses) * 1e3 / self.n_requests
 
-    def uniform_slo_ms(self) -> float | None:
-        """The single request-level SLO every request carried, if any.
-
-        ``None`` when requests carry mixed (or no) per-request SLO tags —
-        callers then fall back to the stream-level SLO.
-        """
-        tags = {r.request.slo_ms for r in self.responses}
-        if len(tags) == 1:
-            return tags.pop()
-        return None
-
     # -- batching ---------------------------------------------------------
 
     @property
@@ -187,16 +197,6 @@ class StreamReport:
     def max_batch_size(self) -> int:
         """Largest batch any request was served in."""
         return max(r.batch_size for r in self.responses)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Completed requests per second of stream makespan."""
-        makespan = max(r.finish_s for r in self.responses)
-        if makespan <= 0:
-            return math.inf
-        return self.n_requests / makespan
-
-    # -- variable-length / padding accounting ----------------------------
 
     @property
     def padding_waste_frac(self) -> float:
@@ -224,59 +224,45 @@ class StreamReport:
             return 0.0
         return (executed - useful) / executed
 
-    def per_length_band(self, band_base: float = 2.0) -> "dict[str, StreamReport]":
-        """Sub-reports keyed by geometric sequence-length band.
+    # -- replicas ---------------------------------------------------------
 
-        Requests are grouped by their *own* ``timesteps`` into bands
-        ``[base^k, base^(k+1))``, labelled ``"T16-31"`` etc., so tail
-        latency can be read per length class — long requests hiding
-        behind a healthy global P99 show up here.
+    @property
+    def per_replica_counts(self) -> tuple[int, ...]:
+        """Requests dispatched to each replica, in replica order.
 
         Example::
 
-            >>> from repro.serving import (ServingEngine, ZipfLength,
-            ...                            poisson_arrivals)
+            >>> from repro.serving import Fleet, uniform_arrivals
             >>> from repro.workloads.deepbench import task
-            >>> report = ServingEngine("gpu").serve_stream(poisson_arrivals(
-            ...     task("lstm", 512, 25), rate_per_s=500, n_requests=40,
-            ...     seed=1, lengths=ZipfLength(8, 120)))
-            >>> bands = report.per_length_band()
-            >>> sum(b.n_requests for b in bands.values()) == report.n_requests
-            True
+            >>> fleet = Fleet("gpu", replicas=2, policy="round-robin")
+            >>> report = fleet.serve_stream(uniform_arrivals(
+            ...     task("lstm", 512, 25), rate_per_s=100, n_requests=10))
+            >>> (report.n_replicas, report.per_replica_counts)
+            (2, (5, 5))
         """
-        groups: dict[tuple[int, int], list[ServeResponse]] = {}
+        counts = [0] * self.replicas
+        for replica in self.assignments:
+            counts[replica] += 1
+        return tuple(counts)
+
+    def replica_utilization(self) -> tuple[float, ...]:
+        """Busy fraction of each replica over the stream's makespan."""
+        makespan = self.makespan_s
+        busy = [0.0] * self.replicas
+        for replica, resp in zip(self.assignments, self.responses):
+            busy[replica] += resp.service_s
+        return tuple(b / makespan for b in busy)
+
+    # -- primitives of the shared figures ---------------------------------
+
+    def _per_platform_service(self) -> tuple[dict[str, float], dict[str, int]]:
+        service: dict[str, float] = {}
+        count: dict[str, int] = {}
         for r in self.responses:
-            band = length_band(r.request.task.timesteps, band_base)
-            groups.setdefault(band, []).append(r)
-        return {
-            f"T{lo}-{hi}": self._subset(groups[(lo, hi)])
-            for lo, hi in sorted(groups)
-        }
-
-    @property
-    def offered_rate_per_s(self) -> float:
-        """Arrival rate implied by the stream's time span.
-
-        A single request has no rate (0.0); several requests arriving
-        at the same instant are an infinite-rate burst.
-        """
-        span = max(r.request.arrival_s for r in self.responses)
-        if span > 0:
-            return self.n_requests / span
-        return 0.0 if self.n_requests == 1 else math.inf
-
-    @property
-    def max_rate_per_s(self) -> float:
-        """Sustainable rate: one over the mean service time."""
-        mean_service = sum(r.service_s for r in self.responses) / self.n_requests
-        return 1.0 / mean_service
-
-    @property
-    def saturated(self) -> bool:
-        """True when arrivals outpace what the server can drain."""
-        return self.offered_rate_per_s >= self.max_rate_per_s
-
-    # -- energy / TCO accounting ------------------------------------------
+            name = r.result.platform
+            service[name] = service.get(name, 0.0) + r.service_s
+            count[name] = count.get(name, 0) + 1
+        return service, count
 
     @property
     def makespan_s(self) -> float:
@@ -284,83 +270,15 @@ class StreamReport:
         return max(r.finish_s for r in self.responses)
 
     @property
+    def _last_arrival_s(self) -> float:
+        return max(r.request.arrival_s for r in self.responses)
+
+    @property
     def replica_platforms(self) -> tuple[str, ...]:
-        """Platform key of every *provisioned* replica.
-
-        One engine here; :class:`~repro.serving.fleet.FleetReport`
-        overrides this with the fleet's actual (possibly mixed) roster,
-        and every provisioned-energy number below follows along.
-        """
-        return (self.platform,)
-
-    @property
-    def per_platform_counts(self) -> dict[str, int]:
-        """Responses served per *executing* platform.
-
-        Keyed by ``result.platform`` — the platform that actually ran
-        each request — so mixed fleets attribute work correctly and the
-        values always sum to ``n_requests``.
-        """
-        counts: dict[str, int] = {}
-        for r in self.responses:
-            key = r.result.platform
-            counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
-
-    @property
-    def energy_j(self) -> float:
-        """Busy energy: accelerator-seconds × that platform's power draw.
-
-        Each response is charged at the power of the platform that
-        *executed* it (Table 4/5 measured peak when reported, TDP
-        otherwise), summed over its share of accelerator time — idle
-        replicas contribute nothing here (see :attr:`fleet_watt_hours`
-        for the provisioned bill).
-        """
-        return sum(
-            r.service_s * tdp_of(r.result.platform) for r in self.responses
-        )
-
-    @property
-    def joules_per_request(self) -> float:
-        """Busy energy per inference — the paper-style J/request figure."""
-        return self.energy_j / self.n_requests
-
-    @property
-    def fleet_watt_hours(self) -> float:
-        """Provisioned energy: every replica powered for the makespan.
-
-        This is what the electricity meter sees — a provisioned
-        accelerator burns its TDP whether or not the dispatcher sends it
-        work — and it is the energy term the TCO model bills.
-        """
-        watts = sum(tdp_of(p) for p in self.replica_platforms)
-        return watts * self.makespan_s / 3600.0
-
-    @property
-    def cost_usd_per_1m_requests(self) -> float:
-        """Total cost of ownership normalized to one million requests.
-
-        Electricity for the provisioned fleet over the makespan
-        (:attr:`fleet_watt_hours` at :data:`ELECTRICITY_USD_PER_KWH`)
-        plus linear capital amortization of every provisioned device
-        (:func:`repro.platforms.device_usd_per_hour`), divided by the
-        requests actually served and scaled to 1M.  This is the
-        objective the capacity planner (:mod:`repro.dse.capacity`)
-        minimizes.
-        """
-        hours = self.makespan_s / 3600.0
-        energy_usd = self.fleet_watt_hours / 1e3 * ELECTRICITY_USD_PER_KWH
-        capital_usd = hours * sum(
-            device_usd_per_hour(p) for p in self.replica_platforms
-        )
-        return (energy_usd + capital_usd) / self.n_requests * 1e6
-
-    def _effective_slo_ms(self, response: ServeResponse) -> float:
-        slo = response.request.effective_slo_ms(self.slo_ms)
-        if slo is None:
-            raise ServingError("no SLO configured for this stream")
-        return slo
+        """Platform key of every *provisioned* replica, in replica order."""
+        if self.platforms:
+            return self.platforms
+        return (self.platform,) * self.replicas
 
     @property
     def slo_miss_rate(self) -> float:
@@ -369,38 +287,21 @@ class StreamReport:
         Each request is judged against its own ``slo_ms`` when set,
         falling back to the stream-level SLO otherwise.
         """
-        misses = sum(
-            1
-            for r in self.responses
-            if r.sojourn_ms > self._effective_slo_ms(r)
-        )
+        misses = 0
+        for r in self.responses:
+            slo = r.request.effective_slo_ms(self.slo_ms)
+            if slo is None:
+                raise ServingError("no SLO configured for this stream")
+            misses += r.sojourn_ms > slo
         return misses / self.n_requests
 
-    @property
-    def slo_attainment(self) -> float:
-        """Fraction of requests that met their SLO (1 - miss rate)."""
-        return 1.0 - self.slo_miss_rate
-
-    @property
-    def slo_attained(self) -> bool:
-        return self.slo_ms is not None and self.p99_ms <= self.slo_ms
-
-    # -- multi-tenant / multi-class breakdowns ---------------------------
-
-    @property
-    def tenants(self) -> tuple[str, ...]:
-        """Sorted tenant names present in the stream."""
-        return tuple(sorted({r.request.tenant for r in self.responses}))
-
-    @property
-    def priorities(self) -> tuple[int, ...]:
-        """Sorted priority classes present in the stream."""
-        return tuple(sorted({r.request.priority for r in self.responses}))
+    def _members(self, field: str) -> list[tuple[ServeResponse, object]]:
+        value = _RESPONSE_FIELDS[field]
+        return [(r, value(r)) for r in self.responses]
 
     def _subset(self, responses: Iterable[ServeResponse]) -> "StreamReport":
-        # Deliberately a plain StreamReport (not type(self)): subclass
-        # extras such as fleet assignments do not slice meaningfully, and
-        # scale events are stream-wide rather than per-class.
+        # A single-engine sub-report: fleet assignments do not slice
+        # meaningfully, and scale events are stream-wide, not per-class.
         return StreamReport(
             platform=self.platform,
             responses=tuple(responses),
@@ -409,45 +310,6 @@ class StreamReport:
             batcher=self.batcher,
             faults=self.faults,
         )
-
-    def per_tenant(self) -> dict[str, "StreamReport"]:
-        """Sub-reports keyed by tenant, each over that tenant's requests."""
-        groups: dict[str, list[ServeResponse]] = {}
-        for r in self.responses:
-            groups.setdefault(r.request.tenant, []).append(r)
-        return {t: self._subset(groups[t]) for t in sorted(groups)}
-
-    def per_priority(self) -> dict[int, "StreamReport"]:
-        """Sub-reports keyed by priority class."""
-        groups: dict[int, list[ServeResponse]] = {}
-        for r in self.responses:
-            groups.setdefault(r.request.priority, []).append(r)
-        return {p: self._subset(groups[p]) for p in sorted(groups)}
-
-    @property
-    def outcomes(self) -> tuple[str, ...]:
-        """Sorted outcomes present (``("ok",)`` outside fault runs)."""
-        return tuple(sorted({r.outcome for r in self.responses}))
-
-    def per_outcome(self) -> dict[str, "StreamReport"]:
-        """Sub-reports keyed by outcome: how fault-injected requests
-        left the system (``"ok"``/``"retried"``/``"hedged"``/
-        ``"timeout"``); counts always sum to ``n_requests``.
-
-        Example::
-
-            >>> from repro.serving import ServingEngine, uniform_arrivals
-            >>> from repro.workloads.deepbench import task
-            >>> report = ServingEngine("gpu").serve_stream(
-            ...     uniform_arrivals(task("lstm", 512, 25),
-            ...                      rate_per_s=100, n_requests=10))
-            >>> sorted(report.per_outcome()) == ["ok"]
-            True
-        """
-        groups: dict[str, list[ServeResponse]] = {}
-        for r in self.responses:
-            groups.setdefault(r.outcome, []).append(r)
-        return {o: self._subset(groups[o]) for o in sorted(groups)}
 
 
 class ServingEngine:
@@ -725,67 +587,96 @@ class ServingEngine:
         default ``"none"`` policy and no timeout/hedge the simulation
         is bit-identical to the fault-free path.
         """
-        sched = make_scheduler(scheduler)
         options = {} if max_batch is None else {"max_batch": max_batch}
-        batch_policy = make_batcher(batcher, **options)
-        if mode not in ("full", "summary"):
-            raise ServingError(
-                f"unknown stream mode {mode!r}; expected 'full' or 'summary'"
-            )
-        policy = make_fault_policy(faults)
-        faultless = (
-            policy.name == "none"
-            and timeout_ms is None
-            and hedge_ms is None
-            and retries == 0  # so a timeout-less retries still validates
-        )
-        fault_kwargs = (
-            {}
-            if faultless
-            else {
-                "faults": policy,
-                "fault_seed": fault_seed,
-                "timeout_ms": timeout_ms,
-                "retries": retries,
-                "hedge_ms": hedge_ms,
-            }
-        )
-        if mode == "summary":
-            summary = StreamSummary(
-                self.platform_name,
-                slo_ms=slo_ms,
-                scheduler=sched.name,
-                batcher=batch_policy.name,
-                faults=policy.name,
-            )
-            outcome = run_stream(
-                arrivals,
-                engines=(self,),
-                schedulers=(sched,),
-                dispatch=single_replica_dispatch,
-                slo_ms=slo_ms,
-                batchers=(batch_policy,),
-                presorted=presorted,
-                summary=summary,
-                **fault_kwargs,
-            )
-            return summary.finalize(fault_stats=outcome.fault_stats)
-        outcome = run_stream(
+        return _serve_stream(
             arrivals,
+            platform=self.platform_name,
             engines=(self,),
-            schedulers=(sched,),
+            schedulers=(make_scheduler(scheduler),),
+            batchers=(make_batcher(batcher, **options),),
             dispatch=single_replica_dispatch,
             slo_ms=slo_ms,
-            batchers=(batch_policy,),
+            mode=mode,
             presorted=presorted,
-            **fault_kwargs,
+            faults=faults,
+            fault_seed=fault_seed,
+            timeout_ms=timeout_ms,
+            retries=retries,
+            hedge_ms=hedge_ms,
         )
-        return StreamReport(
-            platform=self.platform_name,
-            responses=tuple(outcome.responses),
+
+
+def _serve_stream(
+    arrivals: Iterable[ServeRequest | RNNTask],
+    *,
+    platform: str,
+    schedulers: Sequence[Scheduler],
+    batchers: Sequence[Batcher],
+    slo_ms: float | None,
+    mode: str,
+    faults: str | FaultPolicy | Callable[[], FaultPolicy],
+    summary: StreamSummary | None = None,
+    policy: str | None = None,
+    replica_platform: Callable[[int], str] | None = None,
+    **loop: object,
+) -> "StreamReport | StreamSummary":
+    """Engine and fleet ``serve_stream``'s one path to a report.
+
+    Checks ``mode`` and the ``summary`` sink, resolves the fault policy
+    and hands it with ``loop`` to :func:`~repro.serving.events.run_stream`
+    (which keeps ``"none"`` on the fault-free loops), then finalizes
+    the summary or builds a :class:`StreamReport`.
+    ``replica_platform`` names each replica's platform on mixed rosters.
+    """
+    if mode not in ("full", "summary"):
+        raise ServingError(
+            f"unknown stream mode {mode!r}; expected 'full' or 'summary'"
+        )
+    if summary is not None and mode != "summary":
+        raise ServingError("a summary sink only makes sense with mode='summary'")
+    fault_policy = make_fault_policy(faults)
+    scheduler, batcher = schedulers[0].name, batchers[0].name
+    if mode == "summary" and summary is None:
+        summary = StreamSummary(
+            platform,
             slo_ms=slo_ms,
-            scheduler=sched.name,
-            batcher=batch_policy.name,
-            faults=policy.name,
-            fault_stats=outcome.fault_stats,
+            scheduler=scheduler,
+            batcher=batcher,
+            faults=fault_policy.name,
         )
+    outcome = run_stream(
+        arrivals,
+        schedulers=schedulers,
+        batchers=batchers,
+        slo_ms=slo_ms,
+        summary=summary,
+        faults=fault_policy,
+        **loop,
+    )
+    platforms: tuple[str, ...] = ()
+    if replica_platform is not None:
+        platforms = tuple(map(replica_platform, range(outcome.n_replicas)))
+    if summary is not None:
+        return summary.finalize(
+            scale_events=outcome.scale_events,
+            replicas=outcome.n_replicas,
+            active_replicas=outcome.active_replicas,
+            policy=policy,
+            fault_stats=outcome.fault_stats,
+            platforms=platforms,
+        )
+    return StreamReport(
+        platform=platform,
+        responses=tuple(outcome.responses),
+        slo_ms=slo_ms,
+        scheduler=scheduler,
+        batcher=batcher,
+        scale_events=outcome.scale_events,
+        faults=fault_policy.name,
+        fault_stats=outcome.fault_stats,
+        policy=policy,
+        assignments=tuple(outcome.assignments),
+        replicas=outcome.n_replicas,
+        active_replicas=outcome.active_replicas,
+        platforms=platforms,
+    )

@@ -43,16 +43,15 @@ prepared models never cross platforms
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import ServingError
 from repro.serving.autoscaler import Autoscaler
 from repro.serving.batching import Batcher, make_batcher
-from repro.serving.engine import ServeRequest, ServeResponse, ServingEngine, StreamReport
-from repro.serving.events import StreamDispatcher, run_stream
-from repro.serving.faults import FaultPolicy, make_fault_policy
+from repro.serving.engine import ServeRequest, ServingEngine, StreamReport, _serve_stream
+from repro.serving.events import StreamDispatcher
+from repro.serving.faults import FaultPolicy
 from repro.serving.platform import Platform, PreparedModel
 from repro.serving.scheduler import Scheduler, make_scheduler
 from repro.serving.stats import StreamSummary
@@ -61,7 +60,6 @@ from repro.workloads.deepbench import RNNTask
 
 __all__ = [
     "Fleet",
-    "FleetReport",
     "SCHEDULING_POLICIES",
     "AFFINITY_KEYS",
     "parse_fleet_mix",
@@ -311,93 +309,6 @@ def _affinity_key_fn(affinity_by: str) -> Callable[[ServeRequest], object]:
     )
 
 
-@dataclass(frozen=True)
-class FleetReport(StreamReport):
-    """A stream report plus the per-replica assignment it came from.
-
-    Example::
-
-        >>> from repro.serving import Fleet, uniform_arrivals
-        >>> from repro.workloads.deepbench import task
-        >>> fleet = Fleet("gpu", replicas=2, policy="round-robin")
-        >>> report = fleet.serve_stream(uniform_arrivals(
-        ...     task("lstm", 512, 25), rate_per_s=100, n_requests=10))
-        >>> (report.n_replicas, report.per_replica_counts)
-        (2, (5, 5))
-    """
-
-    policy: str = "round-robin"
-    assignments: tuple[int, ...] = field(default=(), repr=False)
-    #: Total replicas the stream used (autoscaled replicas included) —
-    #: the peak capacity, not derived from the assignments, so idle
-    #: replicas still count toward it.
-    replicas: int = 1
-    #: Replicas still active when the stream drained; below ``replicas``
-    #: when the autoscaler scaled down.
-    active_replicas: int = 1
-    #: Platform key of each provisioned replica, in replica order.
-    #: Empty means "homogeneous" (every replica is ``platform``) so
-    #: reports built before mixed fleets existed keep working.
-    platforms: tuple[str, ...] = field(default=(), repr=False)
-
-    @property
-    def n_replicas(self) -> int:
-        return self.replicas
-
-    @property
-    def replica_platforms(self) -> tuple[str, ...]:
-        if self.platforms:
-            return self.platforms
-        return (self.platform,) * self.n_replicas
-
-    @property
-    def max_rate_per_s(self) -> float:
-        """Sustainable rate of the whole fleet, not one replica.
-
-        A homogeneous fleet sustains ``replicas / mean_service`` — the
-        pre-heterogeneity formula, kept exact.  A mixed fleet sums each
-        replica's *own* ``1 / mean_service`` (its platform's mean over
-        the responses it could have served); multiplying a fleet-wide
-        mean by the replica count would let a slow edge tier inflate
-        the fast tier's capacity and vice versa.  Platforms that served
-        nothing fall back to the fleet-wide mean.
-
-        With autoscaling this is the *peak* capacity the stream reached
-        (``replicas`` engines); the policy can re-grow to it on demand.
-        """
-        roster = self.replica_platforms
-        if len(set(roster)) <= 1:
-            return super().max_rate_per_s * self.n_replicas
-        service: dict[str, float] = {}
-        count: dict[str, int] = {}
-        for r in self.responses:
-            key = r.result.platform
-            service[key] = service.get(key, 0.0) + r.service_s
-            count[key] = count.get(key, 0) + 1
-        fleet_mean = sum(service.values()) / self.n_requests
-        rate = 0.0
-        for name in roster:
-            served = count.get(name, 0)
-            mean = service[name] / served if served else fleet_mean
-            rate += 1.0 / mean
-        return rate
-
-    @property
-    def per_replica_counts(self) -> tuple[int, ...]:
-        counts = [0] * self.n_replicas
-        for replica in self.assignments:
-            counts[replica] += 1
-        return tuple(counts)
-
-    def replica_utilization(self) -> tuple[float, ...]:
-        """Busy fraction of each replica over the stream's makespan."""
-        makespan = max(r.finish_s for r in self.responses)
-        busy = [0.0] * self.n_replicas
-        for replica, resp in zip(self.assignments, self.responses):
-            busy[replica] += resp.service_s
-        return tuple(b / makespan for b in busy)
-
-
 class Fleet:
     """N engine replicas — of one platform or a mix — behind a dispatcher.
 
@@ -549,7 +460,7 @@ class Fleet:
         retries: int = 0,
         hedge_ms: float | None = None,
         summary: StreamSummary | None = None,
-    ) -> "FleetReport | StreamSummary":
+    ) -> "StreamReport | StreamSummary":
         """Dispatch a timestamped stream across the replicas.
 
         The dispatcher assigns every request to a replica on arrival (no
@@ -620,42 +531,9 @@ class Fleet:
             # rather than whatever tier happens to come first.
             return self._new_engine(index), new_scheduler(), new_batcher()
 
-        if mode not in ("full", "summary"):
-            raise ServingError(
-                f"unknown stream mode {mode!r}; expected 'full' or 'summary'"
-            )
-        fault_policy = make_fault_policy(faults)
-        faultless = (
-            fault_policy.name == "none"
-            and timeout_ms is None
-            and hedge_ms is None
-            and retries == 0  # so a timeout-less retries still validates
-        )
-        fault_kwargs = (
-            {}
-            if faultless
-            else {
-                "faults": fault_policy,
-                "fault_seed": fault_seed,
-                "timeout_ms": timeout_ms,
-                "retries": retries,
-                "hedge_ms": hedge_ms,
-            }
-        )
-        if summary is not None and mode != "summary":
-            raise ServingError(
-                "a summary sink only makes sense with mode='summary'"
-            )
-        if mode == "summary" and summary is None:
-            summary = StreamSummary(
-                self.platform_name,
-                slo_ms=slo_ms,
-                scheduler=schedulers[0].name,
-                batcher=batchers[0].name,
-                faults=fault_policy.name,
-            )
-        outcome = run_stream(
+        return _serve_stream(
             arrivals,
+            platform=self.platform_name,
             engines=engines,
             schedulers=schedulers,
             batchers=batchers,
@@ -663,34 +541,16 @@ class Fleet:
             slo_ms=slo_ms,
             autoscaler=autoscaler,
             replica_factory=replica_factory,
+            mode=mode,
             presorted=presorted,
+            faults=faults,
+            fault_seed=fault_seed,
+            timeout_ms=timeout_ms,
+            retries=retries,
+            hedge_ms=hedge_ms,
             summary=summary,
-            **fault_kwargs,
-        )
-        roster = tuple(
-            self._platform_name_for(i) for i in range(outcome.n_replicas)
-        )
-        if summary is not None:
-            return summary.finalize(
-                scale_events=outcome.scale_events,
-                replicas=outcome.n_replicas,
-                active_replicas=outcome.active_replicas,
-                policy=self.policy,
-                fault_stats=outcome.fault_stats,
-                platforms=roster if self.is_heterogeneous else (),
-            )
-        return FleetReport(
-            platform=self.platform_name,
-            responses=tuple(outcome.responses),
-            slo_ms=slo_ms,
-            scheduler=schedulers[0].name,
-            batcher=batchers[0].name,
-            scale_events=outcome.scale_events,
             policy=self.policy,
-            assignments=tuple(outcome.assignments),
-            replicas=outcome.n_replicas,
-            active_replicas=outcome.active_replicas,
-            faults=fault_policy.name,
-            fault_stats=outcome.fault_stats,
-            platforms=roster if self.is_heterogeneous else (),
+            replica_platform=(
+                self._platform_name_for if self.is_heterogeneous else None
+            ),
         )

@@ -9,7 +9,8 @@ alternative: :class:`StreamSummary` mirrors the ``StreamReport`` API
 (percentiles, SLO attainment, padding waste, per-tenant /
 per-priority / per-length-band slices) from a fixed-size set of online
 accumulators, so ``serve_stream(..., mode="summary")`` can consume a
-10M-request stream without ever holding it.
+10M-request stream without ever holding it.  Both derive every other
+figure (rates, energy, $/1M, SLO, slices) through one shared base class.
 
 Design:
 
@@ -281,7 +282,234 @@ class _ClassAcc:
                 counts[_bucket_index(value)] += 1  # type: ignore[index]
 
 
-class StreamSummary:
+class _StreamFigures:
+    """Every figure derived from a stream's primitives, defined once.
+
+    :class:`StreamSummary` (online class accumulators) and
+    :class:`~repro.serving.engine.StreamReport` (materialized responses)
+    each compute their own primitives, so the summary-vs-report mirror
+    tests stay a genuine differential check: ``n_requests``,
+    ``replicas``, ``replica_platforms``, ``makespan_s``,
+    ``_last_arrival_s``, ``mean_service_ms``, ``slo_miss_rate``,
+    ``percentile_ms(q)``, ``_per_platform_service()``, ``_members(field)``
+    (``(member, value)`` pairs; ``"slo_key"`` is the request-level SLO
+    tag), ``_subset(members)`` (a single-engine sub-report) and ``slo_ms``.
+    """
+
+    @property
+    def n_replicas(self) -> int:
+        return self.replicas
+
+    @property
+    def p50_ms(self) -> float:
+        return self.percentile_ms(50)
+
+    @property
+    def p99_ms(self) -> float:
+        return self.percentile_ms(99)
+
+    @property
+    def throughput_rps(self) -> float:
+        """Completed requests per second of stream makespan."""
+        makespan = self.makespan_s
+        if makespan <= 0:
+            return math.inf
+        return self.n_requests / makespan
+
+    @property
+    def offered_rate_per_s(self) -> float:
+        """Arrival rate implied by the stream's time span.
+
+        A single request has no rate (0.0); several requests arriving
+        at the same instant are an infinite-rate burst.
+        """
+        span = self._last_arrival_s
+        if span > 0:
+            return self.n_requests / span
+        return 0.0 if self.n_requests == 1 else math.inf
+
+    @property
+    def max_rate_per_s(self) -> float:
+        """Sustainable rate of the serving capacity the stream used.
+
+        A homogeneous fleet (or one engine) sustains ``replicas /
+        mean_service``.  A mixed fleet sums each replica's *own* ``1 /
+        mean_service`` under its platform; multiplying a fleet-wide mean
+        by the replica count would let a slow edge tier inflate the fast
+        tier's capacity and vice versa.  Platforms that served nothing
+        fall back to the fleet-wide mean.  With autoscaling this is the
+        *peak* capacity the stream reached (``replicas`` engines).
+        """
+        roster = self.replica_platforms
+        if len(set(roster)) <= 1:
+            return self.replicas / (self.mean_service_ms / 1e3)
+        service, count = self._per_platform_service()
+        fleet_mean = sum(service.values()) / self.n_requests
+        rate = 0.0
+        for name in roster:
+            served = count.get(name, 0)
+            mean = service[name] / served if served else fleet_mean
+            rate += 1.0 / mean
+        return rate
+
+    @property
+    def saturated(self) -> bool:
+        """True when arrivals outpace what the servers can drain."""
+        return self.offered_rate_per_s >= self.max_rate_per_s
+
+    # -- energy / TCO accounting ------------------------------------------
+
+    @property
+    def per_platform_counts(self) -> "dict[str, int]":
+        """Requests served per *executing* platform (the one that ran
+        each request), so the values always sum to ``n_requests``."""
+        _service, count = self._per_platform_service()
+        return dict(sorted(count.items()))
+
+    @property
+    def energy_j(self) -> float:
+        """Busy energy: each request's share of accelerator time × the
+        power of the platform that *executed* it (Table 4/5 measured
+        peak when reported, TDP otherwise).  Idle replicas cost nothing
+        here; :attr:`fleet_watt_hours` is the provisioned bill."""
+        service, _count = self._per_platform_service()
+        return sum(
+            seconds * tdp_of(name) for name, seconds in service.items()
+        )
+
+    @property
+    def joules_per_request(self) -> float:
+        """Busy energy per inference — the paper-style J/request figure."""
+        return self.energy_j / self.n_requests
+
+    @property
+    def fleet_watt_hours(self) -> float:
+        """Provisioned energy: every replica powered for the makespan.
+
+        This is what the electricity meter sees — a provisioned
+        accelerator burns its TDP whether or not the dispatcher sends it
+        work — and it is the energy term the TCO model bills.
+        """
+        watts = sum(tdp_of(name) for name in self.replica_platforms)
+        return watts * self.makespan_s / 3600.0
+
+    @property
+    def cost_usd_per_1m_requests(self) -> float:
+        """Total cost of ownership normalized to one million requests.
+
+        Electricity for the provisioned fleet over the makespan
+        (:attr:`fleet_watt_hours` at :data:`ELECTRICITY_USD_PER_KWH`)
+        plus linear capital amortization of every provisioned device
+        (:func:`repro.platforms.device_usd_per_hour`), divided by the
+        requests actually served and scaled to 1M — the objective the
+        capacity planner (:mod:`repro.dse.capacity`) minimizes.
+        """
+        hours = self.makespan_s / 3600.0
+        energy_usd = self.fleet_watt_hours / 1e3 * ELECTRICITY_USD_PER_KWH
+        capital_usd = hours * sum(
+            device_usd_per_hour(name) for name in self.replica_platforms
+        )
+        return (energy_usd + capital_usd) / self.n_requests * 1e6
+
+    # -- SLO --------------------------------------------------------------
+
+    @property
+    def slo_attainment(self) -> float:
+        """Fraction of requests that met their SLO (1 - miss rate)."""
+        return 1.0 - self.slo_miss_rate
+
+    @property
+    def slo_attained(self) -> bool:
+        return self.slo_ms is not None and self.p99_ms <= self.slo_ms
+
+    def uniform_slo_ms(self) -> float | None:
+        """The single request-level SLO every request carried, if any.
+
+        ``None`` when requests carry mixed (or no) per-request SLO tags —
+        callers then fall back to the stream-level SLO.
+        """
+        tags = self._values("slo_key")
+        return tags.pop() if len(tags) == 1 else None
+
+    # -- multi-tenant / multi-class breakdowns ----------------------------
+
+    def _values(self, field: str) -> set:
+        return {value for _member, value in self._members(field)}
+
+    def _slices(self, field: str, band_base: float | None = None) -> dict:
+        """Sub-reports by ``field`` (or its length band), in key order."""
+        groups: dict = {}
+        for member, value in self._members(field):
+            if band_base is not None:
+                value = length_band(value, band_base)
+            groups.setdefault(value, []).append(member)
+        return {key: self._subset(groups[key]) for key in sorted(groups)}
+
+    @property
+    def tenants(self) -> tuple[str, ...]:
+        """Sorted tenant names present in the stream."""
+        return tuple(sorted(self._values("tenant")))
+
+    @property
+    def priorities(self) -> tuple[int, ...]:
+        """Sorted priority classes present in the stream."""
+        return tuple(sorted(self._values("priority")))
+
+    @property
+    def outcomes(self) -> tuple[str, ...]:
+        """Sorted outcomes present (``("ok",)`` outside fault runs)."""
+        return tuple(sorted(self._values("outcome")))
+
+    def per_tenant(self) -> dict:
+        """Sub-reports keyed by tenant, each over that tenant's requests."""
+        return self._slices("tenant")
+
+    def per_priority(self) -> dict:
+        """Sub-reports keyed by priority class."""
+        return self._slices("priority")
+
+    def per_outcome(self) -> dict:
+        """Sub-reports keyed by outcome: how fault-injected requests
+        left the system (``"ok"``/``"retried"``/``"hedged"``/
+        ``"timeout"``); counts always sum to ``n_requests``.
+
+        Example::
+
+            >>> from repro.serving import ServingEngine, uniform_arrivals
+            >>> from repro.workloads.deepbench import task
+            >>> report = ServingEngine("gpu").serve_stream(
+            ...     uniform_arrivals(task("lstm", 512, 25),
+            ...                      rate_per_s=100, n_requests=10))
+            >>> sorted(report.per_outcome()) == ["ok"]
+            True
+        """
+        return self._slices("outcome")
+
+    def per_length_band(self, band_base: float = 2.0) -> dict:
+        """Sub-reports keyed by geometric sequence-length band.
+
+        Requests are grouped by their *own* ``timesteps`` into bands
+        ``[base^k, base^(k+1))``, labelled ``"T16-31"`` etc., so tail
+        latency can be read per length class — long requests hiding
+        behind a healthy global P99 show up here.
+
+        Example::
+
+            >>> from repro.serving import (ServingEngine, ZipfLength,
+            ...                            poisson_arrivals)
+            >>> from repro.workloads.deepbench import task
+            >>> report = ServingEngine("gpu").serve_stream(poisson_arrivals(
+            ...     task("lstm", 512, 25), rate_per_s=500, n_requests=40,
+            ...     seed=1, lengths=ZipfLength(8, 120)))
+            >>> bands = report.per_length_band()
+            >>> sum(b.n_requests for b in bands.values()) == report.n_requests
+            True
+        """
+        bands = self._slices("timesteps", band_base)
+        return {f"T{lo}-{hi}": sub for (lo, hi), sub in bands.items()}
+
+
+class StreamSummary(_StreamFigures):
     """O(1)-memory mirror of :class:`~repro.serving.engine.StreamReport`.
 
     Produced by ``serve_stream(..., mode="summary")``: the event loop
@@ -617,10 +845,6 @@ class StreamSummary:
         return sum(acc.n for acc in self._accs())
 
     @property
-    def n_replicas(self) -> int:
-        return self.replicas
-
-    @property
     def per_replica_counts(self) -> tuple[int, ...]:
         counts = list(self._replica_counts)
         counts.extend([0] * (self.replicas - len(counts)))
@@ -636,33 +860,19 @@ class StreamSummary:
 
     @property
     def mean_queue_delay_ms(self) -> float:
-        accs = self._accs()
-        return sum(acc.queue_sum_s for acc in accs) * 1e3 / sum(
-            acc.n for acc in accs
-        )
+        return sum(acc.queue_sum_s for acc in self._accs()) * 1e3 / self.n_requests
 
     @property
     def mean_service_ms(self) -> float:
-        accs = self._accs()
-        return sum(acc.service_sum_s for acc in accs) * 1e3 / sum(
-            acc.n for acc in accs
-        )
+        return sum(acc.service_sum_s for acc in self._accs()) * 1e3 / self.n_requests
 
     @property
     def mean_batch_size(self) -> float:
-        accs = self._accs()
-        return sum(acc.batch_sum for acc in accs) / sum(acc.n for acc in accs)
+        return sum(acc.batch_sum for acc in self._accs()) / self.n_requests
 
     @property
     def max_batch_size(self) -> int:
         return max(acc.batch_max for acc in self._accs())
-
-    @property
-    def throughput_rps(self) -> float:
-        makespan = max(acc.max_finish_s for acc in self._accs())
-        if makespan <= 0:
-            return math.inf
-        return self.n_requests / makespan
 
     @property
     def padding_waste_frac(self) -> float:
@@ -673,40 +883,7 @@ class StreamSummary:
             return 0.0
         return (executed - useful) / executed
 
-    @property
-    def offered_rate_per_s(self) -> float:
-        span = max(acc.max_arrival_s for acc in self._accs())
-        if span > 0:
-            return self.n_requests / span
-        return 0.0 if self.n_requests == 1 else math.inf
-
-    @property
-    def max_rate_per_s(self) -> float:
-        """Sustainable rate of the serving capacity the stream used —
-        mirroring ``StreamReport`` / ``FleetReport``.
-
-        Homogeneous: one over the mean service time, times the (peak)
-        replica count — the exact historical formula.  Mixed fleets sum
-        each replica's own ``1 / mean_service`` under its platform
-        (platforms that served nothing fall back to the fleet mean).
-        """
-        roster = self.replica_platforms
-        if len(set(roster)) <= 1:
-            return self.replicas / (self.mean_service_ms / 1e3)
-        service, count = self._per_platform_service()
-        fleet_mean = sum(service.values()) / self.n_requests
-        rate = 0.0
-        for name in roster:
-            served = count.get(name, 0)
-            mean = service[name] / served if served else fleet_mean
-            rate += 1.0 / mean
-        return rate
-
-    @property
-    def saturated(self) -> bool:
-        return self.offered_rate_per_s >= self.max_rate_per_s
-
-    # -- energy / TCO accounting ------------------------------------------
+    # -- primitives of the shared figures ---------------------------------
 
     def _per_platform_service(self) -> "tuple[dict[str, float], dict[str, int]]":
         service: dict[str, float] = {}
@@ -723,6 +900,10 @@ class StreamSummary:
         return max(acc.max_finish_s for acc in self._accs())
 
     @property
+    def _last_arrival_s(self) -> float:
+        return max(acc.max_arrival_s for acc in self._accs())
+
+    @property
     def replica_platforms(self) -> "tuple[str, ...]":
         """Platform key of every provisioned replica, in replica order
         (shard order after a merge)."""
@@ -731,66 +912,11 @@ class StreamSummary:
         return (self.platform,) * self.replicas
 
     @property
-    def per_platform_counts(self) -> "dict[str, int]":
-        """Requests served per *executing* platform; sums to
-        ``n_requests``."""
-        _service, count = self._per_platform_service()
-        return dict(sorted(count.items()))
-
-    @property
-    def energy_j(self) -> float:
-        """Busy energy: accelerator-seconds × that platform's power
-        draw, exactly as on :class:`~repro.serving.engine.StreamReport`."""
-        service, _count = self._per_platform_service()
-        return sum(
-            seconds * tdp_of(name) for name, seconds in service.items()
-        )
-
-    @property
-    def joules_per_request(self) -> float:
-        """Busy energy per inference — the paper-style J/request figure."""
-        return self.energy_j / self.n_requests
-
-    @property
-    def fleet_watt_hours(self) -> float:
-        """Provisioned energy: every replica powered for the makespan
-        (idle or not) — the electricity the TCO model bills."""
-        watts = sum(tdp_of(name) for name in self.replica_platforms)
-        return watts * self.makespan_s / 3600.0
-
-    @property
-    def cost_usd_per_1m_requests(self) -> float:
-        """Electricity plus amortized capital for the provisioned fleet,
-        normalized to one million requests — the capacity planner's
-        objective (see ``StreamReport.cost_usd_per_1m_requests``)."""
-        hours = self.makespan_s / 3600.0
-        energy_usd = self.fleet_watt_hours / 1e3 * ELECTRICITY_USD_PER_KWH
-        capital_usd = hours * sum(
-            device_usd_per_hour(name) for name in self.replica_platforms
-        )
-        return (energy_usd + capital_usd) / self.n_requests * 1e6
-
-    @property
     def slo_miss_rate(self) -> float:
         accs = self._accs()
         if any(acc.eff_slo_ms is None for acc in accs):
             raise ServingError("no SLO configured for this stream")
         return sum(acc.miss for acc in accs) / sum(acc.n for acc in accs)
-
-    @property
-    def slo_attainment(self) -> float:
-        return 1.0 - self.slo_miss_rate
-
-    @property
-    def slo_attained(self) -> bool:
-        return self.slo_ms is not None and self.p99_ms <= self.slo_ms
-
-    def uniform_slo_ms(self) -> float | None:
-        """The single request-level SLO every request carried, if any."""
-        tags = {acc.slo_key for acc in self._accs()}
-        if len(tags) == 1:
-            return tags.pop()
-        return None
 
     # -- quantiles --------------------------------------------------------
 
@@ -841,18 +967,12 @@ class StreamSummary:
     def max_sojourn_ms(self) -> float:
         return max(acc.max_sojourn_ms for acc in self._accs())
 
-    @property
-    def p50_ms(self) -> float:
-        return self.percentile_ms(50)
-
-    @property
-    def p99_ms(self) -> float:
-        return self.percentile_ms(99)
-
     # -- slices -----------------------------------------------------------
 
     def _subset(self, accs: Iterable[tuple]) -> "StreamSummary":
-        sub = StreamSummary(
+        # Stream-wide metadata (scale events, fault counters, replicas)
+        # is not attributable to a slice; slices keep the identities.
+        return StreamSummary(
             self.platform,
             slo_ms=self.slo_ms,
             scheduler=self.scheduler,
@@ -861,48 +981,9 @@ class StreamSummary:
             faults=self.faults,
             _classes={key: self._classes[key] for key in accs},
         )
-        # Stream-wide metadata (scale events, fault counters) is not
-        # attributable to a slice; slices keep the identities.
-        sub.scale_events = ()
-        return sub
 
-    @property
-    def tenants(self) -> tuple[str, ...]:
-        return tuple(sorted({acc.tenant for acc in self._accs()}))
-
-    @property
-    def priorities(self) -> tuple[int, ...]:
-        return tuple(sorted({acc.priority for acc in self._accs()}))
-
-    def per_tenant(self) -> "dict[str, StreamSummary]":
-        """Sub-summaries keyed by tenant (same online accumulators)."""
-        groups: dict[str, list[tuple]] = {}
-        for key, acc in self._classes.items():
-            groups.setdefault(acc.tenant, []).append(key)
-        return {t: self._subset(groups[t]) for t in sorted(groups)}
-
-    def per_priority(self) -> "dict[int, StreamSummary]":
-        """Sub-summaries keyed by priority class."""
-        groups: dict[int, list[tuple]] = {}
-        for key, acc in self._classes.items():
-            groups.setdefault(acc.priority, []).append(key)
-        return {p: self._subset(groups[p]) for p in sorted(groups)}
-
-    @property
-    def outcomes(self) -> tuple[str, ...]:
-        return tuple(sorted({acc.outcome for acc in self._accs()}))
-
-    def per_outcome(self) -> "dict[str, StreamSummary]":
-        """Sub-summaries keyed by outcome (``"ok"``/``"retried"``/
-        ``"hedged"``/``"timeout"``).
-
-        Per-outcome request counts always sum to ``n_requests``; outside
-        fault-injected runs the only key is ``"ok"``.
-        """
-        groups: dict[str, list[tuple]] = {}
-        for key, acc in self._classes.items():
-            groups.setdefault(acc.outcome, []).append(key)
-        return {o: self._subset(groups[o]) for o in sorted(groups)}
+    def _members(self, field: str) -> "list[tuple[tuple, object]]":
+        return [(key, getattr(acc, field)) for key, acc in self._classes.items()]
 
     def per_length_band(self, band_base: float = 2.0) -> "dict[str, StreamSummary]":
         """Sub-summaries keyed by geometric sequence-length band.
@@ -916,14 +997,7 @@ class StreamSummary:
                 f"summary accumulated length bands at base {self.band_base}; "
                 f"re-run the stream with band_base={band_base} to re-bucket"
             )
-        groups: dict[tuple[int, int], list[tuple]] = {}
-        for key, acc in self._classes.items():
-            band = length_band(acc.timesteps, band_base)
-            groups.setdefault(band, []).append(key)
-        return {
-            f"T{lo}-{hi}": self._subset(groups[(lo, hi)])
-            for lo, hi in sorted(groups)
-        }
+        return super().per_length_band(band_base)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

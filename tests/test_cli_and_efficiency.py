@@ -189,6 +189,26 @@ class TestCLI:
         assert "mean batch" in out
         assert "size-cap batching <= 4" in out
 
+    def test_serve_stream_fleet_mix_modes_agree(self, capsys):
+        # A mixed fleet from the CLI in both report modes: the capacity,
+        # energy and cost cells come from the same formulas over the
+        # same stream, so they print identically.
+        argv = ["serve", "gru", "2816", "25", "--stream", "--fleet-mix",
+                "plasticine:2,brainwave:1,gpu:1", "--policy", "least-loaded",
+                "--rate", "6000", "--requests", "500", "--slo-ms", "5"]
+        cells = {}
+        for mode in ("full", "summary"):
+            assert main([*argv, "--mode", mode]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            header = [c.strip() for c in lines[1].split("|")]
+            row = [c.strip() for c in lines[3].split("|")]
+            assert row[0] == "plasticine:2,brainwave:1,gpu:1"
+            cells[mode] = {
+                name: row[header.index(name)]
+                for name in ("max req/s", "J/req", "$/1M req")
+            }
+        assert cells["full"] == cells["summary"]
+
     def test_serve_stream_unknown_batcher_exits(self):
         with pytest.raises(SystemExit):
             main(["serve", "--stream", "--batcher", "megabatch"])

@@ -172,7 +172,11 @@ class TestHeterogeneousReport:
         assert report.max_rate_per_s == pytest.approx(expected)
 
     def test_energy_and_tco_accounting(self):
-        from repro.platforms import tdp_of
+        from repro.platforms import (
+            ELECTRICITY_USD_PER_KWH,
+            device_usd_per_hour,
+            tdp_of,
+        )
 
         report = Fleet("brainwave:1,gpu:1", policy="least-loaded").serve_stream(
             self.ARRIVALS, slo_ms=5.0
@@ -186,6 +190,17 @@ class TestHeterogeneousReport:
         )
         assert report.fleet_watt_hours > 0
         assert report.cost_usd_per_1m_requests > 0
+        # Independent of the shared formula: both replicas are billed
+        # for the whole makespan, idle or not.
+        hours = max(r.finish_s for r in report.responses) / 3600.0
+        watt_hours = (tdp_of("brainwave") + tdp_of("gpu")) * hours
+        assert report.fleet_watt_hours == pytest.approx(watt_hours, rel=1e-12)
+        usd = watt_hours / 1e3 * ELECTRICITY_USD_PER_KWH + hours * (
+            device_usd_per_hour("brainwave") + device_usd_per_hour("gpu")
+        )
+        assert report.cost_usd_per_1m_requests == pytest.approx(
+            usd / report.n_requests * 1e6, rel=1e-12
+        )
 
     def test_per_platform_counts_sum_to_total(self):
         report = Fleet("brainwave:1,gpu:1", policy="least-loaded").serve_stream(

@@ -89,6 +89,19 @@ def _assert_mirrors(report, summary, *, check_slo=True):
         report.max_rate_per_s, rel=1e-9
     )
     assert summary.saturated == report.saturated
+    for figure in (
+        "energy_j",
+        "joules_per_request",
+        "fleet_watt_hours",
+        "cost_usd_per_1m_requests",
+    ):
+        assert getattr(summary, figure) == pytest.approx(
+            getattr(report, figure), rel=1e-9
+        ), figure
+    assert summary.per_platform_counts == report.per_platform_counts
+    assert summary.tenants == report.tenants
+    assert summary.priorities == report.priorities
+    assert summary.outcomes == report.outcomes
     if check_slo:
         assert summary.slo_miss_rate == report.slo_miss_rate
         assert summary.slo_attainment == report.slo_attainment
@@ -299,6 +312,12 @@ class TestFleetSummary:
                 arrivals, slo_ms=5.0, scheduler=scheduler, mode="summary"
             )
             assert summary.per_replica_counts == (50,)
+            # A full-mode engine report carries its assignments too.
+            report = ServingEngine("gpu").serve_stream(
+                arrivals, slo_ms=5.0, scheduler=scheduler
+            )
+            assert report.n_replicas == 1
+            assert report.per_replica_counts == (50,)
 
     def test_autoscaled_summary_carries_scale_events(self):
         arrivals = poisson_arrivals(T, rate_per_s=6000, n_requests=600, seed=4)
