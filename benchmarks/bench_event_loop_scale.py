@@ -10,7 +10,9 @@ that make that feasible on one machine:
   per-shape cost memo must be **≥10×** the events/sec of the pre-PR
   loop (the general heap path recosting every request, materializing a
   full report) on the 100k-request fifo/none configuration, and the
-  million-request run must clear an absolute events/sec floor.
+  million-request run must clear an absolute events/sec floor.  The two
+  sides of the ratio alternate over five rounds, each timed after a
+  ``gc.collect()``, and each side keeps its median run.
 * **O(1) memory** — the summary mode's peak traced memory must be
   independent of stream length (a 5× longer stream may not grow the
   peak), while the materialized ``mode="full"`` grows linearly (also
@@ -31,8 +33,10 @@ a regression below the pinned floors).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import resource
+import statistics
 import sys
 import time
 import tracemalloc
@@ -64,6 +68,10 @@ EVENTS_PER_S_FLOOR = 150_000.0
 #: Required speedup of summary+presorted+memo over the pre-PR-equivalent
 #: loop on the 100k-request fifo/none comparison.
 SPEEDUP_FLOOR = 10.0
+
+#: Alternating rounds of the speedup comparison; each side keeps its
+#: median run, so one noisy window cannot decide the ratio.
+COMPARISON_REPEATS = 5
 
 
 class _HeapPathNoneBatcher(NoneBatcher):
@@ -100,19 +108,33 @@ def _comparison(n: int) -> dict:
 
     The arrivals are materialized once and shared, so the comparison
     measures the loop (event machinery + per-request costing +
-    accounting), not traffic generation.
+    accounting), not traffic generation.  Each timed run starts from a
+    fresh ``gc.collect()``, so a collection of the previous run's garbage
+    (the baseline's full report) cannot land inside the next one; the
+    sides alternate over :data:`COMPARISON_REPEATS` rounds and each keeps
+    its median, so machine drift hits both alike.
     """
     arrivals = poisson_arrivals(TASK, rate_per_s=RATE, n_requests=n, seed=SEED)
-    baseline_s, baseline_report = _measure(
-        ServingEngine("gpu", memoize=False),
-        arrivals,
-        batcher=lambda: _HeapPathNoneBatcher(),
-    )
-    optimized_s, summary = _measure(
-        ServingEngine("gpu"), arrivals, mode="summary", presorted=True
-    )
+    baseline_runs: list[float] = []
+    optimized_runs: list[float] = []
+    for _round in range(COMPARISON_REPEATS):
+        gc.collect()
+        elapsed, baseline_report = _measure(
+            ServingEngine("gpu", memoize=False),
+            arrivals,
+            batcher=lambda: _HeapPathNoneBatcher(),
+        )
+        baseline_runs.append(elapsed)
+        gc.collect()
+        elapsed, summary = _measure(
+            ServingEngine("gpu"), arrivals, mode="summary", presorted=True
+        )
+        optimized_runs.append(elapsed)
+    baseline_s = statistics.median(baseline_runs)
+    optimized_s = statistics.median(optimized_runs)
     return {
         "n_requests": n,
+        "repeats": COMPARISON_REPEATS,
         "baseline_events_per_s": 2 * n / baseline_s,
         "optimized_events_per_s": 2 * n / optimized_s,
         "speedup": baseline_s / optimized_s,

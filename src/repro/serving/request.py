@@ -9,10 +9,17 @@ and the timeline the event loop assigned to it.
 These live in their own module (rather than in ``engine``) so the
 traffic generators, the schedulers, and the event loop can all import
 them without cycles.
+
+The public constructor validates every request.  The traffic generators
+and :func:`~repro.serving.traffic.mix` build millions of requests from
+arguments they have already checked once per stream, so they use the
+private :func:`_trusted_request` instead, which skips the checks but
+yields the same frozen, hashable record.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import ServingError
@@ -28,7 +35,8 @@ class ServeRequest:
 
     Attributes:
         task: The RNN inference to run.
-        arrival_s: When the request enters the system (seconds).
+        arrival_s: When the request enters the system (seconds; finite
+            and >= 0).
         request_id: Identifier, unique within one stream.  Streams merged
             by :func:`repro.serving.traffic.mix` get globally unique ids;
             the event loop rejects streams with duplicates.
@@ -38,7 +46,8 @@ class ServeRequest:
             ``"priority"`` scheduler; ties break FIFO).
         slo_ms: Per-request latency budget.  Overrides the stream-level
             SLO for deadline scheduling and miss accounting; ``None``
-            falls back to the stream's ``slo_ms``.
+            falls back to the stream's ``slo_ms``.  Must be positive
+            (NaN is rejected; ``inf`` means never late).
 
     Example::
 
@@ -60,10 +69,12 @@ class ServeRequest:
     slo_ms: float | None = None
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ServingError("arrival_s must be >= 0")
-        if self.slo_ms is not None and self.slo_ms <= 0:
-            raise ServingError("slo_ms must be positive when set")
+        if not 0.0 <= self.arrival_s < math.inf:
+            raise _arrival_error(self.arrival_s)
+        if self.slo_ms is not None and not self.slo_ms > 0:
+            raise ServingError(
+                f"slo_ms must be positive when set, got {self.slo_ms!r}"
+            )
 
     def effective_slo_ms(self, default_slo_ms: float | None = None) -> float | None:
         """The request's own SLO, falling back to the stream-level one."""
@@ -75,6 +86,50 @@ class ServeRequest:
         if slo is None:
             return float("inf")
         return self.arrival_s + slo / 1e3
+
+
+def _arrival_error(arrival_s: float) -> ServingError:
+    """The error for an arrival time outside ``[0, inf)`` (NaN included)."""
+    if arrival_s < 0:
+        return ServingError("arrival_s must be >= 0")
+    return ServingError(f"arrival_s must be finite, got {arrival_s!r}")
+
+
+_new_request = object.__new__
+_set_task = ServeRequest.task.__set__
+_set_arrival_s = ServeRequest.arrival_s.__set__
+_set_request_id = ServeRequest.request_id.__set__
+_set_tenant = ServeRequest.tenant.__set__
+_set_priority = ServeRequest.priority.__set__
+_set_slo_ms = ServeRequest.slo_ms.__set__
+
+
+def _trusted_request(
+    task: RNNTask,
+    arrival_s: float,
+    request_id: int,
+    tenant: str,
+    priority: int,
+    slo_ms: float | None,
+) -> ServeRequest:
+    """A :class:`ServeRequest` built without ``__init__``'s checks.
+
+    Fills the six slots directly, which costs well under half the public
+    constructor.  The record is indistinguishable from a publicly built
+    one: equal, hash-equal, picklable, and still frozen.  Only callers
+    that validated the fields already may use it: the traffic generators
+    (after their once-per-stream argument checks, keeping a per-request
+    arrival check) and :func:`~repro.serving.traffic.mix` (which
+    renumbers requests that were valid on the way in).
+    """
+    req = _new_request(ServeRequest)
+    _set_task(req, task)
+    _set_arrival_s(req, arrival_s)
+    _set_request_id(req, request_id)
+    _set_tenant(req, tenant)
+    _set_priority(req, priority)
+    _set_slo_ms(req, slo_ms)
+    return req
 
 
 @dataclass(frozen=True, slots=True)

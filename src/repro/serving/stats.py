@@ -16,7 +16,7 @@ Design:
 
 * **One accumulator per request class.**  Requests are grouped by
   ``(task, tenant, priority, slo_ms)``; each class keeps exact integer
-  counters (count, SLO misses, batch sizes, executed/useful FLOPs),
+  counters (count, SLO misses, batch sizes, padding FLOPs),
   exact running float sums (sojourn, queueing delay, service time), and
   exact min/max.  Every report-level figure that is a sum or a count —
   ``n_requests``, ``slo_attainment``, ``mean_batch_size``,
@@ -76,9 +76,12 @@ _HIST_BUCKETS = 11 * _HIST_PER_DECADE
 _HIST_RATIO = 10.0 ** (1.0 / _HIST_PER_DECADE)
 
 
+_log10 = math.log10
+
+
 def _bucket_index(value_ms: float) -> int:
     """Histogram bucket for a positive sojourn (clamped at both ends)."""
-    idx = int((math.log10(value_ms) - _HIST_LO_EXP) * _HIST_PER_DECADE)
+    idx = int((_log10(value_ms) - _HIST_LO_EXP) * _HIST_PER_DECADE)
     if idx < 0:
         return 0
     if idx >= _HIST_BUCKETS:
@@ -132,13 +135,14 @@ class _ClassAcc:
         "batch_sum",
         "batch_max",
         "miss",
-        "exec_flops",
+        "pad_flops",
         "max_arrival_s",
         "max_finish_s",
         "min_sojourn_ms",
         "max_sojourn_ms",
         "samples",
         "counts",
+        "platform",
         "plat",
     )
 
@@ -170,7 +174,9 @@ class _ClassAcc:
         self.batch_sum = 0
         self.batch_max = 0
         self.miss = 0
-        self.exec_flops = 0
+        #: FLOPs executed beyond the useful ones: the padding of requests
+        #: that ran inside a longer batch.
+        self.pad_flops = 0
         self.max_arrival_s = 0.0
         self.max_finish_s = 0.0
         self.min_sojourn_ms = math.inf
@@ -179,11 +185,16 @@ class _ClassAcc:
         #: ``None`` (spilled into ``counts``).
         self.samples: list[float] | None = []
         self.counts: list[int] | None = None
-        #: Executing platform -> [service_sum_s, count]: which hardware
-        #: actually served this class's requests (energy attribution and
-        #: per-platform capacity on mixed fleets; one entry when the
-        #: fleet is homogeneous).
-        self.plat: dict[str, list] = {}
+        #: Which hardware actually served this class's requests (energy
+        #: attribution and per-platform capacity on mixed fleets), read
+        #: through :meth:`platform_service`.  While one platform has
+        #: served them all, ``platform`` names it, its sums are the
+        #: class's own ``service_sum_s`` and ``n``, and ``plat`` is
+        #: ``None``: the fold skips the per-platform dict.  From a second
+        #: platform on, ``plat`` maps each to ``[service_sum_s, count]``
+        #: and ``platform`` is ``None``.
+        self.platform: str | None = None
+        self.plat: dict[str, list] | None = None
 
     def add_sojourn(self, sojourn_ms: float) -> None:
         samples = self.samples
@@ -193,6 +204,38 @@ class _ClassAcc:
                 self._promote()
         else:
             self.counts[_bucket_index(sojourn_ms)] += 1  # type: ignore[index]
+
+    def add_platform(self, platform: str, service_s: float) -> None:
+        """Attribute one request's service to ``platform``.
+
+        The fold calls this only when ``platform`` is not the class's
+        single platform so far, and before ``n`` and ``service_sum_s``
+        count the request.
+        """
+        if self.plat is None and not self.n:  # the class's first request
+            self.platform = platform
+            return
+        plat = self._per_platform()
+        entry = plat.get(platform)
+        if entry is None:
+            plat[platform] = [service_s, 1]
+        else:
+            entry[0] += service_s
+            entry[1] += 1
+
+    def platform_service(self) -> "dict[str, list]":
+        """Executing platform -> ``[service_sum_s, count]``, as a new dict."""
+        if self.plat is None:
+            return {self.platform: [self.service_sum_s, self.n]}
+        return {name: list(entry) for name, entry in self.plat.items()}
+
+    def _per_platform(self) -> "dict[str, list]":
+        """The per-platform dict, built from the class's own sums if this
+        is the first time a second platform shows up."""
+        if self.plat is None:
+            self.plat = self.platform_service()
+            self.platform = None
+        return self.plat
 
     def _promote(self) -> None:
         """Spill the exact reservoir into histogram buckets."""
@@ -216,14 +259,14 @@ class _ClassAcc:
         )
         for name in (
             "n", "sojourn_sum_ms", "queue_sum_s", "service_sum_s",
-            "batch_sum", "batch_max", "miss", "exec_flops",
+            "batch_sum", "batch_max", "miss", "pad_flops",
             "max_arrival_s", "max_finish_s", "min_sojourn_ms",
-            "max_sojourn_ms",
+            "max_sojourn_ms", "platform",
         ):
             setattr(new, name, getattr(self, name))
         new.samples = None if self.samples is None else list(self.samples)
         new.counts = None if self.counts is None else list(self.counts)
-        new.plat = {name: list(entry) for name, entry in self.plat.items()}
+        new.plat = None if self.plat is None else self.platform_service()
         return new
 
     def absorb(self, other: "_ClassAcc") -> None:
@@ -237,21 +280,23 @@ class _ClassAcc:
         (which is what makes merged quantiles match the single-process
         run exactly, not just within tolerance).
         """
+        if other.plat is not None or other.platform != self.platform:
+            # Mixed hardware: per-platform sums, before n counts other's.
+            plat = self._per_platform()
+            for name, entry in other.platform_service().items():
+                mine = plat.get(name)
+                if mine is None:
+                    plat[name] = entry
+                else:
+                    mine[0] += entry[0]
+                    mine[1] += entry[1]
         self.n += other.n
         self.sojourn_sum_ms += other.sojourn_sum_ms
-        plat = self.plat
-        for name, entry in other.plat.items():
-            mine = plat.get(name)
-            if mine is None:
-                plat[name] = list(entry)
-            else:
-                mine[0] += entry[0]
-                mine[1] += entry[1]
         self.queue_sum_s += other.queue_sum_s
         self.service_sum_s += other.service_sum_s
         self.batch_sum += other.batch_sum
         self.miss += other.miss
-        self.exec_flops += other.exec_flops
+        self.pad_flops += other.pad_flops
         if other.batch_max > self.batch_max:
             self.batch_max = other.batch_max
         if other.max_arrival_s > self.max_arrival_s:
@@ -575,9 +620,8 @@ class StreamSummary(_StreamFigures):
         #: property walks the task shape, far too slow per request.
         self._flops: dict["RNNTask", int] = {}
         # Identity fast path: streams overwhelmingly repeat the same
-        # (task, tenant, priority, slo) class back to back.
+        # (task, tenant, priority, slo, outcome) class back to back.
         self._last_task: "RNNTask | None" = None
-        self._last_req_key: tuple | None = None
         self._last_acc: _ClassAcc | None = None
 
     # -- ingestion --------------------------------------------------------
@@ -607,9 +651,6 @@ class StreamSummary(_StreamFigures):
             )
             self._classes[key] = acc
         self._last_task = task
-        self._last_req_key = (
-            request.tenant, request.priority, request.slo_ms, outcome
-        )
         self._last_acc = acc
         return acc
 
@@ -632,33 +673,33 @@ class StreamSummary(_StreamFigures):
         """
         task = request.task
         acc = self._last_acc
+        # The last class's key fields, compared one by one with ``!=``
+        # (the dict's equality, not identity: tenant strings parsed from
+        # a trace are new objects on every line).
         if (
-            acc is None
-            or task is not self._last_task
-            or (request.tenant, request.priority, request.slo_ms, outcome)
-            != self._last_req_key
+            task is not self._last_task
+            or acc is None
+            or request.tenant != acc.tenant
+            or request.priority != acc.priority
+            or request.slo_ms != acc.slo_key
+            or outcome != acc.outcome
         ):
             acc = self._class_for(request, outcome)
         arrival = request.arrival_s
         sojourn_ms = (finish_s - arrival) * 1e3
+        service_s = result.latency_s / batch_size
+        if result.platform != acc.platform:
+            acc.add_platform(result.platform, service_s)
         acc.n += 1
         acc.sojourn_sum_ms += sojourn_ms
         acc.queue_sum_s += start_s - arrival
-        service_s = result.latency_s / batch_size
         acc.service_sum_s += service_s
-        entry = acc.plat.get(result.platform)
-        if entry is None:
-            acc.plat[result.platform] = [service_s, 1]
-        else:
-            entry[0] += service_s
-            entry[1] += 1
         acc.batch_sum += batch_size
         if batch_size > acc.batch_max:
             acc.batch_max = batch_size
         exec_task = result.task
-        acc.exec_flops += (
-            acc.useful_flops if exec_task is task else self._flops_of(exec_task)
-        )
+        if exec_task is not task:
+            acc.pad_flops += self._flops_of(exec_task) - acc.useful_flops
         eff = acc.eff_slo_ms
         if eff is not None and sojourn_ms > eff:
             acc.miss += 1
@@ -670,7 +711,17 @@ class StreamSummary(_StreamFigures):
             acc.min_sojourn_ms = sojourn_ms
         if sojourn_ms > acc.max_sojourn_ms:
             acc.max_sojourn_ms = sojourn_ms
-        acc.add_sojourn(sojourn_ms)
+        counts = acc.counts
+        if counts is None:
+            acc.add_sojourn(sojourn_ms)
+        else:
+            # _bucket_index, inlined for the spilled (large-class) case.
+            idx = int((_log10(sojourn_ms) - _HIST_LO_EXP) * _HIST_PER_DECADE)
+            if idx < 0:
+                idx = 0
+            elif idx >= _HIST_BUCKETS:
+                idx = _HIST_BUCKETS - 1
+            counts[idx] += 1
 
     def observe_response(self, response) -> None:
         """Fold a materialized :class:`ServeResponse` into the summary.
@@ -877,11 +928,11 @@ class StreamSummary(_StreamFigures):
     @property
     def padding_waste_frac(self) -> float:
         accs = self._accs()
-        executed = sum(acc.exec_flops for acc in accs)
-        useful = sum(acc.n * acc.useful_flops for acc in accs)
+        padding = sum(acc.pad_flops for acc in accs)
+        executed = sum(acc.n * acc.useful_flops for acc in accs) + padding
         if executed <= 0:
             return 0.0
-        return (executed - useful) / executed
+        return padding / executed
 
     # -- primitives of the shared figures ---------------------------------
 
@@ -889,7 +940,7 @@ class StreamSummary(_StreamFigures):
         service: dict[str, float] = {}
         count: dict[str, int] = {}
         for acc in self._accs():
-            for name, entry in acc.plat.items():
+            for name, entry in acc.platform_service().items():
                 service[name] = service.get(name, 0.0) + entry[0]
                 count[name] = count.get(name, 0) + entry[1]
         return service, count

@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -44,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.errors import ServingError, WorkloadError
-from repro.serving.request import ServeRequest
+from repro.serving.request import ServeRequest, _arrival_error, _trusted_request
 from repro.workloads.deepbench import RNNTask
 
 __all__ = [
@@ -68,16 +69,42 @@ __all__ = [
     "request_from_json",
 ]
 
-#: Chunk size for vectorized lazy RNG draws: big enough to amortize the
-#: numpy call, small enough that a lazy stream's working set stays tiny.
-_CHUNK = 8192
+#: Chunk size for vectorized lazy RNG draws (arrival gaps and lengths):
+#: big enough to amortize the numpy call, small enough that a lazy
+#: stream's working set stays tiny.  Draws are bit-identical at any size.
+_CHUNK = 2048
+
+_INF = math.inf
 
 
-def _check_stream_args(rate_per_s: float, n_requests: int) -> None:
-    if rate_per_s <= 0:
-        raise ServingError("rate_per_s must be positive")
+def _check_stream_args(
+    n_requests: int, start_s: float, slo_ms: float | None, **positive: float
+) -> None:
+    """A generator's once-per-stream argument checks.
+
+    They stand in for the checks the public :class:`ServeRequest`
+    constructor would run on every generated request (``start_s``
+    offsets each arrival, ``slo_ms`` is copied to each), so
+    :func:`_request_stream` can build its requests through the unchecked
+    ``_trusted_request``.  ``positive`` names the rates, dwells and
+    periods, each of which must be finite and positive; the negated
+    range tests also reject NaN.
+    """
+    for name, value in positive.items():
+        if not 0.0 < value < math.inf:
+            raise ServingError(f"{name} must be finite and positive, got {value!r}")
+    try:
+        operator.index(n_requests)  # it sizes the RNG draws
+    except TypeError:
+        raise ServingError(
+            f"n_requests must be an integer, got {n_requests!r}"
+        ) from None
     if n_requests < 1:
         raise ServingError("n_requests must be >= 1")
+    if not 0.0 <= start_s < math.inf:
+        raise ServingError(f"start_s must be finite and >= 0, got {start_s!r}")
+    if slo_ms is not None and not slo_ms > 0:
+        raise ServingError(f"slo_ms must be positive when set, got {slo_ms!r}")
 
 
 # -- sequence-length distributions ---------------------------------------
@@ -95,17 +122,31 @@ class LengthSampler(ABC):
     generator-owned RNG passed to :meth:`sample`, so the same traffic
     seed reproduces the same lengths.
 
+    The generators draw lengths through :meth:`sample_chunk`, a few
+    thousand at a time and never more than the stream still needs.  A
+    subclass need only define :meth:`sample`: the default chunk calls it
+    once per request.  An override of :meth:`sample_chunk` (every
+    built-in has one) must return exactly the values that many
+    :meth:`sample` calls would, and leave ``rng`` in the same state, so
+    chunking never changes a stream.
+
     Example::
 
         >>> from repro.serving import FixedLength
         >>> import numpy as np
         >>> FixedLength(25).sample(np.random.default_rng(0))
         25
+        >>> FixedLength(25).sample_chunk(np.random.default_rng(0), 3)
+        [25, 25, 25]
     """
 
     @abstractmethod
     def sample(self, rng) -> int:
         """Draw one sequence length (``timesteps >= 1``)."""
+
+    def sample_chunk(self, rng, n: int) -> list[int]:
+        """Draw ``n`` lengths: the next ``n`` values of :meth:`sample`."""
+        return [self.sample(rng) for _ in range(n)]
 
 
 @dataclass(frozen=True)
@@ -131,6 +172,9 @@ class FixedLength(LengthSampler):
     def sample(self, rng) -> int:
         return self.timesteps
 
+    def sample_chunk(self, rng, n: int) -> list[int]:
+        return [self.timesteps] * n
+
 
 @dataclass(frozen=True)
 class UniformLength(LengthSampler):
@@ -155,6 +199,11 @@ class UniformLength(LengthSampler):
 
     def sample(self, rng) -> int:
         return int(rng.integers(self.lo, self.hi + 1))
+
+    def sample_chunk(self, rng, n: int) -> list[int]:
+        # One bounded draw of size n consumes the bit generator exactly
+        # as n scalar draws do (tests pin the parity).
+        return rng.integers(self.lo, self.hi + 1, size=n).tolist()
 
 
 @dataclass(frozen=True)
@@ -208,6 +257,9 @@ class ZipfLength(LengthSampler):
     def sample(self, rng) -> int:
         return self.lo + int(self._cdf.searchsorted(rng.random(), side="right"))
 
+    def sample_chunk(self, rng, n: int) -> list[int]:
+        return (self.lo + self._cdf.searchsorted(rng.random(n), side="right")).tolist()
+
 
 @dataclass(frozen=True)
 class EmpiricalLength(LengthSampler):
@@ -234,6 +286,11 @@ class EmpiricalLength(LengthSampler):
 
     def sample(self, rng) -> int:
         return int(self.population[int(rng.integers(len(self.population)))])
+
+    def sample_chunk(self, rng, n: int) -> list[int]:
+        population = self.population
+        picks = rng.integers(len(population), size=n).tolist()
+        return [int(population[i]) for i in picks]
 
 
 def length_sampler(spec: str) -> LengthSampler:
@@ -326,6 +383,7 @@ def lengths_from_trace(path: str | Path) -> EmpiricalLength:
 
 def _request_stream(
     times: Iterator[float],
+    n_requests: int,
     task: RNNTask,
     start_s: float,
     tenant: str,
@@ -334,37 +392,52 @@ def _request_stream(
     lengths: LengthSampler | None,
     seed: int,
 ) -> Iterator[ServeRequest]:
-    """Wrap a lazy arrival-time stream into tagged requests.
+    """Wrap a lazy stream of ``n_requests`` arrival times into tagged requests.
+
+    Requests are built by the unchecked ``_trusted_request``: the caller
+    has run :func:`_check_stream_args`, and each arrival is range-checked
+    here, so a bad stream still fails with the public constructor's error.
 
     Length sampling draws from its own seeded RNG stream
     (``(seed, _LENGTH_STREAM)``), so attaching a distribution never
-    perturbs the arrival times — and the interleaved lazy draws are
-    value-identical to the historical draw-all-upfront order.
+    perturbs the arrival times.  Lengths come from
+    :meth:`LengthSampler.sample_chunk` in chunks of at most
+    :data:`_CHUNK`, never more than the stream still needs, and equal the
+    historical one-``sample``-per-request sequence.  Each distinct length
+    derives its task variant once per stream.
     """
     if lengths is None:
         for i, t in enumerate(times):
-            yield ServeRequest(
-                task=task,
-                arrival_s=start_s + t,
-                request_id=i,
-                tenant=tenant,
-                priority=priority,
-                slo_ms=slo_ms,
-            )
+            arrival = start_s + t
+            if not 0.0 <= arrival < _INF:
+                raise _arrival_error(arrival)
+            yield _trusted_request(task, arrival, i, tenant, priority, slo_ms)
         return
     import numpy as np
 
     rng = np.random.default_rng((seed, _LENGTH_STREAM))
-    sample = lengths.sample
-    for i, t in enumerate(times):
-        yield ServeRequest(
-            task=task.with_timesteps(sample(rng)),
-            arrival_s=start_s + t,
-            request_id=i,
-            tenant=tenant,
-            priority=priority,
-            slo_ms=slo_ms,
-        )
+    variants: dict[int, RNNTask] = {}
+    times = iter(times)
+    i = 0
+    remaining = n_requests
+    while remaining:
+        n = min(_CHUNK, remaining)
+        chunk = lengths.sample_chunk(rng, n)
+        if len(chunk) != n:
+            raise ServingError(
+                f"{type(lengths).__name__}.sample_chunk returned "
+                f"{len(chunk)} lengths, {n} were asked for"
+            )
+        remaining -= n
+        for timesteps, t in zip(chunk, times):
+            variant = variants.get(timesteps)
+            if variant is None:
+                variant = variants[timesteps] = task.with_timesteps(timesteps)
+            arrival = start_s + t
+            if not 0.0 <= arrival < _INF:
+                raise _arrival_error(arrival)
+            yield _trusted_request(variant, arrival, i, tenant, priority, slo_ms)
+            i += 1
 
 
 def _poisson_times(rate_per_s: float, n_requests: int, seed: int) -> Iterator[float]:
@@ -429,9 +502,9 @@ def poisson_arrivals(
         >>> tuple(lazy) == reqs
         True
     """
-    _check_stream_args(rate_per_s, n_requests)
+    _check_stream_args(n_requests, start_s, slo_ms, rate_per_s=rate_per_s)
     stream = _request_stream(
-        _poisson_times(rate_per_s, n_requests, seed),
+        _poisson_times(rate_per_s, n_requests, seed), n_requests,
         task, start_s, tenant, priority, slo_ms, lengths, seed,
     )
     return tuple(stream) if materialize else stream
@@ -471,9 +544,9 @@ def uniform_arrivals(
         >>> [round(r.arrival_s, 3) for r in reqs]
         [0.1, 0.2, 0.3]
     """
-    _check_stream_args(rate_per_s, n_requests)
+    _check_stream_args(n_requests, start_s, slo_ms, rate_per_s=rate_per_s)
     stream = _request_stream(
-        _uniform_times(rate_per_s, n_requests),
+        _uniform_times(rate_per_s, n_requests), n_requests,
         task, start_s, tenant, priority, slo_ms, lengths, seed,
     )
     return tuple(stream) if materialize else stream
@@ -516,11 +589,13 @@ def mmpp_arrivals(
         ...                       burst_rate_per_s=2000, n_requests=20, seed=1)
         True
     """
-    _check_stream_args(quiet_rate_per_s, n_requests)
-    if burst_rate_per_s <= 0:
-        raise ServingError("burst_rate_per_s must be positive")
-    if quiet_dwell_s <= 0 or burst_dwell_s <= 0:
-        raise ServingError("dwell times must be positive")
+    _check_stream_args(
+        n_requests, start_s, slo_ms,
+        quiet_rate_per_s=quiet_rate_per_s,
+        burst_rate_per_s=burst_rate_per_s,
+        quiet_dwell_s=quiet_dwell_s,
+        burst_dwell_s=burst_dwell_s,
+    )
 
     def times() -> Iterator[float]:
         import numpy as np
@@ -545,7 +620,7 @@ def mmpp_arrivals(
                 state_end = t + float(rng.exponential(dwells[state]))
 
     stream = _request_stream(
-        times(), task, start_s, tenant, priority, slo_ms, lengths, seed
+        times(), n_requests, task, start_s, tenant, priority, slo_ms, lengths, seed
     )
     return tuple(stream) if materialize else stream
 
@@ -582,11 +657,14 @@ def diurnal_arrivals(
         >>> (len(reqs), reqs[0].arrival_s > 0)
         (30, True)
     """
-    _check_stream_args(base_rate_per_s, n_requests)
+    _check_stream_args(
+        n_requests, start_s, slo_ms,
+        base_rate_per_s=base_rate_per_s,
+        peak_rate_per_s=peak_rate_per_s,
+        period_s=period_s,
+    )
     if peak_rate_per_s < base_rate_per_s:
         raise ServingError("peak_rate_per_s must be >= base_rate_per_s")
-    if period_s <= 0:
-        raise ServingError("period_s must be positive")
 
     def times() -> Iterator[float]:
         import numpy as np
@@ -605,9 +683,30 @@ def diurnal_arrivals(
                 yield t
 
     stream = _request_stream(
-        times(), task, start_s, tenant, priority, slo_ms, lengths, seed
+        times(), n_requests, task, start_s, tenant, priority, slo_ms, lengths, seed
     )
     return tuple(stream) if materialize else stream
+
+
+def _renumbered(req: ServeRequest, request_id: int) -> ServeRequest:
+    """``req`` with a new id.  A valid request stays valid, so a plain
+    one is rebuilt unchecked; a subclass keeps its type via ``replace``."""
+    if type(req) is ServeRequest:
+        return _trusted_request(
+            req.task, req.arrival_s, request_id, req.tenant, req.priority, req.slo_ms
+        )
+    return replace(req, request_id=request_id)
+
+
+def _checked(stream: Iterable[ServeRequest], stream_idx: int) -> Iterator[ServeRequest]:
+    """``mix``'s view of one input stream: its items, which must be requests."""
+    for req in stream:
+        if not isinstance(req, ServeRequest):
+            raise ServingError(
+                f"mix stream {stream_idx} yielded a {type(req).__name__}, "
+                f"not a ServeRequest"
+            )
+        yield req
 
 
 def _lazy_mix(streams: tuple[Iterable[ServeRequest], ...]) -> Iterator[ServeRequest]:
@@ -618,11 +717,12 @@ def _lazy_mix(streams: tuple[Iterable[ServeRequest], ...]) -> Iterator[ServeRequ
     so the merged order matches the eager path's
     ``(arrival_s, stream_idx, request_id)`` sort key exactly.
     """
-    merged = heapq.merge(*streams, key=lambda req: req.arrival_s)
-    new_id = 0
-    for req in merged:
-        yield replace(req, request_id=new_id)
-        new_id += 1
+    merged = heapq.merge(
+        *(_checked(stream, idx) for idx, stream in enumerate(streams)),
+        key=operator.attrgetter("arrival_s"),
+    )
+    for new_id, req in enumerate(merged):
+        yield _renumbered(req, new_id)
 
 
 def mix(
@@ -662,14 +762,13 @@ def mix(
     tagged = [
         (req.arrival_s, stream_idx, req.request_id, req)
         for stream_idx, stream in enumerate(streams)
-        for req in stream
+        for req in _checked(stream, stream_idx)
     ]
     if not tagged:
         raise ServingError("mix needs at least one request across its streams")
     tagged.sort(key=lambda item: item[:3])
     return tuple(
-        replace(req, request_id=new_id)
-        for new_id, (_, _, _, req) in enumerate(tagged)
+        _renumbered(req, new_id) for new_id, (_, _, _, req) in enumerate(tagged)
     )
 
 
@@ -742,14 +841,14 @@ object, got list
         raise ServingError(
             f"bad {where}: expected a JSON object, got {type(rec).__name__}"
         )
+    if rec.get("batch", 1) != 1:
+        # v1 recorded the (removed, always-1) RNNTask.batch field.
+        raise ServingError(
+            f"{where} carries batch={rec['batch']}; per-request "
+            f"batch sizes were never supported — batching is a "
+            f"serving policy, not a task attribute"
+        )
     try:
-        if rec.get("batch", 1) != 1:
-            # v1 recorded the (removed, always-1) RNNTask.batch field.
-            raise ServingError(
-                f"{where} carries batch={rec['batch']}; per-request "
-                f"batch sizes were never supported — batching is a "
-                f"serving policy, not a task attribute"
-            )
         return ServeRequest(
             task=RNNTask(
                 rec["kind"],
@@ -765,12 +864,11 @@ object, got list
             priority=rec.get("priority", 0),
             slo_ms=rec.get("slo_ms"),
         )
-    except ServingError:
-        raise
-    except (KeyError, TypeError, ValueError, WorkloadError) as exc:
+    except (ServingError, KeyError, TypeError, ValueError, WorkloadError) as exc:
         # WorkloadError: RNNTask validation (unknown kind, bad sizes)
         # must not escape as a non-serving exception past a handler
-        # that promised ServingError for malformed records.
+        # that promised ServingError for malformed records; the
+        # request's own checks (arrival, SLO) get the source named too.
         raise ServingError(f"bad {where}: {exc}") from exc
 
 

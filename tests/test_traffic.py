@@ -1,12 +1,24 @@
 """Traffic generation: determinism, tenant tags, mixes, and traces."""
 
+import dataclasses
+import hashlib
+import json
+import math
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import ServingError
 from repro.serving import (
+    EmpiricalLength,
+    FixedLength,
     Fleet,
+    LengthSampler,
     ServeRequest,
     ServingEngine,
+    UniformLength,
+    ZipfLength,
     diurnal_arrivals,
     mix,
     mmpp_arrivals,
@@ -17,6 +29,7 @@ from repro.serving import (
     request_to_json,
     uniform_arrivals,
 )
+from repro.serving.traffic import _CHUNK
 from repro.workloads.deepbench import task
 
 T = task("lstm", 512, 25)
@@ -247,6 +260,15 @@ class TestTrace:
         with pytest.raises(ServingError, match="bad trace line 1"):
             replay_trace(path)
 
+    def test_nan_arrival_line_rejected(self, tmp_path):
+        # json accepts a bare NaN, and NaN compares false against
+        # everything, so a presorted order check cannot catch it.
+        rec = request_to_json(ServeRequest(task=T, arrival_s=0.5))
+        path = tmp_path / "nan.jsonl"
+        path.write_text(json.dumps({**rec, "arrival_s": math.nan}) + "\n")
+        with pytest.raises(ServingError, match="bad trace line 1.*arrival_s"):
+            replay_trace(path)
+
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ServingError, match="empty"):
             record_trace([], tmp_path / "empty.jsonl")
@@ -312,3 +334,276 @@ class TestRequestFromJson:
     def test_where_names_the_source(self):
         with pytest.raises(ServingError, match="bad socket peer"):
             request_from_json([1], where="socket peer")
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize("arrival_s", [math.nan, math.inf, -1e-9])
+    def test_constructor_rejects_bad_arrival(self, arrival_s):
+        with pytest.raises(ServingError, match="arrival_s"):
+            ServeRequest(task=T, arrival_s=arrival_s)
+
+    @pytest.mark.parametrize("slo_ms", [math.nan, 0.0, -5.0])
+    def test_constructor_rejects_bad_slo(self, slo_ms):
+        with pytest.raises(ServingError, match="slo_ms"):
+            ServeRequest(task=T, slo_ms=slo_ms)
+
+    def test_infinite_slo_stays_legal(self):
+        assert ServeRequest(task=T, slo_ms=math.inf).deadline_s() == math.inf
+
+
+#: (generator, valid keyword arguments) for the up-front argument checks.
+_GENERATORS = {
+    "poisson": (poisson_arrivals, dict(rate_per_s=100.0)),
+    "uniform": (uniform_arrivals, dict(rate_per_s=100.0)),
+    "mmpp": (
+        mmpp_arrivals,
+        dict(quiet_rate_per_s=50.0, burst_rate_per_s=500.0,
+             quiet_dwell_s=0.2, burst_dwell_s=0.05),
+    ),
+    "diurnal": (
+        diurnal_arrivals,
+        dict(base_rate_per_s=20.0, peak_rate_per_s=200.0, period_s=1.0),
+    ),
+}
+
+_BAD_ARGS = [
+    (name, field, value)
+    for name, (_fn, valid) in _GENERATORS.items()
+    for field, value in [
+        *((f, bad) for f in valid for bad in (math.nan, math.inf, 0.0)),
+        ("start_s", math.nan),
+        ("start_s", math.inf),
+        ("start_s", -0.5),
+        ("slo_ms", math.nan),
+        ("slo_ms", -1.0),
+    ]
+]
+
+
+class TestUpFrontValidation:
+    """Every generator checks its arguments once, before the first
+    request, because it builds requests through the unchecked fast path."""
+
+    @pytest.mark.parametrize(
+        "name,field,value", _BAD_ARGS, ids=[f"{n}-{f}-{v}" for n, f, v in _BAD_ARGS]
+    )
+    def test_bad_argument_names_the_field(self, name, field, value):
+        fn, valid = _GENERATORS[name]
+        kwargs = {**valid, field: value}
+        for materialize in (True, False):
+            with pytest.raises(ServingError, match=field):
+                fn(T, n_requests=5, materialize=materialize, **kwargs)
+
+    @pytest.mark.parametrize("name", sorted(_GENERATORS))
+    def test_fractional_request_count_rejected(self, name):
+        fn, valid = _GENERATORS[name]
+        with pytest.raises(ServingError, match="n_requests must be an integer"):
+            fn(T, n_requests=5.0, lengths=ZipfLength(5, 50), **valid)
+
+    @pytest.mark.parametrize("name", sorted(_GENERATORS))
+    def test_valid_arguments_still_generate(self, name):
+        fn, valid = _GENERATORS[name]
+        reqs = fn(T, n_requests=5, start_s=1.5, slo_ms=math.inf, **valid)
+        assert len(reqs) == 5
+        assert all(r.arrival_s > 1.5 and r.slo_ms == math.inf for r in reqs)
+
+
+class TestMixRejectsNonRequests:
+    @pytest.mark.parametrize("presorted", [False, True])
+    @pytest.mark.parametrize("item", [T, {"arrival_s": 0.5}], ids=["task", "dict"])
+    def test_bad_item_names_stream_and_type(self, presorted, item):
+        good = poisson_arrivals(T, rate_per_s=100.0, n_requests=3, seed=1)
+        kind = type(item).__name__
+        with pytest.raises(ServingError, match=f"mix stream 1 yielded a {kind}"):
+            tuple(mix(good, [item], presorted=presorted))
+        with pytest.raises(ServingError, match=f"mix stream 0 yielded a {kind}"):
+            tuple(mix([*good, item], presorted=presorted))
+
+    @pytest.mark.parametrize("presorted", [False, True])
+    def test_request_subclasses_keep_their_type(self, presorted):
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class Tagged(ServeRequest):
+            note: str = ""
+
+        tagged = Tagged(task=T, arrival_s=0.05, note="x")
+        plain = poisson_arrivals(T, rate_per_s=100.0, n_requests=3, seed=1)
+        merged = tuple(mix(plain, [tagged], presorted=presorted))
+        (out,) = [r for r in merged if isinstance(r, Tagged)]
+        assert out.note == "x" and out.arrival_s == 0.05
+        assert [r.request_id for r in merged] == [0, 1, 2, 3]
+
+
+#: Built-in samplers, with the edge cases of each draw: a one-value
+#: uniform range, a range past 32 bits, a one-length Zipf, a one-element
+#: population.
+_SAMPLERS = (
+    FixedLength(40),
+    UniformLength(10, 300),
+    UniformLength(7, 7),
+    UniformLength(1, 2**40),
+    ZipfLength(5, 200, alpha=1.3),
+    ZipfLength(3, 3),
+    EmpiricalLength((3, 7, 7, 50, 120)),
+    EmpiricalLength((9,)),
+)
+
+
+class _CountingLength(LengthSampler):
+    """A custom sampler that defines only ``sample``."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def sample(self, rng) -> int:
+        self.calls += 1
+        return 5 + int(rng.integers(4))
+
+
+class TestChunkedLengths:
+    @pytest.mark.parametrize("sampler", _SAMPLERS, ids=repr)
+    def test_chunks_equal_scalar_draws(self, sampler):
+        total = 2 * _CHUNK + 5
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            scalar = [sampler.sample(rng) for _ in range(total)]
+            end_state = rng.bit_generator.state
+            for size in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, total):
+                rng = np.random.default_rng(seed)
+                chunked: list = []
+                while len(chunked) < total:
+                    n = min(size, total - len(chunked))
+                    chunked += sampler.sample_chunk(rng, n)
+                assert chunked == scalar, (seed, size)
+                assert all(type(v) is int for v in chunked)
+                assert rng.bit_generator.state == end_state, (seed, size)
+
+    @pytest.mark.parametrize("n", [3, _CHUNK + 1])
+    def test_custom_sampler_called_once_per_request(self, n):
+        for materialize in (True, False):
+            lengths = _CountingLength()
+            stream = poisson_arrivals(
+                T, rate_per_s=100.0, n_requests=n, lengths=lengths,
+                materialize=materialize,
+            )
+            assert len(tuple(stream)) == n
+            assert lengths.calls == n
+
+    def test_short_chunk_override_rejected(self):
+        class Short(FixedLength):
+            def sample_chunk(self, rng, n):
+                return [self.timesteps] * (n - 1)
+
+        with pytest.raises(ServingError, match="returned 4 lengths, 5 were asked"):
+            poisson_arrivals(T, rate_per_s=100.0, n_requests=5, lengths=Short(9))
+
+    def test_one_task_per_length(self):
+        reqs = poisson_arrivals(
+            T, rate_per_s=500.0, n_requests=400, seed=2, lengths=ZipfLength(5, 40)
+        )
+        first: dict = {}
+        for req in reqs:
+            assert first.setdefault(req.task.timesteps, req.task) is req.task
+
+
+def _public_copy(req: ServeRequest) -> ServeRequest:
+    return ServeRequest(
+        task=req.task,
+        arrival_s=req.arrival_s,
+        request_id=req.request_id,
+        tenant=req.tenant,
+        priority=req.priority,
+        slo_ms=req.slo_ms,
+    )
+
+
+class TestTrustedRecords:
+    """Generators and mix skip the constructor's checks; the records they
+    build must still behave exactly like publicly built ones."""
+
+    @pytest.mark.parametrize("presorted", [False, True])
+    def test_records_match_public_constructor(self, presorted):
+        streams = (
+            poisson_arrivals(
+                T, rate_per_s=300.0, n_requests=30, seed=1, tenant="a",
+                slo_ms=5.0, lengths=ZipfLength(5, 60), materialize=not presorted,
+            ),
+            uniform_arrivals(
+                G, rate_per_s=200.0, n_requests=20, priority=2,
+                materialize=not presorted,
+            ),
+        )
+        merged = tuple(mix(*streams, presorted=presorted))
+        direct = poisson_arrivals(T, rate_per_s=300.0, n_requests=10, seed=4)
+        for req in merged + direct:
+            public = _public_copy(req)
+            assert req == public and hash(req) == hash(public)
+            assert repr(req) == repr(public)
+            assert pickle.loads(pickle.dumps(req)) == public
+            assert dataclasses.replace(req, request_id=-1) == dataclasses.replace(
+                public, request_id=-1
+            )
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                req.arrival_s = 0.0
+        assert len(set(merged)) == len(merged)
+
+
+#: Pinned SHA-256 digests of request_to_json over the traffic matrices
+#: below, recorded before generators and mix built requests through the
+#: unchecked fast path.  Any change to generated traffic (arrival times,
+#: lengths, ids, tags) changes them.
+_MATRIX_SHA256 = "2fd06773bb7b2beffefafbbd33c083e8b742c328d3aabb1f01603799d57c5440"
+_LONG_SHA256 = "c5e39df565b92fed755ff3e9df60a0d3453c0ea2a001d54a10daa492b132fd26"
+
+_DIGEST_SAMPLERS = (
+    None,
+    FixedLength(40),
+    UniformLength(10, 300),
+    ZipfLength(5, 200, alpha=1.3),
+    EmpiricalLength((3, 7, 7, 50, 120)),
+)
+
+
+def _sha256(requests) -> str:
+    h = hashlib.sha256()
+    for req in requests:
+        h.update(json.dumps(request_to_json(req), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+class TestTrafficDigest:
+    def test_generator_mix_matrix(self):
+        """4 generators x 5 length settings x eager/lazy mix."""
+        h = hashlib.sha256()
+        for lengths in _DIGEST_SAMPLERS:
+            for presorted in (False, True):
+                kw = dict(n_requests=40, lengths=lengths, materialize=not presorted)
+                streams = (
+                    poisson_arrivals(
+                        T, rate_per_s=900.0, seed=1, slo_ms=5.0, tenant="a", **kw
+                    ),
+                    uniform_arrivals(
+                        G, rate_per_s=700.0, seed=2, priority=2, tenant="b", **kw
+                    ),
+                    mmpp_arrivals(
+                        T, quiet_rate_per_s=100.0, burst_rate_per_s=2000.0,
+                        seed=3, start_s=0.25, tenant="c", **kw,
+                    ),
+                    diurnal_arrivals(
+                        G, base_rate_per_s=50.0, peak_rate_per_s=800.0,
+                        period_s=3.0, seed=4, slo_ms=20.0, tenant="d", **kw,
+                    ),
+                )
+                for req in mix(*streams, presorted=presorted):
+                    h.update(json.dumps(request_to_json(req), sort_keys=True).encode())
+        assert h.hexdigest() == _MATRIX_SHA256
+
+    def test_long_lazy_streams(self):
+        """Streams long enough to cross length-chunk boundaries."""
+        h = hashlib.sha256()
+        for lengths in _DIGEST_SAMPLERS:
+            stream = poisson_arrivals(
+                T, rate_per_s=5000.0, n_requests=4500, seed=5, lengths=lengths,
+                materialize=False,
+            )
+            h.update(_sha256(stream).encode())
+        assert h.hexdigest() == _LONG_SHA256
