@@ -30,9 +30,9 @@ way real accelerator deployments are:
   bit-identical to no injection at all.
 * :mod:`repro.serving.events` — the shared discrete-event loop behind
   every stream simulation: arrivals consumed incrementally (lazy
-  generators and traces never materialize), no-heap fast paths for the
-  hot single-replica configurations, and a ``presorted`` lazy
-  validator.
+  generators and traces never materialize), no-heap fast paths for
+  FIFO/batch-1 fleets of any size and for single replicas, and a
+  ``presorted`` lazy validator.
 * :mod:`repro.serving.stats` — :class:`StreamSummary`, the
   O(1)-memory online mirror of :class:`StreamReport` behind
   ``serve_stream(..., mode="summary")``: exact streaming counters,

@@ -71,6 +71,15 @@ DEFAULT_MEMO_CAPACITY = 4096
 class CacheStats:
     """Prepared-model cache counters.
 
+    One hit per request served from an already-prepared model, one miss
+    per compile.  The fault-free stream loops look a task up only when
+    it changes on a replica and credit each replica the remaining
+    requests as hits in bulk when the stream ends (even when a summary
+    sink aborts it), so a 9-request, one-task stream counts 8 hits and
+    1 miss on every loop.  Cost-aware fleet dispatch (mixed
+    least-loaded, affinity) adds one pricing lookup per replica per
+    task change.
+
     Example::
 
         >>> from repro.serving import ServingEngine

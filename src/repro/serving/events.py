@@ -42,19 +42,24 @@ million-request point — **O(1) in memory** along three axes:
   are folded into O(1) online accumulators instead of being collected.
 
 Two specialized loops peel off the hot common cases before the general
-heap: a single replica with a non-holding batcher needs no event heap at
-all (completions and arrivals merge in order), and the FIFO/unbatched
-configuration — the paper's serving scenario — additionally needs no
-scheduler queue, reducing each request to a handful of float ops.  Every
+heap.  The FIFO/unbatched configuration — the paper's serving scenario,
+and every capacity-planner candidate — needs neither an event heap nor
+a scheduler queue on any number of replicas: with per-replica FIFO
+queues, batch 1 and dispatch on arrival, each request's start is fixed
+the moment it is dispatched, reducing it to a handful of float ops.  A
+single replica with any other scheduler and a non-holding batcher still
+needs no event heap (completions and arrivals merge in order).  Every
 path evaluates ``start = max(arrival, replica_free_at)`` with the same
-floats in the same order, so the FIFO + ``"none"`` timeline stays
-bit-for-bit identical to the pre-refactor sequential simulations (pinned
-by the golden parity tests).
+floats in the same order, and folds summaries in the general loop's
+launch order, so the FIFO + ``"none"`` timeline stays bit-for-bit
+identical to the pre-refactor sequential simulations (pinned by the
+golden and forced-heap parity tests).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -430,24 +435,33 @@ def run_stream(
             hedge_ms,
         )
 
-    # A single replica whose batcher never holds (the base
-    # ``hold_until`` is un-overridden) needs no event heap: completions
-    # and arrivals merge in time order directly.  This covers the
-    # paper's serving scenario and both benchmark configurations.
-    if (
-        len(engine_list) == 1
-        and autoscaler is None
-        and type(batcher_list[0]).hold_until is Batcher.hold_until
-    ):
-        scheduler = scheduler_list[0]
-        batcher = batcher_list[0]
-        if type(scheduler) is FIFOScheduler and type(batcher) is NoneBatcher:
-            return _run_fifo_unbatched(
-                stream, engine_list[0], dispatch, summary
+    # Without an autoscaler, replicas that all queue FIFO and serve
+    # batch 1 fix each request's start at dispatch, on any number of
+    # replicas and under any dispatcher: no event heap, no scheduler.
+    # Exact types, so a subclass (e.g. one overriding ``hold_until``)
+    # keeps the general loop.  This covers the paper's serving scenario
+    # and every capacity-planner candidate.
+    if autoscaler is None:
+        if all(type(s) is FIFOScheduler for s in scheduler_list) and all(
+            type(b) is NoneBatcher for b in batcher_list
+        ):
+            return _run_fifo_unbatched(stream, engine_list, dispatch, summary)
+        # A single replica whose batcher never holds (the base
+        # ``hold_until`` is un-overridden) needs no event heap either:
+        # completions and arrivals merge in time order directly.
+        if (
+            len(engine_list) == 1
+            and type(batcher_list[0]).hold_until is Batcher.hold_until
+        ):
+            return _run_single_replica(
+                stream,
+                engine_list[0],
+                scheduler_list[0],
+                batcher_list[0],
+                dispatch,
+                slo_ms,
+                summary,
             )
-        return _run_single_replica(
-            stream, engine_list[0], scheduler, batcher, dispatch, slo_ms, summary
-        )
 
     return _run_heap(
         stream,
@@ -481,69 +495,191 @@ def _choose_single(
 
 def _run_fifo_unbatched(
     stream: Iterable[ServeRequest],
-    engine: "ServingEngine",
+    engines: "list[ServingEngine]",
     dispatch: "Dispatcher | StreamDispatcher",
     summary: "StreamSummary | None",
 ) -> StreamOutcome:
-    """The hottest path: one replica, FIFO order, batch 1.
+    """The hottest path: k replicas, each FIFO and batch 1, no autoscaler.
 
-    Service order equals arrival order, so the whole simulation is the
-    classic single-server recursion ``start = max(arrival, free_at)`` —
-    no heap, no scheduler queue, no per-request :class:`QueuedRequest`.
-    Identical floats in identical order to the general loop (golden
-    parity holds bit for bit); with a summary sink it allocates nothing
-    per request beyond the incoming request objects.
+    Each replica serves its requests in dispatch order, so a request's
+    start is fixed the moment it is dispatched — ``start =
+    max(arrival, work_until[r])``, the general loop's own dispatch
+    projection — and no heap, scheduler queue or per-request
+    :class:`QueuedRequest` is needed.  The floats are those of
+    :func:`_run_heap`, computed in the same order, and each replica
+    looks a task up only when its task changes.
+
+    A summary sink folds requests in the general loop's launch order,
+    because its float sums and an early :class:`PruneAbort
+    <repro.dse.runner.PruneAbort>` depend on it:
+
+    * by start time;
+    * at equal times, FREE-launched requests (started when their
+      replica's previous request finished) before arrival-launched ones
+      (started on arrival at an idle replica);
+    * FREE-launched ties by replica index, arrival-launched ties in
+      arrival order.
+
+    An arrival at an idle replica folds at once; one that queues waits
+    in its replica's FIFO buffer, and the buffers merge through a heap
+    of at most k ``(start, replica)`` heads, flushed up to each arrival.
+    Per-replica request counts and the bulk cache-hit credit (see
+    :class:`~repro.serving.engine.CacheStats`) are settled when the
+    loop exits, normally or by an abort, so a pruned stream reports the
+    counts the general loop noted arrival by arrival.
+
+    One replica under :func:`single_replica_dispatch` (what
+    :meth:`ServingEngine.serve_stream
+    <repro.serving.engine.ServingEngine.serve_stream>` passes) keeps a
+    separate tight body, so the paper's scenario pays per request for
+    no dispatcher call, buffer or per-replica list: one float recursion
+    and the fold.  It folds on arrival, which is launch order for one
+    FIFO replica.
     """
-    trivial = dispatch is single_replica_dispatch
     collect = summary is None
     responses: list[ServeResponse] = []
     append = responses.append
     observe = None if collect else summary.observe_served
-    result_for = engine.result_for
-    work = [0.0]
-    if isinstance(dispatch, StreamDispatcher):
-        dispatch.bind([engine])
-        dispatch.resize(1, work)
-    free_at = 0.0
-    n = 0
-    last_task: RNNTask | None = None
-    last_result = None
-    for req in stream:
-        task = req.task
-        if task is not last_task:
-            last_result = result_for(task)
-            last_task = task
-        result = last_result
-        latency = result.latency_s
-        arrival = req.arrival_s
-        if not trivial:
-            # Same contract order as the general loop: the dispatcher
-            # sees the pre-assignment projection.
-            _choose_single(dispatch, n, req, work)
-            work[0] = (arrival if arrival > work[0] else work[0]) + latency
-        start = arrival if arrival > free_at else free_at
-        finish = start + latency
-        free_at = finish
-        if collect:
-            append(
-                ServeResponse(
-                    request=req,
-                    result=result,
-                    queue_delay_s=start - arrival,
-                    start_s=start,
-                    finish_s=finish,
-                )
-            )
-        else:
+    if len(engines) == 1 and dispatch is single_replica_dispatch:
+        engine = engines[0]
+        result_for = engine.result_for
+        free_at = 0.0
+        n = 0
+        lookups = 0
+        last_task: RNNTask | None = None
+        last_result = None
+        try:
+            for req in stream:
+                task = req.task
+                if task is not last_task:
+                    last_result = result_for(task)
+                    last_task = task
+                    lookups += 1
+                result = last_result
+                arrival = req.arrival_s
+                start = arrival if arrival > free_at else free_at
+                finish = start + result.latency_s
+                free_at = finish
+                n += 1
+                if collect:
+                    append(
+                        ServeResponse(
+                            request=req,
+                            result=result,
+                            queue_delay_s=start - arrival,
+                            start_s=start,
+                            finish_s=finish,
+                        )
+                    )
+                else:
+                    observe(req, result, start, finish, 1)
+        finally:
+            engine.cache_stats.hits += n - lookups
+            if not collect:
+                summary.note_assignment(0, n)
+        if n == 0:
+            raise ServingError("serve_stream needs at least one request")
+        return StreamOutcome(
+            responses=responses,
+            assignments=[0] * n if collect else [],
+        )
+
+    k = len(engines)
+    rich = isinstance(dispatch, StreamDispatcher)
+    assignments: list[int] = []
+    work = [0.0] * k
+    if rich:
+        dispatch.bind(engines)
+        dispatch.resize(k, work)
+        choose = dispatch.choose
+        assign = dispatch.assign
+    dispatched = [0] * k
+    lookups_by = [0] * k
+    last_tasks: list[RNNTask | None] = [None] * k
+    last_results: list = [None] * k
+    #: Summary mode: per-replica (request, result, start, finish) not yet
+    #: launched, and a heap of each non-empty buffer's (start, replica).
+    pending = [deque() for _ in range(k)]
+    heads: list[tuple[float, int]] = []
+    next_launch = _INF  # heads[0][0], or inf while no buffer is pending
+    seq = 0
+
+    def flush(until: float) -> float:
+        # FREE events at ``until`` precede an arrival at ``until``; equal
+        # starts leave the heap in replica order.
+        while heads and heads[0][0] <= until:
+            replica = heads[0][1]
+            buf = pending[replica]
+            req, result, start, finish = buf.popleft()
+            if buf:
+                heapq.heapreplace(heads, (buf[0][2], replica))
+            else:
+                heapq.heappop(heads)
             observe(req, result, start, finish, 1)
-        n += 1
-    if n == 0:
+        return heads[0][0] if heads else _INF
+
+    try:
+        for req in stream:
+            arrival = req.arrival_s
+            if arrival >= next_launch:
+                next_launch = flush(arrival)
+            if rich:
+                replica = choose(seq, req)
+            else:
+                replica = dispatch(seq, req, work)
+            if not 0 <= replica < k:
+                raise ServingError(f"dispatcher chose invalid replica {replica}")
+            task = req.task
+            if task is last_tasks[replica]:
+                result = last_results[replica]
+            else:
+                result = engines[replica].result_for(task)
+                last_tasks[replica] = task
+                last_results[replica] = result
+                lookups_by[replica] += 1
+            free_at = work[replica]
+            start = arrival if arrival > free_at else free_at
+            finish = start + result.latency_s
+            work[replica] = finish
+            if rich:
+                assign(replica, finish)
+            dispatched[replica] += 1
+            seq += 1
+            if collect:
+                append(
+                    ServeResponse(
+                        request=req,
+                        result=result,
+                        queue_delay_s=start - arrival,
+                        start_s=start,
+                        finish_s=finish,
+                    )
+                )
+                assignments.append(replica)
+            elif free_at <= arrival:
+                # Idle replica: the request launches on arrival.
+                observe(req, result, start, finish, 1)
+            else:
+                buf = pending[replica]
+                if not buf:
+                    heapq.heappush(heads, (start, replica))
+                    if start < next_launch:
+                        next_launch = start
+                buf.append((req, result, start, finish))
+        if heads:
+            flush(_INF)
+    finally:
+        for replica, count in enumerate(dispatched):
+            engines[replica].cache_stats.hits += count - lookups_by[replica]
+            if count and not collect:
+                summary.note_assignment(replica, count)
+    if seq == 0:
         raise ServingError("serve_stream needs at least one request")
-    if not collect:
-        summary.note_assignment(0, n)
     return StreamOutcome(
         responses=responses,
-        assignments=[0] * n if collect else [],
+        assignments=assignments,
+        n_replicas=k,
+        active_replicas=k,
     )
 
 
@@ -579,6 +715,7 @@ def _run_single_replica(
     free_at = 0.0
     busy = False
     seq = 0
+    lookups = 0
     last_task: RNNTask | None = None
     last_result = None
     stream_slo = slo_ms
@@ -630,48 +767,56 @@ def _run_single_replica(
         busy = True
         free_at = finish
 
-    for req in stream:
-        t = req.arrival_s
-        # Completions that fire no later than this arrival (FREE sorts
-        # before ARRIVAL at equal stamps) launch first.
-        while busy and free_at <= t:
+    try:
+        for req in stream:
+            t = req.arrival_s
+            # Completions that fire no later than this arrival (FREE
+            # sorts before ARRIVAL at equal stamps) launch first.
+            while busy and free_at <= t:
+                busy = False
+                if qlen():
+                    launch(free_at)
+            if not trivial:
+                _choose_single(dispatch, seq, req, work)
+            task = req.task
+            if task is not last_task:
+                last_result = result_for(task)
+                last_task = task
+                lookups += 1
+            result = last_result
+            if not trivial:
+                work[0] = (t if t > work[0] else work[0]) + result.latency_s
+            slo = req.slo_ms
+            if slo is None:
+                slo = stream_slo
+            push(
+                QueuedRequest(
+                    seq=seq,
+                    request=req,
+                    result=result,
+                    service_s=result.latency_s,
+                    deadline_s=_INF if slo is None else t + slo / 1e3,
+                )
+            )
+            if collect:
+                responses.append(None)
+            seq += 1
+            if not busy:
+                launch(t)
+        # Drain: replay the remaining FREE chain.
+        while busy:
             busy = False
             if qlen():
                 launch(free_at)
-        task = req.task
-        if task is not last_task:
-            last_result = result_for(task)
-            last_task = task
-        result = last_result
-        if not trivial:
-            _choose_single(dispatch, seq, req, work)
-            work[0] = (t if t > work[0] else work[0]) + result.latency_s
-        slo = req.slo_ms
-        if slo is None:
-            slo = stream_slo
-        push(
-            QueuedRequest(
-                seq=seq,
-                request=req,
-                result=result,
-                service_s=result.latency_s,
-                deadline_s=_INF if slo is None else t + slo / 1e3,
-            )
-        )
-        if collect:
-            responses.append(None)
-        seq += 1
-        if not busy:
-            launch(t)
+    finally:
+        # Settled even when a summary sink aborts the stream (a pruned
+        # planner candidate): ``seq`` counts exactly the arrivals the
+        # general loop would have noted by then.
+        engine.cache_stats.hits += seq - lookups
+        if not collect:
+            summary.note_assignment(0, seq)
     if seq == 0:
         raise ServingError("serve_stream needs at least one request")
-    # Drain: replay the remaining FREE chain.
-    while busy:
-        busy = False
-        if qlen():
-            launch(free_at)
-    if not collect:
-        summary.note_assignment(0, seq)
     return StreamOutcome(
         responses=responses,  # type: ignore[arg-type]
         assignments=[0] * seq if collect else [],

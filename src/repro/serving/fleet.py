@@ -27,8 +27,11 @@ Dispatch decides *which replica* gets a request on arrival; each replica
 then orders its own ready queue with a pluggable scheduler
 (:mod:`repro.serving.scheduler`) and coalesces it with a pluggable
 batching policy (:mod:`repro.serving.batching`), one instance of each
-per replica.  The simulation itself is the shared heap-based event loop
-in :mod:`repro.serving.events`.
+per replica.  The simulation itself runs on the event loops shared
+with the engine (:mod:`repro.serving.events`): a fault-free fleet
+without an autoscaler whose replicas all queue FIFO and serve batch 1 —
+every capacity-planner candidate — takes the heap-free FIFO loop, any
+other configuration the heap-based general loop.
 
 Replicas of the same platform share one prepared-model cache, so a
 fleet compiles each (platform, task) pair exactly once no matter how
@@ -205,15 +208,23 @@ class _CostAwareDispatcher(StreamDispatcher):
     cost model: the replica that frees up first may still finish the
     request last if its platform serves the task slowly.  Subclasses
     call :meth:`_best_in` over candidate replica indices; the projected
-    completion is ``max(arrival, free_at) + latency(replica, task)``,
-    with the per-replica latency read through the engine's memoized
-    cost model (O(1) after first sight of a shape).
+    completion is ``max(arrival, free_at) + latency(replica, task)``.
+
+    Each replica's latency for the last task it priced is cached, keyed
+    on the identity of the task and of the replica's engine: a stream
+    repeats one task object per length, so pricing calls
+    ``result_for`` once per replica per task change rather than once
+    per replica per arrival.  The engine key notices crash recovery
+    replacing ``engines[j]``; autoscaled growth reaches :meth:`resize`
+    before any arrival is priced on the new replica.
     """
 
     def __init__(self) -> None:
         self._active = 0
         self._values: list[float] = []
         self._engines: Sequence[ServingEngine] = ()
+        #: Per replica: (task, engine, latency) of its last pricing.
+        self._priced: list[tuple] = []
 
     def bind(self, engines: Sequence[ServingEngine]) -> None:
         self._engines = engines
@@ -222,22 +233,28 @@ class _CostAwareDispatcher(StreamDispatcher):
         values = self._values
         for j in range(len(values), len(work_until)):
             values.append(work_until[j])
+            self._priced.append((None, None, 0.0))
         self._active = active
 
     def assign(self, replica: int, work_until_s: float) -> None:
         self._values[replica] = work_until_s
 
-    def _completion(self, j: int, request: ServeRequest) -> float:
-        free_at = self._values[j]
-        arrival = request.arrival_s
-        start = arrival if arrival > free_at else free_at
-        return start + self._engines[j].result_for(request.task).latency_s
-
     def _best_in(self, candidates: Iterable[int], request: ServeRequest) -> int:
+        task = request.task
+        arrival = request.arrival_s
+        values = self._values
+        engines = self._engines
+        priced = self._priced
         best_j = -1
         best = 0.0
         for j in candidates:
-            completion = self._completion(j, request)
+            engine = engines[j]
+            last_task, last_engine, latency = priced[j]
+            if last_task is not task or last_engine is not engine:
+                latency = engine.result_for(task).latency_s
+                priced[j] = (task, engine, latency)
+            free_at = values[j]
+            completion = (arrival if arrival > free_at else free_at) + latency
             if best_j < 0 or completion < best:
                 best_j, best = j, completion
         return best_j
@@ -247,7 +264,7 @@ class _HeterogeneousLeastLoadedDispatcher(_CostAwareDispatcher):
     """Least-loaded for mixed fleets: earliest projected *completion*.
 
     O(active) per arrival — mixed fleets are small (a handful of
-    tiers), and the per-replica latency lookup is memoized, so the scan
+    tiers), and each replica's latency is cached per task, so the scan
     stays cheap; homogeneous fleets keep the O(log N) heap dispatcher
     and its bit-identical tie-breaks.
     """
@@ -298,7 +315,16 @@ def _affinity_key_fn(affinity_by: str) -> Callable[[ServeRequest], object]:
     if affinity_by == "task":
         # One key per task *family*: length variants share the compiled
         # state (length-flexible platforms), so they share the pin too.
-        return lambda request: request.task.with_timesteps(1)
+        # Derived once per task change, like the dispatchers' pricing.
+        last: list = [None, None]
+
+        def family(request: ServeRequest) -> object:
+            task = request.task
+            if task is not last[0]:
+                last[0], last[1] = task, task.with_timesteps(1)
+            return last[1]
+
+        return family
     if affinity_by == "tenant":
         return lambda request: request.tenant
     if affinity_by == "length-band":

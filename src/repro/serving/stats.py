@@ -749,9 +749,9 @@ class StreamSummary(_StreamFigures):
     def note_assignment(self, replica: int, count: int = 1) -> None:
         """Count ``count`` requests dispatched to ``replica``.
 
-        The general event loop calls this per arrival; the
-        single-replica fast paths call it once at the end with the
-        stream total.
+        The general event loops call this per arrival; the no-heap
+        fast paths call it once per replica when the stream ends (or
+        aborts) with that replica's total.
         """
         counts = self._replica_counts
         if replica >= len(counts):

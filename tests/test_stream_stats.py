@@ -14,10 +14,13 @@ slice rollups and their sum invariants.
 Alongside it: the per-shape result memo (LRU, shared across fleet
 replicas), the ``presorted=True`` lazy validation fast path, the
 ``materialize=False`` lazy generators (bit-identical to their eager
-forms), streaming trace replay, and the incremental least-loaded
-dispatcher's exact parity with the naive O(replicas) scan.
+forms), streaming trace replay, the incremental least-loaded
+dispatcher's exact parity with the naive O(replicas) scan, and the
+k-replica FIFO loop's parity with the forced general heap loop (fold
+order, abort point, errors, every capacity-planner candidate).
 """
 
+import hashlib
 import math
 import random
 
@@ -29,6 +32,7 @@ from repro.serving import (
     Fleet,
     ServeRequest,
     ServingEngine,
+    StreamDispatcher,
     StreamSummary,
     UniformLength,
     ZipfLength,
@@ -633,6 +637,401 @@ class TestFastPathParity:
             arrivals, slo_ms=50.0, batcher=_forced_bucket
         )
         assert fast.responses == heap.responses
+
+
+class _Stop(Exception):
+    """Raised by :class:`_OrderSink` to end a stream mid-way."""
+
+
+class _OrderSink(StreamSummary):
+    """A summary that records its fold order and can stop the stream
+    after ``stop_after`` folds, as a pruning sink does."""
+
+    def __init__(self, *args, stop_after=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.order = []
+        self.stop_after = stop_after
+
+    def observe_served(self, request, result, start_s, finish_s, batch_size,
+                       outcome="ok"):
+        super().observe_served(
+            request, result, start_s, finish_s, batch_size, outcome
+        )
+        self.order.append((request.request_id, start_s, finish_s))
+        if len(self.order) == self.stop_after:
+            raise _Stop
+
+
+def _figures(summary):
+    """Every figure a planner point or a pruned replay reports, as exact
+    reprs (bit-identity, NaN-safe)."""
+    service, _count = summary._per_platform_service()
+    figures = {
+        "p50": summary.p50_ms,
+        "p99": summary.p99_ms,
+        "mean": summary.mean_ms,
+        "queue": summary.mean_queue_delay_ms,
+        "service": summary.mean_service_ms,
+        "slo": summary.slo_attainment,
+        "throughput": summary.throughput_rps,
+        "energy": summary.energy_j,
+        "j_per_request": summary.joules_per_request,
+        "fleet_wh": summary.fleet_watt_hours,
+        "usd_per_1m": summary.cost_usd_per_1m_requests,
+        "makespan": summary.makespan_s,
+        "min_sojourn": summary.min_sojourn_ms,
+        "max_sojourn": summary.max_sojourn_ms,
+        "replicas": summary.per_replica_counts,
+        "platforms": summary.per_platform_counts,
+        "service_sums": service,
+        "n": summary.n_requests,
+    }
+    for name in ("simulated", "clear_misses", "order"):
+        if hasattr(summary, name):
+            figures[name] = getattr(summary, name)
+    return {name: repr(value) for name, value in figures.items()}
+
+
+def _tied_arrivals(latency, k, seed, n=160):
+    """Same-instant bursts on a grid of running sums of one service time,
+    so every finish lands exactly on an arrival or another start."""
+    rng = random.Random(seed)
+    t = 0.0
+    requests = []
+    while len(requests) < n:
+        for _ in range(rng.randint(1, k + 2)):
+            requests.append(
+                ServeRequest(task=T, arrival_s=t, request_id=len(requests))
+            )
+        for _ in range(rng.randint(0, 2)):
+            t += latency
+    return requests
+
+
+class _JoinEarliest(StreamDispatcher):
+    """A custom incremental dispatcher: earliest projection, highest
+    index on ties (the opposite of the built-in heap's tie-break)."""
+
+    def resize(self, active, work_until):
+        self.work = list(work_until[:active])
+
+    def assign(self, replica, work_until_s):
+        self.work[replica] = work_until_s
+
+    def choose(self, seq, request):
+        work = self.work
+        return min(range(len(work)), key=lambda j: (work[j], -j))
+
+
+def _legacy_scatter(seed):
+    rng = random.Random(seed)
+    return lambda seq, request, work: rng.randrange(len(work))
+
+
+def _run_both(arrivals, k, make_dispatch, *, summary=False, stop_after=None):
+    """The same stream on the FIFO loop and on the forced heap loop:
+    one (outcome or None, sink) pair each."""
+    runs = []
+    for forced in (False, True):
+        sink = (
+            _OrderSink("gpu", slo_ms=1.0, stop_after=stop_after)
+            if summary
+            else None
+        )
+        try:
+            outcome = run_stream(
+                arrivals,
+                engines=[ServingEngine("gpu") for _ in range(k)],
+                schedulers=[make_scheduler("fifo") for _ in range(k)],
+                batchers=[
+                    _HeapForcedNone() if forced else NoneBatcher()
+                    for _ in range(k)
+                ],
+                dispatch=make_dispatch(),
+                summary=sink,
+            )
+        except _Stop:
+            outcome = None
+        runs.append((outcome, sink))
+    return runs
+
+
+class TestFifoFleetLoop:
+    """The k-replica FIFO/batch-1 loop against the general heap loop:
+    same responses, same fold order (the launch-order rule), same abort
+    point and the same errors."""
+
+    LATENCY = ServingEngine("gpu").result_for(T).latency_s
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "make_dispatch",
+        [lambda: _legacy_scatter(3), _JoinEarliest],
+        ids=["legacy", "stream-dispatcher"],
+    )
+    def test_equal_time_ties_match_heap(self, k, make_dispatch):
+        arrivals = _tied_arrivals(self.LATENCY, k, seed=k)
+        (fast, _), (heap, _) = _run_both(arrivals, k, make_dispatch)
+        assert fast.responses == heap.responses
+        assert fast.assignments == heap.assignments
+        assert len(set(fast.assignments)) == k
+        # The stream really is tied: queued requests start on other
+        # requests' arrival instants, and on one instant on several
+        # replicas at once.
+        arrival_times = {r.arrival_s for r in arrivals}
+        launches = {}
+        for r, replica in zip(fast.responses, fast.assignments):
+            if r.queue_delay_s > 0:
+                launches.setdefault(r.start_s, set()).add(replica)
+        assert len(arrival_times.intersection(launches)) > 10
+        assert sum(len(on) > 1 for on in launches.values()) > 10
+        (fast, fast_sink), (heap, heap_sink) = _run_both(
+            arrivals, k, make_dispatch, summary=True
+        )
+        assert fast_sink.order == heap_sink.order
+        assert _figures(fast_sink) == _figures(heap_sink)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("stop_after", [1, 41, 120])
+    def test_abort_point_matches_heap(self, k, stop_after):
+        arrivals = _tied_arrivals(self.LATENCY, k, seed=10 + k)
+        (fast, fast_sink), (heap, heap_sink) = _run_both(
+            arrivals, k, _JoinEarliest, summary=True, stop_after=stop_after
+        )
+        assert fast is None and heap is None
+        assert fast_sink.order == heap_sink.order
+        assert fast_sink._replica_counts == heap_sink._replica_counts
+
+    @pytest.mark.parametrize("policy", ["round-robin", "least-loaded"])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_fleet_policies_match_heap(self, policy, k):
+        arrivals = _tied_arrivals(self.LATENCY, k, seed=20 + k)
+        reports = [
+            Fleet("gpu", replicas=k, policy=policy).serve_stream(
+                arrivals, slo_ms=1.0, batcher=batcher
+            )
+            for batcher in ("none", lambda: _HeapForcedNone())
+        ]
+        assert reports[0].responses == reports[1].responses
+        assert reports[0].assignments == reports[1].assignments
+        sinks = [_OrderSink("gpu", slo_ms=1.0) for _ in range(2)]
+        for sink, batcher in zip(sinks, ("none", lambda: _HeapForcedNone())):
+            Fleet("gpu", replicas=k, policy=policy).serve_stream(
+                arrivals, slo_ms=1.0, batcher=batcher, mode="summary",
+                summary=sink,
+            )
+        assert _figures(sinks[0]) == _figures(sinks[1])
+
+    @pytest.mark.parametrize("replica", [-1, 3])
+    def test_invalid_replica_raises_like_heap(self, replica):
+        arrivals = uniform_arrivals(T, rate_per_s=100.0, n_requests=4)
+        for forced in (False, True):
+            with pytest.raises(
+                ServingError, match=f"dispatcher chose invalid replica {replica}"
+            ):
+                run_stream(
+                    arrivals,
+                    engines=[ServingEngine("gpu") for _ in range(3)],
+                    schedulers=[make_scheduler("fifo") for _ in range(3)],
+                    batchers=[
+                        _HeapForcedNone() if forced else NoneBatcher()
+                        for _ in range(3)
+                    ],
+                    dispatch=lambda seq, req, work: replica if seq == 2 else 0,
+                )
+
+    def test_empty_stream_raises_like_heap(self):
+        for forced in (False, True):
+            with pytest.raises(ServingError, match="at least one request"):
+                run_stream(
+                    iter(()),
+                    engines=[ServingEngine("gpu") for _ in range(2)],
+                    schedulers=[make_scheduler("fifo") for _ in range(2)],
+                    batchers=[
+                        _HeapForcedNone() if forced else NoneBatcher()
+                        for _ in range(2)
+                    ],
+                    dispatch=_JoinEarliest(),
+                    presorted=True,
+                    summary=StreamSummary("gpu"),
+                )
+
+
+def _responses_digest(report):
+    digest = hashlib.sha256()
+    for r, replica in zip(report.responses, report.assignments):
+        row = (
+            r.request.request_id, replica, r.result.platform,
+            r.result.latency_s, r.start_s, r.finish_s, r.queue_delay_s,
+            r.batch_size, r.batch_index, r.outcome, r.attempts,
+        )
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+class TestCachedPricingPins:
+    """Mixed fleets keep the cost-aware dispatcher's per-task latency
+    cache on the loops that still price every arrival; their full
+    responses are pinned to digests taken before the cache existed."""
+
+    ARRIVALS = dict(n_requests=600, seed=5, lengths=UniformLength(10, 40))
+
+    def test_chaos_mixed_fleet_digest(self):
+        from repro.serving import get_fault_policy
+
+        report = Fleet(
+            "plasticine:1,brainwave:1,gpu:1", policy="least-loaded"
+        ).serve_stream(
+            poisson_arrivals(GRU, rate_per_s=9000.0, **self.ARRIVALS),
+            slo_ms=5.0,
+            faults=lambda: get_fault_policy("chaos", mtbf_s=0.02, mttr_s=0.002),
+            fault_seed=7,
+            timeout_ms=20,
+            retries=1,
+            hedge_ms=10,
+        )
+        assert report.fault_stats.crashes == 5  # recoveries swap engines
+        assert _responses_digest(report) == (
+            "66fc1dcf45627e60768bff2682d242881dac22e458933da1298a14cd8e3d34fe"
+        )
+
+    def test_autoscaled_mixed_fleet_digest(self):
+        report = Fleet("brainwave:1,gpu:1", policy="least-loaded").serve_stream(
+            poisson_arrivals(GRU, rate_per_s=30000.0, **self.ARRIVALS),
+            slo_ms=1.0,
+            autoscaler=Autoscaler(min_replicas=1, max_replicas=4),
+        )
+        assert report.replicas == 4  # growth appends engines
+        assert _responses_digest(report) == (
+            "d15a7bea7e61e48bc9dc446b98728d70d0b2a19f3c1f3b8313512e130fa2930c"
+        )
+
+
+class TestCacheHitsPerRequest:
+    """Every fault-free loop credits one hit per request served from an
+    already-prepared model, whatever it looked up."""
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "edf"])
+    def test_engine_stream(self, scheduler):
+        engine = ServingEngine("gpu")
+        engine.serve_stream(
+            uniform_arrivals(T, rate_per_s=1000.0, n_requests=9),
+            scheduler=scheduler,
+        )
+        assert (engine.cache_stats.hits, engine.cache_stats.misses) == (8, 1)
+
+    @pytest.mark.parametrize("policy", ["round-robin", "least-loaded"])
+    def test_fleet_stream(self, policy):
+        fleet = Fleet("gpu", replicas=3, policy=policy)
+        fleet.serve_stream(uniform_arrivals(T, rate_per_s=1000.0, n_requests=9))
+        stats = [e.cache_stats for e in fleet.engines]
+        assert sum(s.hits for s in stats) == 8
+        assert sum(s.misses for s in stats) == 1
+
+
+#: The plan-capacity workload at 3k requests: gru-2816 at a 5 ms SLO,
+#: diurnal peak 12,000 req/s, 19 candidate fleets.
+_PLAN_N = 3000
+_PLAN_SLO = 5.0
+
+
+def _plan_stream(n):
+    from repro.dse.capacity import _StreamSpec
+
+    peak = 12000.0
+    base = peak / 4.0
+    period = n / ((base + peak) / 2.0)
+    return _StreamSpec(
+        task("gru", 2816).with_timesteps(25), base, peak, period, n, 0
+    ).materialize()
+
+
+def _replay(fleet, arrivals, *, scheduler="fifo", forced, threshold):
+    """One planner replay (as ``dse.capacity._evaluate`` runs it) into a
+    pruning sink; ``forced`` pins it to the general heap loop."""
+    from repro.dse.runner import PruneAbort, PruningSummary
+
+    sink = PruningSummary(
+        fleet.platform_name,
+        slo_ms=_PLAN_SLO,
+        scheduler=scheduler,
+        batcher="none",
+        prune_slo_ms=_PLAN_SLO,
+        threshold=threshold,
+    )
+    pruned = False
+    try:
+        fleet.serve_stream(
+            iter(arrivals),
+            slo_ms=_PLAN_SLO,
+            scheduler=scheduler,
+            batcher=(lambda: _HeapForcedNone()) if forced else "none",
+            mode="summary",
+            presorted=True,
+            summary=sink,
+        )
+    except PruneAbort:
+        pruned = True
+        roster = fleet.replica_platforms
+        sink.finalize(
+            replicas=fleet.n_replicas,
+            active_replicas=fleet.n_replicas,
+            policy=fleet.policy,
+            platforms=roster if fleet.is_heterogeneous else (),
+        )
+    return pruned, _figures(sink)
+
+
+class TestPlannerForcedLoopParity:
+    """Every plan-capacity candidate, pruned or not, reports the same
+    figures on the FIFO loop as on the forced general heap loop."""
+
+    @pytest.mark.parametrize("policy", ["least-loaded", "round-robin", "affinity"])
+    def test_every_candidate_matches_heap(self, policy):
+        from repro.dse import FleetSpace
+        from repro.dse.runner import prune_threshold
+
+        arrivals = _plan_stream(_PLAN_N)
+        space = FleetSpace(("plasticine", "brainwave", "gpu"), max_replicas=3)
+        rosters = [roster for roster, *_ in space.candidates()]
+        assert len(rosters) == 19
+        pruned = 0
+        for roster in rosters:
+            fleet = Fleet(roster, policy=policy)
+            # Pruning on (the planner's threshold), then off (a budget
+            # no stream can exhaust, so every request folds).  A
+            # candidate the first budget never prunes already folded
+            # the whole stream exactly as it would with pruning off.
+            for threshold in (prune_threshold(_PLAN_N), _PLAN_N):
+                fast = _replay(fleet, arrivals, forced=False, threshold=threshold)
+                heap = _replay(fleet, arrivals, forced=True, threshold=threshold)
+                assert fast == heap, (roster, threshold)
+                if not fast[0]:
+                    break
+                pruned += 1
+        assert pruned >= 5  # the abort point is exercised
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "edf", "sjf", "priority"])
+    def test_pruned_single_replica_candidates(self, scheduler):
+        from repro.dse.runner import prune_threshold
+
+        arrivals = _plan_stream(_PLAN_N)
+        for platform in ("brainwave", "plasticine", "gpu"):
+            fleet = Fleet(platform, replicas=1)
+            fast, heap = (
+                _replay(
+                    fleet,
+                    arrivals,
+                    scheduler=scheduler,
+                    forced=forced,
+                    threshold=prune_threshold(_PLAN_N),
+                )
+                for forced in (False, True)
+            )
+            assert fast[0] and heap[0]  # both pruned
+            assert fast == heap, platform
+            # Counted up to the abort, not left at zero.
+            assert fast[1]["replicas"] != "(0,)"
 
 
 def _forced_bucket():
