@@ -16,8 +16,9 @@ for the RNN-serving designs:
 * :mod:`repro.dse.runner` — the shared execution engine both searches
   route through: ordered worker-pool fan-out (bit-identical to the
   sequential loops at any worker count), exact SLO pruning for the
-  capacity planner, and evaluation memoization (in-process LRU plus an
-  on-disk fingerprinted result cache) for the chip tuner.
+  capacity planner, and an in-process evaluation memo for the chip
+  tuner.  No search result is persisted: every answer follows the
+  current mapper and cost models.
 """
 
 from repro.dse.space import ParameterSpace

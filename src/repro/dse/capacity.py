@@ -57,7 +57,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, groupby
-from pathlib import Path
 from typing import Iterator
 
 from repro.errors import DSEError
@@ -65,11 +64,8 @@ from repro.dse.runner import (
     DSEStats,
     PruneAbort,
     PruningSummary,
-    fingerprint,
-    load_cached,
     prune_threshold,
     run_jobs,
-    store_cached,
 )
 from repro.serving.batching import available_batchers
 from repro.serving.fleet import SCHEDULING_POLICIES, Fleet
@@ -394,37 +390,6 @@ def _evaluate(job: _PlanJob) -> CapacityPoint:
     )
 
 
-def _plan_fingerprint(spec: _StreamSpec, slo_ms: float, space: FleetSpace, prune: bool) -> str:
-    return fingerprint(
-        {
-            "kind": "capacity-plan",
-            "task": spec.task.name,
-            "slo_ms": slo_ms,
-            "base_rate_per_s": spec.base_rate_per_s,
-            "peak_rate_per_s": spec.peak_rate_per_s,
-            "period_s": spec.period_s,
-            "n_requests": spec.n_requests,
-            "seed": spec.seed,
-            "prune": prune,
-            "space": {
-                "platforms": space.platforms,
-                "max_replicas": space.max_replicas,
-                "policies": space.policies,
-                "schedulers": space.schedulers,
-                "batchers": space.batchers,
-                "max_batch": space.max_batch,
-            },
-        }
-    )
-
-
-def _points_from_cache(payload: dict) -> tuple[CapacityPoint, ...]:
-    return tuple(
-        CapacityPoint(**dict(row, platforms=tuple(row["platforms"])))
-        for row in payload["points"]
-    )
-
-
 def plan_capacity(
     task: RNNTask,
     *,
@@ -437,7 +402,6 @@ def plan_capacity(
     space: FleetSpace | None = None,
     workers: int | None = None,
     prune: bool = True,
-    cache_dir: "str | Path | None" = None,
     stats: DSEStats | None = None,
 ) -> CapacityPlan:
     """Search fleet size × platform mix × scheduler × batcher for the
@@ -469,24 +433,22 @@ def plan_capacity(
             full replay is guaranteed to share, so the feasible set and
             ``plan.best`` are unchanged.  ``prune=False`` restores the
             full per-candidate replay bit-identically.
-        cache_dir: Directory for the on-disk JSON result cache, keyed
-            by a fingerprint of the workload and space.  A hit skips
-            the whole sweep (CI perf-smoke reruns are warm); delete the
-            directory to invalidate after changing cost models.
         stats: Optional :class:`~repro.dse.runner.DSEStats` the sweep
             fills in (candidates, pruned count, simulated requests,
-            cache/workers provenance).
+            workers).
 
     Returns a :class:`CapacityPlan`; ``plan.best`` raises
     :class:`~repro.errors.DSEError` when nothing in the space holds the
     SLO, exactly like the chip DSE's no-feasible-design error.
     """
-    if slo_ms <= 0:
-        raise DSEError("slo_ms must be > 0")
+    if not slo_ms > 0:
+        raise DSEError(f"slo_ms must be positive, got {slo_ms!r}")
     if n_requests < 1:
         raise DSEError("n_requests must be >= 1")
-    if peak_rate_per_s <= 0:
-        raise DSEError("peak_rate_per_s must be > 0")
+    if not peak_rate_per_s > 0:
+        raise DSEError(
+            f"peak_rate_per_s must be positive, got {peak_rate_per_s!r}"
+        )
     if base_rate_per_s is None:
         base_rate_per_s = peak_rate_per_s / 4.0
     if period_s is None:
@@ -504,19 +466,6 @@ def plan_capacity(
         n_requests=n_requests,
         seed=seed,
     )
-    digest = None
-    if cache_dir is not None:
-        digest = _plan_fingerprint(spec, slo_ms, space, prune)
-        payload = load_cached(cache_dir, "plan", digest)
-        if payload is not None:
-            points = _points_from_cache(payload)
-            stats.candidates = len(points)
-            stats.pruned = sum(1 for p in points if p.pruned)
-            stats.simulated_requests = sum(p.simulated_requests for p in points)
-            stats.from_cache = True
-            return CapacityPlan(
-                task=task, slo_ms=slo_ms, n_requests=n_requests, points=points
-            )
     jobs = [
         _PlanJob(
             roster=roster,
@@ -540,20 +489,6 @@ def plan_capacity(
     stats.evaluated = len(points)
     stats.pruned = sum(1 for p in points if p.pruned)
     stats.simulated_requests = sum(p.simulated_requests for p in points)
-    plan = CapacityPlan(
+    return CapacityPlan(
         task=task, slo_ms=slo_ms, n_requests=n_requests, points=points
     )
-    if cache_dir is not None and digest is not None:
-        store_cached(
-            cache_dir,
-            "plan",
-            digest,
-            {
-                "task": task.name,
-                "points": [
-                    dict(p.to_row(), platforms=list(p.platforms))
-                    for p in plan.points
-                ],
-            },
-        )
-    return plan

@@ -20,21 +20,19 @@ passes, bigger fleet spaces) gets all three speedups for free:
   exactness argument).  Feasible candidates are never aborted, so the
   planner's ``best`` and feasible frontier are unchanged by pruning.
 * :class:`EvalMemo` — a keyed LRU for the chip DSE's
-  map-and-simulate results, plus an on-disk JSON cache
-  (:func:`load_cached` / :func:`store_cached`) keyed by a
-  space/workload :func:`fingerprint` so repeated sweeps (CI
-  perf-smoke, notebook reruns) are warm across processes.
+  map-and-simulate results, so length variants of one task family and
+  repeated tuner calls (the capacity planner re-tunes per Plasticine
+  candidate) map each point once per process.
+
+Nothing is persisted across processes: every search answers from the
+current mapper and cost models.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.errors import DSEError
@@ -48,16 +46,13 @@ __all__ = [
     "PruningSummary",
     "prune_threshold",
     "run_jobs",
-    "fingerprint",
-    "load_cached",
-    "store_cached",
 ]
 
 
 @dataclass
 class DSEStats:
     """Execution counters for one search run (never part of the result's
-    value equality — two runs with different worker counts or cache
+    value equality — two runs with different worker counts or memo
     temperatures produce equal results but different stats)."""
 
     #: Candidate points the search covered (evaluated + memo + pruned).
@@ -74,7 +69,8 @@ class DSEStats:
     #: Requests actually simulated across all candidates (the planner's
     #: pruning savings show up here).
     simulated_requests: int = 0
-    #: Whole-search answer loaded from the on-disk cache.
+    #: Always False: no search answers from a persisted result.  Kept
+    #: only because the repo benchmark (``perfbench/``) still reads it.
     from_cache: bool = False
     #: Worker processes the sweep ran on.
     workers: int = 1
@@ -157,8 +153,10 @@ class PruningSummary(StreamSummary):
 
     def __init__(self, *args, prune_slo_ms: float, threshold: int, **kwargs):
         super().__init__(*args, **kwargs)
-        if prune_slo_ms <= 0:
-            raise DSEError("prune_slo_ms must be > 0")
+        if not prune_slo_ms > 0:
+            raise DSEError(
+                f"prune_slo_ms must be positive, got {prune_slo_ms!r}"
+            )
         if threshold < 0:
             raise DSEError("prune threshold must be >= 0")
         self.prune_slo_ms = prune_slo_ms
@@ -232,67 +230,3 @@ class EvalMemo:
         self._data.clear()
         self.hits = 0
         self.misses = 0
-
-
-# -- on-disk result cache ---------------------------------------------------
-
-#: Bump when a cached payload's schema changes; stale files then miss.
-_CACHE_SCHEMA = 1
-
-
-def fingerprint(payload: object) -> str:
-    """Stable hex digest of a JSON-serializable search description.
-
-    Canonical JSON (sorted keys, no whitespace drift) hashed with
-    SHA-256: equal search spaces and workloads collide, everything
-    else does not.  Callers include every input that shapes the result
-    — task fields, chip, bits, axis tuples, seeds, rates.
-    """
-    blob = json.dumps(
-        {"schema": _CACHE_SCHEMA, "payload": payload},
-        sort_keys=True,
-        separators=(",", ":"),
-        default=str,
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:32]
-
-
-def _cache_path(cache_dir: "str | Path", kind: str, digest: str) -> Path:
-    return Path(cache_dir) / f"{kind}-{digest}.json"
-
-
-def load_cached(cache_dir: "str | Path", kind: str, digest: str) -> dict | None:
-    """The cached payload for a fingerprint, or None.
-
-    A corrupt file (truncated write from a killed run, by hand edits)
-    is treated as a miss, never an error — the cache is purely an
-    accelerator, and the entry is rewritten by the fresh run.
-    """
-    path = _cache_path(cache_dir, kind, digest)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or payload.get("schema") != _CACHE_SCHEMA:
-        return None
-    return payload
-
-
-def store_cached(
-    cache_dir: "str | Path", kind: str, digest: str, payload: dict
-) -> Path:
-    """Atomically persist a result payload under the fingerprint.
-
-    Write-to-temp + ``os.replace`` (the ``record_trace`` idiom), so a
-    crashed run never leaves a half-written entry for :func:`load_cached`
-    to trip on, and concurrent writers last-write-win a whole file.
-    """
-    directory = Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = _cache_path(directory, kind, digest)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(
-        json.dumps(dict(payload, schema=_CACHE_SCHEMA), sort_keys=True)
-    )
-    os.replace(tmp, path)
-    return path

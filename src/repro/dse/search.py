@@ -1,7 +1,9 @@
 """Exhaustive map-and-simulate search over a parameter space.
 
-Since the shared DSE runner (:mod:`repro.dse.runner`) landed, the sweep
-is memoized, hoisted, and parallel:
+Every point, in a sweep or alone (:func:`evaluate`), takes one path,
+:func:`_evaluate_params`: memo lookup, program build, map-and-simulate,
+memo store.  Through the shared DSE runner (:mod:`repro.dse.runner`)
+that path is memoized, hoisted, and parallel:
 
 * the task *program* is built once per :class:`LoopParams` and reused
   across the pass-config axis (pass configs only affect mapping, not
@@ -13,24 +15,18 @@ is memoized, hoisted, and parallel:
   of one family share entries;
 * :func:`search` fans parameter points onto a worker pool
   (``workers=``) in candidate order, bit-identical to the sequential
-  loop, and can persist the full result to an on-disk JSON cache
-  (``cache_dir=``) keyed by a space/workload fingerprint.
+  loop.
+
+Nothing is persisted across processes, so every answer follows the
+current mapper and cost models.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field
 
 from repro.errors import DSEError
-from repro.dse.runner import (
-    DSEStats,
-    EvalMemo,
-    fingerprint,
-    load_cached,
-    run_jobs,
-    store_cached,
-)
+from repro.dse.runner import DSEStats, EvalMemo, run_jobs
 from repro.dse.space import ParameterSpace
 from repro.mapping.mapper import MappedDesign, map_rnn_program
 from repro.mapping.passes import PassConfig
@@ -76,9 +72,9 @@ class DSEResult:
     task: RNNTask
     best: SearchPoint
     points: tuple[SearchPoint, ...] = field(repr=False)
-    #: Execution counters (memo hits, program builds, workers, cache
-    #: provenance).  Excluded from equality: two runs at different
-    #: worker counts or cache temperatures return *equal* results.
+    #: Execution counters (memo hits, program builds, workers).
+    #: Excluded from equality: two runs at different worker counts or
+    #: memo temperatures return *equal* results.
     stats: "DSEStats | None" = field(default=None, compare=False, repr=False)
 
     @property
@@ -133,7 +129,7 @@ def _point_from_record(
 
 
 def _evaluate_program(
-    prog, chip: PlasticineConfig, bits: int, pass_config: PassConfig | None
+    prog, chip: PlasticineConfig, bits: int, pass_config: PassConfig
 ) -> _MemoRecord:
     """Map and simulate one built program: the uncached inner kernel."""
     design: MappedDesign = map_rnn_program(
@@ -150,40 +146,6 @@ def _evaluate_program(
     )
 
 
-def evaluate(
-    task: RNNTask,
-    params: LoopParams,
-    chip: PlasticineConfig,
-    *,
-    bits: int = 8,
-    require_capacity: bool = False,
-    pass_config: PassConfig | None = None,
-    program=None,
-    memoize: bool = True,
-) -> SearchPoint:
-    """Map and simulate one candidate point.
-
-    ``program`` reuses an already-built task program (the hoist
-    :func:`search` applies across the pass-config axis); ``memoize``
-    consults the per-process :class:`~repro.dse.runner.EvalMemo` first
-    — a hit reconstructs the point bit-identically (per-step cycles and
-    resources are length-independent; the total is
-    ``timesteps * cycles_per_step``, the simulator's own identity).
-    """
-    pc = pass_config or PassConfig()
-    key = _memo_key(task, params, chip, bits, pc)
-    record = _MEMO.get(key) if memoize else None
-    if record is None:
-        if program is None:
-            program = build_task_program(task, params)
-        record = _evaluate_program(program, chip, bits, pass_config)
-        if memoize:
-            _MEMO.put(key, record)
-    return _point_from_record(
-        task, params, pc, record, require_capacity=require_capacity
-    )
-
-
 @dataclass(frozen=True)
 class _SearchJob:
     """One parameter point across the whole pass-config axis."""
@@ -196,19 +158,24 @@ class _SearchJob:
     pass_configs: tuple[PassConfig, ...]
 
 
-def _evaluate_params(job: _SearchJob) -> tuple[list[SearchPoint], int, int]:
-    """Worker entry: evaluate every pass config of one parameter point.
+def _evaluate_params(
+    job: _SearchJob, memo: EvalMemo | None = _MEMO
+) -> tuple[list[SearchPoint], int, int]:
+    """Evaluate every pass config of one parameter point.
 
-    Builds the task program at most once (lazily — an all-memo-hit
-    point builds nothing) and returns ``(points, program_builds,
-    memo_hits)`` in the space's pass-config order.
+    The one evaluation path: :func:`search`'s worker entry and
+    :func:`evaluate`'s body.  Looks each config up in ``memo`` (``None``
+    skips the memo), builds the task program at most once (lazily — an
+    all-hit point builds nothing), maps and simulates the misses and
+    stores them.  Returns ``(points, program_builds, memo_hits)`` in the
+    job's pass-config order.
     """
     program = None
     points: list[SearchPoint] = []
     builds = hits = 0
     for pass_config in job.pass_configs:
         key = _memo_key(job.task, job.params, job.chip, job.bits, pass_config)
-        record = _MEMO.get(key)
+        record = memo.get(key) if memo is not None else None
         if record is None:
             if program is None:
                 program = build_task_program(job.task, job.params)
@@ -216,7 +183,8 @@ def _evaluate_params(job: _SearchJob) -> tuple[list[SearchPoint], int, int]:
             record = _evaluate_program(
                 program, job.chip, job.bits, pass_config
             )
-            _MEMO.put(key, record)
+            if memo is not None:
+                memo.put(key, record)
         else:
             hits += 1
         points.append(
@@ -231,66 +199,35 @@ def _evaluate_params(job: _SearchJob) -> tuple[list[SearchPoint], int, int]:
     return points, builds, hits
 
 
-def _search_fingerprint(
+def evaluate(
     task: RNNTask,
+    params: LoopParams,
     chip: PlasticineConfig,
-    space: ParameterSpace,
-    bits: int,
-    require_capacity: bool,
-) -> str:
-    return fingerprint(
-        {
-            "kind": "chip-dse",
-            "task": {
-                "kind": task.kind,
-                "hidden": task.hidden,
-                "timesteps": task.timesteps,
-                "layers": task.layers,
-                "decoder_timesteps": task.decoder_timesteps,
-            },
-            "chip": repr(chip),
-            "bits": bits,
-            "require_capacity": require_capacity,
-            "space": {
-                "max_hu": space.max_hu,
-                "ru_choices": space.ru_choices,
-                "pass_configs": [
-                    (pc.fuse_gates, pc.double_buffer)
-                    for pc in space.pass_configs
-                ],
-            },
-        }
+    *,
+    bits: int = 8,
+    require_capacity: bool = False,
+    pass_config: PassConfig | None = None,
+    memoize: bool = True,
+) -> SearchPoint:
+    """Map and simulate one candidate point: :func:`search`'s own path
+    for a single configuration.
+
+    ``memoize`` consults the per-process
+    :class:`~repro.dse.runner.EvalMemo` first — a hit reconstructs the
+    point bit-identically (per-step cycles and resources are
+    length-independent; the total is ``timesteps * cycles_per_step``,
+    the simulator's own identity).
+    """
+    job = _SearchJob(
+        task=task,
+        params=params,
+        chip=chip,
+        bits=bits,
+        require_capacity=require_capacity,
+        pass_configs=(pass_config or PassConfig(),),
     )
-
-
-def _points_from_cache(payload: dict) -> tuple[SearchPoint, ...]:
-    return tuple(
-        SearchPoint(
-            params=LoopParams(**row["params"]),
-            cycles_per_step=row["cycles_per_step"],
-            total_cycles=row["total_cycles"],
-            fits=row["fits"],
-            pcus_used=row["pcus_used"],
-            pmus_used=row["pmus_used"],
-            pass_config=PassConfig(**row["pass_config"]),
-        )
-        for row in payload["points"]
-    )
-
-
-def _result_from_points(
-    task: RNNTask,
-    chip: PlasticineConfig,
-    points: "tuple[SearchPoint, ...]",
-    stats: DSEStats,
-) -> DSEResult:
-    if not points:
-        raise DSEError(f"no candidate points for {task.name}")
-    feasible = [p for p in points if p.fits]
-    if not feasible:
-        raise DSEError(f"no feasible design for {task.name} on {chip.name}")
-    best = min(feasible, key=lambda p: (p.total_cycles, p.pcus_used))
-    return DSEResult(task=task, best=best, points=points, stats=stats)
+    (point,), _, _ = _evaluate_params(job, _MEMO if memoize else None)
+    return point
 
 
 def search(
@@ -301,7 +238,6 @@ def search(
     bits: int = 8,
     require_capacity: bool = False,
     workers: int | None = None,
-    cache_dir: "str | Path | None" = None,
 ) -> DSEResult:
     """Search the space, returning the latency-optimal feasible point.
 
@@ -315,23 +251,10 @@ def search(
             (:func:`~repro.dse.runner.run_jobs`; default sequential).
             The point list, best point, and every field are
             bit-identical at any worker count — purely wall clock.
-        cache_dir: On-disk JSON result cache keyed by a fingerprint of
-            (task, chip, bits, space).  A hit returns the persisted
-            sweep without mapping anything; delete the directory to
-            invalidate after compiler changes.
     """
     chip = chip or PlasticineConfig.rnn_serving()
     space = space or ParameterSpace()
     stats = DSEStats(workers=workers or 1)
-    digest = None
-    if cache_dir is not None:
-        digest = _search_fingerprint(task, chip, space, bits, require_capacity)
-        payload = load_cached(cache_dir, "dse", digest)
-        if payload is not None:
-            points = _points_from_cache(payload)
-            stats.candidates = len(points)
-            stats.from_cache = True
-            return _result_from_points(task, chip, points, stats)
     jobs = [
         _SearchJob(
             task=task,
@@ -352,12 +275,10 @@ def search(
         stats.memo_hits += hits
     stats.candidates = len(points)
     stats.evaluated = len(points) - stats.memo_hits
-    result = _result_from_points(task, chip, tuple(points), stats)
-    if cache_dir is not None and digest is not None:
-        store_cached(
-            cache_dir,
-            "dse",
-            digest,
-            {"task": task.name, "points": [asdict(p) for p in result.points]},
-        )
-    return result
+    if not points:
+        raise DSEError(f"no candidate points for {task.name}")
+    feasible = [p for p in points if p.fits]
+    if not feasible:
+        raise DSEError(f"no feasible design for {task.name} on {chip.name}")
+    best = min(feasible, key=lambda p: (p.total_cycles, p.pcus_used))
+    return DSEResult(task=task, best=best, points=tuple(points), stats=stats)

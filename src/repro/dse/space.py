@@ -79,11 +79,3 @@ class ParameterSpace:
                 if shape.gates * hu * ru > chip.usable_pcus:
                     continue
                 yield LoopParams(hu=hu, ru=ru, rv=rv)
-
-    def configurations(
-        self, task: RNNTask, chip: PlasticineConfig, bits: int = 8
-    ) -> Iterator[tuple[LoopParams, PassConfig]]:
-        """Yield the full search grid: loop parameters x pass configs."""
-        for params in self.candidates(task, chip, bits):
-            for pass_config in self.pass_configs:
-                yield params, pass_config

@@ -19,8 +19,6 @@ initiation interval that bottlenecks the pipeline.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.errors import DSEError
 from repro.dse.search import DSEResult, search
 from repro.dse.space import ParameterSpace
@@ -60,7 +58,6 @@ def tune(
     bits: int = 8,
     workers: int | None = None,
     pass_axis: bool = False,
-    cache_dir: "str | Path | None" = None,
 ) -> DSEResult:
     """Run the DSE for a task; thin alias of :func:`repro.dse.search.search`.
 
@@ -71,8 +68,6 @@ def tune(
             (:meth:`ParameterSpace.with_pass_axis
             <repro.dse.space.ParameterSpace.with_pass_axis>`), so the
             result reports which pass config wins for this task.
-        cache_dir: On-disk result cache, as on
-            :func:`~repro.dse.search.search`.
     """
     if pass_axis:
         if space is not None:
@@ -81,6 +76,4 @@ def tune(
                 "ParameterSpace with pass_configs instead of both"
             )
         space = ParameterSpace.with_pass_axis()
-    return search(
-        task, chip, space, bits=bits, workers=workers, cache_dir=cache_dir
-    )
+    return search(task, chip, space, bits=bits, workers=workers)

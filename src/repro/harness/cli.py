@@ -98,6 +98,7 @@ def _validate_serve_flags(args: argparse.Namespace) -> None:
     rather than silently downgraded.
     """
     from repro.errors import ServingError
+    from repro.serving.request import _check_budget_ms
 
     if args.shards is not None and args.shards < 1:
         raise ServingError("--shards must be >= 1")
@@ -154,16 +155,15 @@ def _validate_serve_flags(args: argparse.Namespace) -> None:
     if args.dse_workers is not None and args.dse_workers < 1:
         raise ServingError("--dse-workers must be >= 1")
     if not args.plan_capacity and (
-        args.dse_workers is not None or not args.dse_prune or args.dse_cache
+        args.dse_workers is not None or not args.dse_prune
     ):
         raise ServingError(
-            "--dse-workers/--no-dse-prune/--dse-cache tune the "
-            "capacity-planner DSE; add --plan-capacity"
+            "--dse-workers/--no-dse-prune tune the capacity-planner DSE; "
+            "add --plan-capacity"
         )
-    if args.timeout_ms is not None and args.timeout_ms <= 0:
-        raise ServingError("--timeout-ms must be positive")
-    if args.hedge_ms is not None and args.hedge_ms <= 0:
-        raise ServingError("--hedge-ms must be positive")
+    _check_budget_ms("--slo-ms", args.slo_ms)
+    _check_budget_ms("--timeout-ms", args.timeout_ms)
+    _check_budget_ms("--hedge-ms", args.hedge_ms)
     if args.retries < 0:
         raise ServingError("--retries must be >= 0")
     if args.retries and args.timeout_ms is None:
@@ -526,7 +526,6 @@ def _serve_plan_capacity(args: argparse.Namespace, t) -> str:
         space=space,
         workers=args.dse_workers,
         prune=args.dse_prune,
-        cache_dir=args.dse_cache,
     )
     rows = [
         [
@@ -1157,13 +1156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "clearly missed the SLO that P99 provably cannot meet it; "
         "exact — the frontier and chosen fleet never change "
         "(--no-dse-prune replays every candidate in full)",
-    )
-    serve.add_argument(
-        "--dse-cache",
-        metavar="DIR",
-        help="cache --plan-capacity results on disk keyed by a workload/"
-        "space fingerprint; a repeat run with identical inputs loads "
-        "the plan instead of re-simulating",
     )
     serve.add_argument(
         "--scheduler",

@@ -40,7 +40,7 @@ from repro.serving.batching import Batcher, make_batcher
 from repro.serving.events import run_stream, single_replica_dispatch
 from repro.serving.faults import FaultPolicy, make_fault_policy
 from repro.serving.platform import PLATFORMS, Platform, PreparedModel
-from repro.serving.request import ServeRequest, ServeResponse
+from repro.serving.request import ServeRequest, ServeResponse, _check_budget_ms
 from repro.serving.result import FaultStats, ServingResult
 from repro.serving.scheduler import Scheduler, make_scheduler
 # ``percentile`` is shared with the O(1) summary so both
@@ -631,10 +631,11 @@ def _serve_stream(
 ) -> "StreamReport | StreamSummary":
     """Engine and fleet ``serve_stream``'s one path to a report.
 
-    Checks ``mode`` and the ``summary`` sink, resolves the fault policy
-    and hands it with ``loop`` to :func:`~repro.serving.events.run_stream`
-    (which keeps ``"none"`` on the fault-free loops), then finalizes
-    the summary or builds a :class:`StreamReport`.
+    Checks ``mode``, the ``summary`` sink and ``slo_ms``, resolves the
+    fault policy and hands it with ``loop`` to
+    :func:`~repro.serving.events.run_stream` (which keeps ``"none"`` on
+    the fault-free loops), then finalizes the summary or builds a
+    :class:`StreamReport`.
     ``replica_platform`` names each replica's platform on mixed rosters.
     """
     if mode not in ("full", "summary"):
@@ -643,6 +644,7 @@ def _serve_stream(
         )
     if summary is not None and mode != "summary":
         raise ServingError("a summary sink only makes sense with mode='summary'")
+    _check_budget_ms("slo_ms", slo_ms)
     fault_policy = make_fault_policy(faults)
     scheduler, batcher = schedulers[0].name, batchers[0].name
     if mode == "summary" and summary is None:

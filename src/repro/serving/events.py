@@ -67,7 +67,7 @@ from repro.errors import ServingError
 from repro.serving.autoscaler import Autoscaler, ScaleEvent
 from repro.serving.batching import Batcher, NoneBatcher
 from repro.serving.faults import FaultPolicy, NoFaults
-from repro.serving.request import ServeRequest, ServeResponse
+from repro.serving.request import ServeRequest, ServeResponse, _check_budget_ms
 from repro.serving.result import FaultStats
 from repro.serving.scheduler import FIFOScheduler, QueuedRequest, Scheduler
 from repro.workloads.deepbench import RNNTask
@@ -396,10 +396,8 @@ def run_stream(
     for replica in range(len(engine_list)):
         bind_cost(replica)
 
-    if timeout_ms is not None and timeout_ms <= 0:
-        raise ServingError("timeout_ms must be positive when set")
-    if hedge_ms is not None and hedge_ms <= 0:
-        raise ServingError("hedge_ms must be positive when set")
+    _check_budget_ms("timeout_ms", timeout_ms)
+    _check_budget_ms("hedge_ms", hedge_ms)
     if retries < 0:
         raise ServingError("retries must be >= 0")
     if retries > 0 and timeout_ms is None:

@@ -62,7 +62,7 @@ from repro.serving.engine import ServingEngine
 from repro.serving.events import normalize_arrivals
 from repro.serving.faults import _MASK64, _splitmix64, make_fault_policy
 from repro.serving.fleet import Fleet
-from repro.serving.request import ServeRequest
+from repro.serving.request import ServeRequest, _check_budget_ms
 from repro.serving.scheduler import make_scheduler
 from repro.serving.stats import StreamSummary
 from repro.workloads.deepbench import RNNTask
@@ -429,6 +429,7 @@ def serve_parallel(
         raise ServingError("workers must be >= 1")
     if replicas < 1:
         raise ServingError("replicas must be >= 1")
+    _check_budget_ms("slo_ms", slo_ms)
     if shard_by not in SHARD_MODES:
         raise ServingError(
             f"unknown shard mode {shard_by!r}; known: {', '.join(SHARD_MODES)}"

@@ -71,10 +71,7 @@ class ServeRequest:
     def __post_init__(self) -> None:
         if not 0.0 <= self.arrival_s < math.inf:
             raise _arrival_error(self.arrival_s)
-        if self.slo_ms is not None and not self.slo_ms > 0:
-            raise ServingError(
-                f"slo_ms must be positive when set, got {self.slo_ms!r}"
-            )
+        _check_budget_ms("slo_ms", self.slo_ms)
 
     def effective_slo_ms(self, default_slo_ms: float | None = None) -> float | None:
         """The request's own SLO, falling back to the stream-level one."""
@@ -93,6 +90,14 @@ def _arrival_error(arrival_s: float) -> ServingError:
     if arrival_s < 0:
         return ServingError("arrival_s must be >= 0")
     return ServingError(f"arrival_s must be finite, got {arrival_s!r}")
+
+
+def _check_budget_ms(name: str, value: float | None) -> None:
+    """Reject a time budget in ms (an SLO, timeout or hedge delay) that
+    is set but not positive.  Written ``not value > 0`` so NaN fails as
+    zero and negatives do; an infinite budget stays legal."""
+    if value is not None and not value > 0:
+        raise ServingError(f"{name} must be positive when set, got {value!r}")
 
 
 _new_request = object.__new__

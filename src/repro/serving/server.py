@@ -53,7 +53,7 @@ from repro.errors import ServingError
 from repro.serving.batching import Batcher, NoneBatcher, make_batcher
 from repro.serving.engine import ServingEngine
 from repro.serving.events import _batch_exec_task
-from repro.serving.request import ServeRequest, ServeResponse
+from repro.serving.request import ServeRequest, ServeResponse, _check_budget_ms
 from repro.serving.scheduler import QueuedRequest, Scheduler, make_scheduler
 from repro.serving.stats import StreamSummary
 from repro.serving.traffic import request_from_json
@@ -259,8 +259,8 @@ class ServingServer:
     ) -> None:
         if replicas < 1:
             raise ServingError("a server needs at least one replica")
-        if timeout_ms is not None and timeout_ms <= 0:
-            raise ServingError("timeout_ms must be positive")
+        _check_budget_ms("slo_ms", slo_ms)
+        _check_budget_ms("timeout_ms", timeout_ms)
         self.timeout_ms = timeout_ms
         self.engine = ServingEngine(platform, **platform_options)
         self.replicas = replicas

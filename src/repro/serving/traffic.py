@@ -45,7 +45,12 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.errors import ServingError, WorkloadError
-from repro.serving.request import ServeRequest, _arrival_error, _trusted_request
+from repro.serving.request import (
+    ServeRequest,
+    _arrival_error,
+    _check_budget_ms,
+    _trusted_request,
+)
 from repro.workloads.deepbench import RNNTask
 
 __all__ = [
@@ -103,8 +108,7 @@ def _check_stream_args(
         raise ServingError("n_requests must be >= 1")
     if not 0.0 <= start_s < math.inf:
         raise ServingError(f"start_s must be finite and >= 0, got {start_s!r}")
-    if slo_ms is not None and not slo_ms > 0:
-        raise ServingError(f"slo_ms must be positive when set, got {slo_ms!r}")
+    _check_budget_ms("slo_ms", slo_ms)
 
 
 # -- sequence-length distributions ---------------------------------------

@@ -7,8 +7,11 @@ Fails (exit 1) when a module under ``src/repro/serving/`` or
 undocumented.  Likewise every registered mapping compiler pass
 (``repro.mapping.passes``) must appear in ARCHITECTURE.md by its
 registry name — the pass list is read off the live registry, so a new
-pass cannot land without a doc entry.  Also sanity-checks that the
-docs/ suite and the README cross-link each other.
+pass cannot land without a doc entry.  docs/CLI.md must document every
+``repro serve`` flag, and every ``--flag`` it mentions must still be an
+option of ``repro`` or one of its subcommands, so a removed flag cannot
+leave a stale row behind.  Also sanity-checks that the docs/ suite and
+the README cross-link each other.
 
 Run from the repo root (CI does):
 
@@ -18,6 +21,7 @@ Run from the repo root (CI does):
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -41,30 +45,43 @@ REQUIRED_LINKS = {
     ],
 }
 
-#: docs/CLI.md must document every long option `repro serve` accepts —
-#: the flags are read off the live argparse parser, so a new flag cannot
-#: land without a reference row.
+#: docs/CLI.md must document every long option `repro serve` accepts,
+#: and mention no long option the CLI lacks — both read off the live
+#: argparse parser, so a flag cannot land without a reference row or
+#: leave one behind when it goes.
 CLI_DOC = REPO / "docs" / "CLI.md"
+#: A ``--flag`` token in prose, code blocks or tables.
+FLAG_TOKEN = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
-def serve_flags() -> list[str]:
-    """Long option strings of the ``repro serve`` subcommand."""
+def _long_options(parser: argparse.ArgumentParser) -> set[str]:
+    return {
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+
+
+def cli_flags() -> tuple[list[str], set[str]]:
+    """Long options of ``repro serve`` (bar ``--help``), and of ``repro``
+    with every subcommand (``--no-*`` forms included)."""
     src = REPO / "src"
     if str(src) not in sys.path:
         sys.path.insert(0, str(src))
     from repro.harness.cli import build_parser
 
+    parser = build_parser()
     subparsers = next(
         action
-        for action in build_parser()._actions
+        for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    return sorted(
-        option
-        for action in subparsers.choices["serve"]._actions
-        for option in action.option_strings
-        if option.startswith("--") and option != "--help"
+    every = _long_options(parser).union(
+        *map(_long_options, subparsers.choices.values())
     )
+    serve = _long_options(subparsers.choices["serve"]) - {"--help"}
+    return sorted(serve), every
 
 
 def mapping_passes() -> list[str]:
@@ -112,13 +129,18 @@ def main() -> int:
             if link not in text:
                 failures.append(f"{rel} does not link to {link}")
 
-    flags = serve_flags()
+    flags, every_flag = cli_flags()
     cli_text = CLI_DOC.read_text() if CLI_DOC.exists() else ""
     for flag in flags:
         if flag not in cli_text:
             failures.append(
                 f"docs/CLI.md does not document the `repro serve` flag {flag}"
             )
+    doc_flags = set(FLAG_TOKEN.findall(cli_text))
+    for flag in sorted(doc_flags - every_flag):
+        failures.append(
+            f"docs/CLI.md mentions {flag}, which no `repro` command accepts"
+        )
 
     passes = mapping_passes()
     for name in passes:
@@ -136,6 +158,7 @@ def main() -> int:
     print(
         f"docs-check ok: {n_modules} serving/workload modules documented, "
         f"{len(flags)} serve flags referenced, "
+        f"{len(doc_flags)} CLI.md flags all accepted, "
         f"{len(passes)} mapping passes documented, "
         f"{len(REQUIRED_LINKS)} docs cross-linked"
     )
