@@ -8,9 +8,9 @@ cross-kernel fusion, parameter tuning) buys on the headline workload.
 import numpy as np
 import pytest
 
-from repro.api import serve_on_plasticine
 from repro.harness.report import format_table
 from repro.rnn.lstm_loop import LoopParams
+from repro.serving import ServingEngine
 from repro.workloads.deepbench import task
 
 
@@ -22,9 +22,10 @@ def test_precision_packing_ablation(benchmark, artifact):
     def measure():
         rows = []
         for bits, rv in ((8, 64), (16, 32), (32, 16)):
-            res = serve_on_plasticine(
-                t, params=LoopParams(hu=4, ru=8, rv=rv), bits=bits
+            engine = ServingEngine(
+                "plasticine", params=LoopParams(hu=4, ru=8, rv=rv), bits=bits
             )
+            res = engine.serve(t).result
             rows.append([f"{bits}-bit (rv={rv})", res.latency_ms, res.effective_tflops])
         return rows
 
@@ -50,7 +51,8 @@ def test_parameter_sensitivity_ablation(benchmark, artifact):
     def measure():
         rows = []
         for hu, ru in ((1, 1), (1, 8), (4, 4), (4, 8)):
-            res = serve_on_plasticine(t, params=LoopParams(hu=hu, ru=ru, rv=64))
+            engine = ServingEngine("plasticine", params=LoopParams(hu=hu, ru=ru, rv=64))
+            res = engine.serve(t).result
             rows.append([f"hu={hu} ru={ru}", res.latency_ms])
         return rows
 
@@ -72,8 +74,8 @@ def test_sequential_timestep_cost(benchmark):
     # The h_t feedback forbids cross-step pipelining: per-step cost is
     # constant, total scales linearly in T.
     def scale():
-        r5 = serve_on_plasticine(task("lstm", 1024, 5))
-        r25 = serve_on_plasticine(task("lstm", 1024, 25))
+        r5 = ServingEngine("plasticine").serve(task("lstm", 1024, 5)).result
+        r25 = ServingEngine("plasticine").serve(task("lstm", 1024, 25)).result
         return r25.latency_s / r5.latency_s
 
     assert benchmark.pedantic(scale, rounds=1, iterations=1) == pytest.approx(5.0, rel=0.01)

@@ -23,15 +23,15 @@ def test_within_5ms_claim(benchmark, artifact):
     # within 5ms for all problem sizes" — checked for every per-request
     # task (T <= 375; the T=1500 GRU is a 1500-step sequence whose
     # per-step latency is ~1 us).
-    from repro.api import serve_on_brainwave, serve_on_plasticine
     from repro.harness.report import format_table
+    from repro.serving import ServingEngine
     from repro.workloads.deepbench import table6_tasks
 
     def sweep():
         rows = []
         for t in table6_tasks():
-            pl = serve_on_plasticine(t)
-            bw = serve_on_brainwave(t)
+            pl = ServingEngine("plasticine").serve(t).result
+            bw = ServingEngine("brainwave").serve(t).result
             rows.append([t.name, pl.latency_ms, bw.latency_ms])
         return rows
 

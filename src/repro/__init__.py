@@ -33,16 +33,9 @@ from __future__ import annotations
 
 __version__ = "1.2.0"
 
-_API_NAMES = (
-    "ServingResult",
-    "serve_on_plasticine",
-    "serve_on_brainwave",
-    "serve_on_cpu",
-    "serve_on_gpu",
-)
-
 _SERVING_NAMES = (
     "ServingEngine",
+    "ServingResult",
     "ServeRequest",
     "ServeResponse",
     "StreamReport",
@@ -71,16 +64,12 @@ _SERVING_NAMES = (
     "ScaleEvent",
 )
 
-__all__ = ["__version__", *_API_NAMES, *_SERVING_NAMES]
+__all__ = ["__version__", *_SERVING_NAMES]
 
 
 def __getattr__(name: str):
-    # Lazy import keeps `import repro.precision` cheap and avoids import
-    # cycles while the high-level API lives in repro.api / repro.serving.
-    if name in _API_NAMES:
-        from repro import api
-
-        return getattr(api, name)
+    # Lazy import keeps `import repro.precision` and the other lower
+    # layers cheap: repro.serving imports most of the package.
     if name in _SERVING_NAMES:
         from repro import serving
 

@@ -48,7 +48,8 @@ PLATFORM_PEAKS = {
 
 
 def utilization_table(results) -> list[UtilizationRow]:
-    """Build utilization rows from :class:`~repro.api.ServingResult`s."""
+    """Build utilization rows from serving results
+    (:class:`~repro.serving.result.ServingResult`)."""
     rows = []
     for res in results:
         peak = PLATFORM_PEAKS.get(res.platform)

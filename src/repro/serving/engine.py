@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 from repro.errors import ServingError
 from repro.serving.autoscaler import ScaleEvent
 from repro.serving.batching import Batcher, make_batcher
-from repro.serving.events import run_stream, single_replica_dispatch
+from repro.serving.events import run_stream
 from repro.serving.faults import FaultPolicy, make_fault_policy
 from repro.serving.platform import PLATFORMS, Platform, PreparedModel
 from repro.serving.request import ServeRequest, ServeResponse, _check_budget_ms
@@ -603,7 +603,6 @@ class ServingEngine:
             engines=(self,),
             schedulers=(make_scheduler(scheduler),),
             batchers=(make_batcher(batcher, **options),),
-            dispatch=single_replica_dispatch,
             slo_ms=slo_ms,
             mode=mode,
             presorted=presorted,

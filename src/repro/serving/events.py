@@ -81,7 +81,6 @@ __all__ = [
     "run_stream",
     "StreamOutcome",
     "StreamDispatcher",
-    "single_replica_dispatch",
 ]
 
 #: Event kinds; FREE sorts before ARRIVAL at equal timestamps so an
@@ -95,10 +94,6 @@ _FREE, _RECOVER, _ARRIVAL, _LAUNCH, _CRASH, _TIMEOUT, _HEDGE = range(7)
 
 _INF = float("inf")
 
-#: Legacy dispatcher: (seq, request, projected per-replica completion
-#: times of the *active* replicas) -> replica index.
-Dispatcher = Callable[[int, ServeRequest, Sequence[float]], int]
-
 #: Factory building the replica at one index slot:
 #: (index) -> (engine, scheduler, batcher).  The index lets a mixed
 #: fleet grow along its platform pattern and lets a crash recovery
@@ -107,17 +102,15 @@ ReplicaFactory = Callable[[int], "tuple[ServingEngine, Scheduler, Batcher]"]
 
 
 class StreamDispatcher:
-    """Incremental dispatcher protocol for fleet-scale streams.
+    """The dispatch protocol of :func:`run_stream`.
 
-    The legacy dispatcher contract hands every arrival a *snapshot* of
-    all active replicas' projected completion times — an O(replicas)
-    copy per request that turns least-loaded dispatch quadratic on big
-    fleets.  A :class:`StreamDispatcher` instead receives *deltas*: the
-    loop calls :meth:`assign` whenever one replica's projection changes
-    and :meth:`resize` whenever the autoscaler changes the active set,
-    so a policy can maintain its own O(log n) structure (see
-    ``Fleet``'s least-loaded heap).  Plain callables keep working
-    unchanged.
+    The loop hands a dispatcher *deltas*, never a snapshot of every
+    replica: it calls :meth:`bind` and :meth:`resize` before the first
+    arrival, :meth:`choose` once per dispatch, :meth:`assign` whenever
+    one replica's projected completion time changes, and :meth:`resize`
+    whenever the autoscaler changes the active set.  So a policy can
+    keep its own O(log n) structure (see ``Fleet``'s least-loaded heap)
+    instead of scanning every replica per arrival.
 
     Example::
 
@@ -148,15 +141,11 @@ class StreamDispatcher:
         """
 
 
-def single_replica_dispatch(
-    seq: int, request: ServeRequest, work_until: Sequence[float]
-) -> int:
-    """The engine's trivial one-replica dispatcher (always replica 0).
+class _OnlyReplica(StreamDispatcher):
+    """``dispatch=None`` on the heap loops: replica 0 takes everything."""
 
-    Passing this exact function lets :func:`run_stream` skip per-arrival
-    dispatch bookkeeping entirely on the single-replica fast paths.
-    """
-    return 0
+    def choose(self, seq: int, request: ServeRequest) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -187,8 +176,7 @@ class StreamOutcome:
         >>> arrivals = uniform_arrivals(task("lstm", 512, 25),
         ...                             rate_per_s=100, n_requests=3)
         >>> out = run_stream(arrivals, engines=(engine,),
-        ...                  schedulers=(make_scheduler("fifo"),),
-        ...                  dispatch=lambda seq, req, work: 0)
+        ...                  schedulers=(make_scheduler("fifo"),))
         >>> (len(out.responses), out.assignments, out.n_replicas)
         (3, [0, 0, 0], 1)
     """
@@ -302,7 +290,7 @@ def run_stream(
     *,
     engines: Sequence["ServingEngine"],
     schedulers: Sequence[Scheduler],
-    dispatch: "Dispatcher | StreamDispatcher",
+    dispatch: StreamDispatcher | None = None,
     slo_ms: float | None = None,
     batchers: Sequence[Batcher] | None = None,
     autoscaler: Autoscaler | None = None,
@@ -323,10 +311,9 @@ def run_stream(
             ``presorted=True``).
         engines: One :class:`ServingEngine` per starting replica.
         schedulers: One scheduler per replica (same length as engines).
-        dispatch: Assigns each arrival to a replica — either a legacy
-            callable receiving the projected completion times of all
-            *active* replicas (the classic join-the-shortest-queue
-            signal), or an incremental :class:`StreamDispatcher`.
+        dispatch: The :class:`StreamDispatcher` that assigns each
+            arrival to a replica.  ``None`` means one replica without an
+            autoscaler, which needs no dispatcher.
         slo_ms: Stream-level SLO; per-request ``slo_ms`` overrides it
             when computing deadlines for deadline-aware schedulers and
             SLO-aware batching.
@@ -374,12 +361,22 @@ def run_stream(
         ...     uniform_arrivals(task("lstm", 512, 25),
         ...                      rate_per_s=200, n_requests=4),
         ...     engines=(ServingEngine("gpu"),),
-        ...     schedulers=(make_scheduler("fifo"),),
-        ...     dispatch=lambda seq, req, work: 0)
+        ...     schedulers=(make_scheduler("fifo"),))
         >>> [r.request.request_id for r in out.responses]
         [0, 1, 2, 3]
     """
     engine_list = list(engines)
+    if not engine_list:
+        raise ServingError("run_stream needs at least one replica")
+    if dispatch is None:
+        if len(engine_list) > 1 or autoscaler is not None:
+            raise ServingError(
+                "more than one replica or an autoscaler needs a StreamDispatcher"
+            )
+    elif not isinstance(dispatch, StreamDispatcher):
+        raise ServingError(
+            f"dispatch must be a StreamDispatcher or None, got {dispatch!r}"
+        )
     scheduler_list = list(schedulers)
     batcher_list = (
         [NoneBatcher() for _ in engine_list] if batchers is None else list(batchers)
@@ -404,6 +401,8 @@ def run_stream(
         raise ServingError("retries need timeout_ms to be set")
 
     stream = normalize_arrivals(arrivals, presorted=presorted)
+    # The heap loops call their dispatcher unconditionally.
+    heap_dispatch = _OnlyReplica() if dispatch is None else dispatch
 
     # Any real fault policy — or a timeout/hedge, which are loop
     # features independent of the policy — routes through the separate
@@ -422,7 +421,7 @@ def run_stream(
             scheduler_list,
             batcher_list,
             bind_cost,
-            dispatch,
+            heap_dispatch,
             slo_ms,
             autoscaler,
             replica_factory,
@@ -467,7 +466,7 @@ def run_stream(
         scheduler_list,
         batcher_list,
         bind_cost,
-        dispatch,
+        heap_dispatch,
         slo_ms,
         autoscaler,
         replica_factory,
@@ -475,26 +474,10 @@ def run_stream(
     )
 
 
-def _choose_single(
-    dispatch: "Dispatcher | StreamDispatcher",
-    seq: int,
-    req: ServeRequest,
-    work: list[float],
-) -> None:
-    """Run a custom dispatcher against the one-replica view (parity with
-    the general loop's contract, including its error)."""
-    if isinstance(dispatch, StreamDispatcher):
-        replica = dispatch.choose(seq, req)
-    else:
-        replica = dispatch(seq, req, work)
-    if replica != 0:
-        raise ServingError(f"dispatcher chose invalid replica {replica}")
-
-
 def _run_fifo_unbatched(
     stream: Iterable[ServeRequest],
     engines: "list[ServingEngine]",
-    dispatch: "Dispatcher | StreamDispatcher",
+    dispatch: StreamDispatcher | None,
     summary: "StreamSummary | None",
 ) -> StreamOutcome:
     """The hottest path: k replicas, each FIFO and batch 1, no autoscaler.
@@ -526,8 +509,7 @@ def _run_fifo_unbatched(
     loop exits, normally or by an abort, so a pruned stream reports the
     counts the general loop noted arrival by arrival.
 
-    One replica under :func:`single_replica_dispatch` (what
-    :meth:`ServingEngine.serve_stream
+    ``dispatch=None`` (one replica, what :meth:`ServingEngine.serve_stream
     <repro.serving.engine.ServingEngine.serve_stream>` passes) keeps a
     separate tight body, so the paper's scenario pays per request for
     no dispatcher call, buffer or per-replica list: one float recursion
@@ -538,7 +520,7 @@ def _run_fifo_unbatched(
     responses: list[ServeResponse] = []
     append = responses.append
     observe = None if collect else summary.observe_served
-    if len(engines) == 1 and dispatch is single_replica_dispatch:
+    if dispatch is None:
         engine = engines[0]
         result_for = engine.result_for
         free_at = 0.0
@@ -583,14 +565,12 @@ def _run_fifo_unbatched(
         )
 
     k = len(engines)
-    rich = isinstance(dispatch, StreamDispatcher)
     assignments: list[int] = []
     work = [0.0] * k
-    if rich:
-        dispatch.bind(engines)
-        dispatch.resize(k, work)
-        choose = dispatch.choose
-        assign = dispatch.assign
+    dispatch.bind(engines)
+    dispatch.resize(k, work)
+    choose = dispatch.choose
+    assign = dispatch.assign
     dispatched = [0] * k
     lookups_by = [0] * k
     last_tasks: list[RNNTask | None] = [None] * k
@@ -621,10 +601,7 @@ def _run_fifo_unbatched(
             arrival = req.arrival_s
             if arrival >= next_launch:
                 next_launch = flush(arrival)
-            if rich:
-                replica = choose(seq, req)
-            else:
-                replica = dispatch(seq, req, work)
+            replica = choose(seq, req)
             if not 0 <= replica < k:
                 raise ServingError(f"dispatcher chose invalid replica {replica}")
             task = req.task
@@ -639,8 +616,7 @@ def _run_fifo_unbatched(
             start = arrival if arrival > free_at else free_at
             finish = start + result.latency_s
             work[replica] = finish
-            if rich:
-                assign(replica, finish)
+            assign(replica, finish)
             dispatched[replica] += 1
             seq += 1
             if collect:
@@ -686,7 +662,7 @@ def _run_single_replica(
     engine: "ServingEngine",
     scheduler: Scheduler,
     batcher: Batcher,
-    dispatch: "Dispatcher | StreamDispatcher",
+    dispatch: StreamDispatcher | None,
     slo_ms: float | None,
     summary: "StreamSummary | None",
 ) -> StreamOutcome:
@@ -697,7 +673,7 @@ def _run_single_replica(
     (an arrival launches immediately when idle), so only completions
     that precede the next arrival need replaying before it queues.
     """
-    trivial = dispatch is single_replica_dispatch
+    trivial = dispatch is None
     collect = summary is None
     responses: list[ServeResponse | None] = []
     observe = None if collect else summary.observe_served
@@ -707,7 +683,7 @@ def _run_single_replica(
     pop = scheduler.pop
     qlen = scheduler.__len__
     work = [0.0]
-    if isinstance(dispatch, StreamDispatcher):
+    if not trivial:
         dispatch.bind([engine])
         dispatch.resize(1, work)
     free_at = 0.0
@@ -728,42 +704,8 @@ def _run_single_replica(
                 raise ServingError(
                     f"batcher {batcher.name!r} returned an empty batch"
                 )
-        head = entries[0]
-        arrival = head.request.arrival_s
-        start = arrival if arrival > now else now
-        if len(entries) == 1:
-            # The exact pre-batching arithmetic: parity for batcher="none".
-            finish = start + head.service_s
-            if collect:
-                responses[head.seq] = ServeResponse(
-                    request=head.request,
-                    result=head.result,
-                    queue_delay_s=start - arrival,
-                    start_s=start,
-                    finish_s=finish,
-                )
-            else:
-                observe(head.request, head.result, start, finish, 1)
-        else:
-            exec_task = _batch_exec_task(entries, batcher)
-            result = engine.serve_batched(exec_task, len(entries))
-            finish = start + result.latency_s
-            size = len(entries)
-            for index, entry in enumerate(entries):
-                if collect:
-                    responses[entry.seq] = ServeResponse(
-                        request=entry.request,
-                        result=result,
-                        queue_delay_s=start - entry.request.arrival_s,
-                        start_s=start,
-                        finish_s=finish,
-                        batch_size=size,
-                        batch_index=index,
-                    )
-                else:
-                    observe(entry.request, result, start, finish, size)
+        free_at = _start_batch(entries, now, engine, batcher, responses, observe)
         busy = True
-        free_at = finish
 
     try:
         for req in stream:
@@ -775,7 +717,9 @@ def _run_single_replica(
                 if qlen():
                     launch(free_at)
             if not trivial:
-                _choose_single(dispatch, seq, req, work)
+                replica = dispatch.choose(seq, req)
+                if replica != 0:
+                    raise ServingError(f"dispatcher chose invalid replica {replica}")
             task = req.task
             if task is not last_task:
                 last_result = result_for(task)
@@ -784,6 +728,7 @@ def _run_single_replica(
             result = last_result
             if not trivial:
                 work[0] = (t if t > work[0] else work[0]) + result.latency_s
+                dispatch.assign(0, work[0])
             slo = req.slo_ms
             if slo is None:
                 slo = stream_slo
@@ -821,6 +766,53 @@ def _run_single_replica(
     )
 
 
+def _start_batch(
+    entries: "list[QueuedRequest]",
+    now: float,
+    engine: "ServingEngine",
+    batcher: Batcher,
+    responses: "list[ServeResponse | None]",
+    observe: "Callable[..., None] | None",
+) -> float:
+    """Start a batch taken at ``now`` on ``engine`` and record each
+    member's response: by arrival index into ``responses``, or through
+    a summary sink's ``observe``.  Returns the batch's finish time."""
+    head = entries[0]
+    arrival = head.request.arrival_s
+    start = now if now > arrival else arrival  # max(arrival, now) exactly
+    if len(entries) == 1:
+        # The exact pre-batching arithmetic: parity for batcher="none".
+        finish = start + head.service_s
+        if observe is None:
+            responses[head.seq] = ServeResponse(
+                request=head.request,
+                result=head.result,
+                queue_delay_s=start - arrival,
+                start_s=start,
+                finish_s=finish,
+            )
+        else:
+            observe(head.request, head.result, start, finish, 1)
+        return finish
+    size = len(entries)
+    result = engine.serve_batched(_batch_exec_task(entries, batcher), size)
+    finish = start + result.latency_s
+    for index, entry in enumerate(entries):
+        if observe is None:
+            responses[entry.seq] = ServeResponse(
+                request=entry.request,
+                result=result,
+                queue_delay_s=start - entry.request.arrival_s,
+                start_s=start,
+                finish_s=finish,
+                batch_size=size,
+                batch_index=index,
+            )
+        else:
+            observe(entry.request, result, start, finish, size)
+    return finish
+
+
 def _batch_exec_task(entries: "list[QueuedRequest]", batcher: Batcher) -> RNNTask:
     """The task a coalesced batch executes at: the head's task padded to
     the longest member (the pad/bucket policies).  Same-length batches
@@ -841,13 +833,87 @@ def _batch_exec_task(entries: "list[QueuedRequest]", batcher: Batcher) -> RNNTas
     return exec_task
 
 
+def _add_replica(
+    replica_factory: ReplicaFactory | None,
+    engine_list: "list[ServingEngine]",
+    scheduler_list: "list[Scheduler]",
+    batcher_list: "list[Batcher]",
+    bind_cost: Callable[[int], None],
+    work_until: list[float],
+    busy: list[bool],
+    hold_at: "list[float | None]",
+) -> int:
+    """Build the replica at the next index through the factory, idle and
+    with its batcher's cost model bound; returns its index."""
+    if replica_factory is None:
+        raise ServingError("autoscaler needs a replica_factory to scale up")
+    replica = len(engine_list)
+    engine, scheduler, batcher = replica_factory(replica)
+    engine_list.append(engine)
+    scheduler_list.append(scheduler)
+    batcher_list.append(batcher)
+    work_until.append(0.0)
+    busy.append(False)
+    hold_at.append(None)
+    bind_cost(replica)
+    return replica
+
+
+def _autoscale(
+    autoscaler: Autoscaler,
+    now: float,
+    active: int,
+    slo_ms: float | None,
+    scheduler_list: "list[Scheduler]",
+    work_until: list[float],
+    add_replica: Callable[[float], int],
+    dispatch: StreamDispatcher,
+    scale_events: list[ScaleEvent],
+) -> int:
+    """One autoscaler evaluation at ``now`` over the ``active`` replicas;
+    returns the active count after it.
+
+    Growth past the replicas built so far goes through
+    ``add_replica(now)``.  An applied resize is logged to
+    ``scale_events`` and passed to the dispatcher.
+    """
+    depth = sum(len(scheduler_list[j]) for j in range(active))
+    wait = min(max(work_until[j] - now, 0.0) for j in range(active))
+    decision = autoscaler.decide(
+        now=now,
+        active=active,
+        queue_depth=depth,
+        projected_wait_s=wait,
+        slo_ms=slo_ms,
+    )
+    if decision is None or decision.target == active:
+        return active
+    while len(scheduler_list) < decision.target:
+        add_replica(now)
+    active = decision.target
+    # Cooldown is charged only here, once the resize actually took
+    # effect — decide() itself is side-effect free.
+    autoscaler.note_applied(now)
+    scale_events.append(
+        ScaleEvent(
+            time_s=now,
+            action=decision.action,
+            replicas=active,
+            queue_depth=depth,
+            reason=decision.reason,
+        )
+    )
+    dispatch.resize(active, work_until)
+    return active
+
+
 def _run_heap(
     stream: Iterable[ServeRequest],
     engine_list: "list[ServingEngine]",
     scheduler_list: "list[Scheduler]",
     batcher_list: "list[Batcher]",
     bind_cost: Callable[[int], None],
-    dispatch: "Dispatcher | StreamDispatcher",
+    dispatch: StreamDispatcher,
     slo_ms: float | None,
     autoscaler: Autoscaler | None,
     replica_factory: ReplicaFactory | None,
@@ -860,7 +926,6 @@ def _run_heap(
     size is bounded by the replica count, not the stream length.
     """
     collect = summary is None
-    rich = isinstance(dispatch, StreamDispatcher)
     responses: list[ServeResponse | None] = []
     assignments: list[int] = []
     observe = None if collect else summary.observe_served
@@ -878,54 +943,22 @@ def _run_heap(
     scale_events: list[ScaleEvent] = []
     if autoscaler is not None:
         autoscaler.reset()
-    if rich:
-        dispatch.bind(engine_list)
-        dispatch.resize(active, work_until)
+    dispatch.bind(engine_list)
+    dispatch.resize(active, work_until)
 
     events: list[tuple[float, int, int]] = []
 
-    def add_replica() -> None:
-        if replica_factory is None:
-            raise ServingError("autoscaler needs a replica_factory to scale up")
-        engine, scheduler, batcher = replica_factory(len(engine_list))
-        engine_list.append(engine)
-        scheduler_list.append(scheduler)
-        batcher_list.append(batcher)
-        work_until.append(0.0)
-        busy.append(False)
-        hold_at.append(None)
-        bind_cost(len(engine_list) - 1)
+    def add_replica(now: float) -> int:
+        return _add_replica(
+            replica_factory, engine_list, scheduler_list, batcher_list,
+            bind_cost, work_until, busy, hold_at,
+        )
 
-    def autoscale(now: float) -> None:
-        nonlocal active
-        depth = sum(len(scheduler_list[j]) for j in range(active))
-        wait = min(max(work_until[j] - now, 0.0) for j in range(active))
-        decision = autoscaler.decide(
-            now=now,
-            active=active,
-            queue_depth=depth,
-            projected_wait_s=wait,
-            slo_ms=slo_ms,
+    def autoscale(now: float) -> int:
+        return _autoscale(
+            autoscaler, now, active, slo_ms, scheduler_list, work_until,
+            add_replica, dispatch, scale_events,
         )
-        if decision is None or decision.target == active:
-            return
-        while len(engine_list) < decision.target:
-            add_replica()
-        active = decision.target
-        # Cooldown is charged only here, once the resize actually took
-        # effect — decide() itself is side-effect free.
-        autoscaler.note_applied(now)
-        scale_events.append(
-            ScaleEvent(
-                time_s=now,
-                action=decision.action,
-                replicas=active,
-                queue_depth=depth,
-                reason=decision.reason,
-            )
-        )
-        if rich:
-            dispatch.resize(active, work_until)
 
     def launch(replica: int, now: float) -> None:
         queue = scheduler_list[replica]
@@ -943,40 +976,9 @@ def _run_heap(
         entries = batcher.take(queue, now)
         if not entries:
             raise ServingError(f"batcher {batcher.name!r} returned an empty batch")
-        head = entries[0]
-        start = max(head.request.arrival_s, now)
-        if len(entries) == 1:
-            # The exact pre-batching arithmetic: parity for batcher="none".
-            finish = start + head.service_s
-            if collect:
-                responses[head.seq] = ServeResponse(
-                    request=head.request,
-                    result=head.result,
-                    queue_delay_s=start - head.request.arrival_s,
-                    start_s=start,
-                    finish_s=finish,
-                )
-            else:
-                observe(head.request, head.result, start, finish, 1)
-        else:
-            exec_task = _batch_exec_task(entries, batcher)
-            engine = engine_list[replica]
-            result = engine.serve_batched(exec_task, len(entries))
-            finish = start + result.latency_s
-            size = len(entries)
-            for index, entry in enumerate(entries):
-                if collect:
-                    responses[entry.seq] = ServeResponse(
-                        request=entry.request,
-                        result=result,
-                        queue_delay_s=start - entry.request.arrival_s,
-                        start_s=start,
-                        finish_s=finish,
-                        batch_size=size,
-                        batch_index=index,
-                    )
-                else:
-                    observe(entry.request, result, start, finish, size)
+        finish = _start_batch(
+            entries, now, engine_list[replica], batcher, responses, observe
+        )
         busy[replica] = True
         heapq.heappush(events, (finish, _FREE, replica))
 
@@ -1002,16 +1004,8 @@ def _run_heap(
             req = next_req
             now = req.arrival_s
             if autoscaler is not None:
-                autoscale(now)
-            if rich:
-                replica = dispatch.choose(seq, req)
-            else:
-                view = (
-                    work_until
-                    if active == len(work_until)
-                    else work_until[:active]
-                )
-                replica = dispatch(seq, req, view)
+                active = autoscale(now)
+            replica = dispatch.choose(seq, req)
             if not 0 <= replica < active:
                 raise ServingError(f"dispatcher chose invalid replica {replica}")
             engine = engine_list[replica]
@@ -1026,8 +1020,7 @@ def _run_heap(
             work_until[replica] = (
                 max(req.arrival_s, work_until[replica]) + result.latency_s
             )
-            if rich:
-                dispatch.assign(replica, work_until[replica])
+            dispatch.assign(replica, work_until[replica])
             if collect:
                 responses.append(None)
                 assignments.append(replica)
@@ -1043,7 +1036,7 @@ def _run_heap(
         if kind == _FREE:
             busy[index] = False
             if autoscaler is not None:
-                autoscale(now)
+                active = autoscale(now)
             if len(scheduler_list[index]):
                 launch(index, now)
         else:  # _LAUNCH: stale unless this exact hold is still pending
@@ -1106,7 +1099,7 @@ def _run_faulty(
     scheduler_list: "list[Scheduler]",
     batcher_list: "list[Batcher]",
     bind_cost: Callable[[int], None],
-    dispatch: "Dispatcher | StreamDispatcher",
+    dispatch: StreamDispatcher,
     slo_ms: float | None,
     autoscaler: Autoscaler | None,
     replica_factory: ReplicaFactory | None,
@@ -1139,7 +1132,6 @@ def _run_faulty(
     runs and shard layouts.
     """
     collect = summary is None
-    rich = isinstance(dispatch, StreamDispatcher)
     responses: list[ServeResponse | None] = []
     assignments: list[int] = []
     observe = None if collect else summary.observe_served
@@ -1157,9 +1149,8 @@ def _run_faulty(
     scale_events: list[ScaleEvent] = []
     if autoscaler is not None:
         autoscaler.reset()
-    if rich:
-        dispatch.bind(engine_list)
-        dispatch.resize(active, work_until)
+    dispatch.bind(engine_list)
+    dispatch.resize(active, work_until)
 
     timeout_s = None if timeout_ms is None else timeout_ms / 1e3
     hedge_s = None if hedge_ms is None else hedge_ms / 1e3
@@ -1189,51 +1180,22 @@ def _run_faulty(
         crash_s, down_s = nxt
         heapq.heappush(events, (max(crash_s, after_s), _CRASH, replica, down_s))
 
-    def add_replica(now: float) -> None:
-        if replica_factory is None:
-            raise ServingError("autoscaler needs a replica_factory to scale up")
-        engine, scheduler, batcher = replica_factory(len(engine_list))
-        engine_list.append(engine)
-        scheduler_list.append(scheduler)
-        batcher_list.append(batcher)
-        work_until.append(0.0)
-        busy.append(False)
+    def add_replica(now: float) -> int:
+        replica = _add_replica(
+            replica_factory, engine_list, scheduler_list, batcher_list,
+            bind_cost, work_until, busy, hold_at,
+        )
         dead.append(False)
         generation.append(0)
-        hold_at.append(None)
         inflight.append(None)
-        replica = len(engine_list) - 1
-        bind_cost(replica)
         schedule_crash(replica, now)
+        return replica
 
-    def autoscale(now: float) -> None:
-        nonlocal active
-        depth = sum(len(scheduler_list[j]) for j in range(active))
-        wait = min(max(work_until[j] - now, 0.0) for j in range(active))
-        decision = autoscaler.decide(
-            now=now,
-            active=active,
-            queue_depth=depth,
-            projected_wait_s=wait,
-            slo_ms=slo_ms,
+    def autoscale(now: float) -> int:
+        return _autoscale(
+            autoscaler, now, active, slo_ms, scheduler_list, work_until,
+            add_replica, dispatch, scale_events,
         )
-        if decision is None or decision.target == active:
-            return
-        while len(engine_list) < decision.target:
-            add_replica(now)
-        active = decision.target
-        autoscaler.note_applied(now)
-        scale_events.append(
-            ScaleEvent(
-                time_s=now,
-                action=decision.action,
-                replicas=active,
-                queue_depth=depth,
-                reason=decision.reason,
-            )
-        )
-        if rich:
-            dispatch.resize(active, work_until)
 
     def record(
         flight: _Flight,
@@ -1266,11 +1228,7 @@ def _run_faulty(
         """Dispatch one copy of a flight to a replica's ready queue."""
         nonlocal qseq, dseq
         req = flight.request
-        if rich:
-            replica = dispatch.choose(dseq, req)
-        else:
-            view = work_until if active == len(work_until) else work_until[:active]
-            replica = dispatch(dseq, req, view)
+        replica = dispatch.choose(dseq, req)
         dseq += 1
         if not 0 <= replica < active:
             raise ServingError(f"dispatcher chose invalid replica {replica}")
@@ -1287,8 +1245,7 @@ def _run_faulty(
         copy_info[qseq] = (flight, flight.attempts, is_hedge)
         qseq += 1
         work_until[replica] = max(now, work_until[replica]) + entry.service_s
-        if rich:
-            dispatch.assign(replica, work_until[replica])
+        dispatch.assign(replica, work_until[replica])
         scheduler_list[replica].push(entry)
         return replica, entry
 
@@ -1383,7 +1340,7 @@ def _run_faulty(
             req = next_req
             now = req.arrival_s
             if autoscaler is not None:
-                autoscale(now)
+                active = autoscale(now)
             factor = policy.straggler_factor(req)
             if factor < 1.0:
                 raise ServingError(
@@ -1461,7 +1418,7 @@ def _run_faulty(
                     outcome = "ok"
                 record(flight, result, start, finish, size, position, outcome)
             if autoscaler is not None:
-                autoscale(now)
+                active = autoscale(now)
             launch(replica, now)
 
         elif kind == _RECOVER:
@@ -1476,8 +1433,7 @@ def _run_faulty(
                 bind_cost(replica)
             schedule_crash(replica, now)
             work_until[replica] = max(work_until[replica], now)
-            if rich:
-                dispatch.assign(replica, work_until[replica])
+            dispatch.assign(replica, work_until[replica])
             launch(replica, now)
 
         elif kind == _LAUNCH:
@@ -1498,8 +1454,7 @@ def _run_faulty(
                 abort_execution(replica, now)
             recover_at = now + payload
             work_until[replica] = max(work_until[replica], recover_at)
-            if rich:
-                dispatch.assign(replica, work_until[replica])
+            dispatch.assign(replica, work_until[replica])
             heapq.heappush(events, (recover_at, _RECOVER, replica, payload))
 
         elif kind == _TIMEOUT:

@@ -124,10 +124,6 @@ class Platform(ABC):
     def serve(self, prepared: PreparedModel) -> ServingResult:
         """Steady-state phase: serve one request from a prepared model."""
 
-    def serve_task(self, task: RNNTask) -> ServingResult:
-        """Convenience: prepare-then-serve in one call (no caching)."""
-        return self.serve(self.prepare(task))
-
     def compile_key(self, task: RNNTask) -> RNNTask:
         """The cache key under which ``task``'s compiled state is shared.
 

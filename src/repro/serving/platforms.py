@@ -1,10 +1,8 @@
 """Built-in platforms: Plasticine plus the CPU/GPU/Brainwave baselines.
 
-Each class adapts one of the existing performance models to the
-prepare/serve split of :class:`~repro.serving.platform.Platform`.  The
-numbers are identical to the legacy ``serve_on_*`` functions — the same
-code paths run, just partitioned so that everything expensive happens
-exactly once per (platform, task) in ``prepare``.
+Each class adapts one of the performance models to the prepare/serve
+split of :class:`~repro.serving.platform.Platform`: everything expensive
+happens exactly once per (platform, task) in ``prepare``.
 """
 
 from __future__ import annotations

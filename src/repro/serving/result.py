@@ -3,9 +3,7 @@
 :class:`ServingResult` is the row every platform produces for Table 6 —
 latency, effective TFLOPS, and (where modelled) power — regardless of
 whether it came from the cycle-level Plasticine simulator or one of the
-analytical baseline models.  It used to live in :mod:`repro.api`; it now
-sits under :mod:`repro.serving` so the platform registry and the engine
-can use it without importing the legacy API module.
+analytical baseline models.
 """
 
 from __future__ import annotations

@@ -131,23 +131,23 @@ class TestUtilization:
             flops_utilization(-1.0, 1.0)
 
     def test_utilization_table_from_results(self):
-        from repro import serve_on_plasticine
         from repro.analysis.utilization import utilization_table
+        from repro.serving import ServingEngine
         from repro.workloads.deepbench import RNNTask
 
-        res = serve_on_plasticine(RNNTask("lstm", 512, 5))
+        res = ServingEngine("plasticine").serve(RNNTask("lstm", 512, 5)).result
         rows = utilization_table([res])
         assert rows[0].platform == "plasticine"
         assert 0 < rows[0].utilization < 1
 
     def test_plasticine_utilization_consistent_across_sizes(self):
         # The headline claim: utilization stays high and flat-to-rising.
-        from repro import serve_on_plasticine
+        from repro.serving import ServingEngine
         from repro.workloads.deepbench import RNNTask
 
         utils = []
         for h, t in [(512, 5), (1024, 5), (2048, 5)]:
-            res = serve_on_plasticine(RNNTask("lstm", h, t))
+            res = ServingEngine("plasticine").serve(RNNTask("lstm", h, t)).result
             utils.append(res.effective_tflops / 49.0)
         assert utils == sorted(utils)  # rising with size
         assert utils[-1] > 0.25

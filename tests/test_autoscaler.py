@@ -10,11 +10,19 @@ from repro.serving import (
     poisson_arrivals,
     uniform_arrivals,
 )
-from repro.serving.events import run_stream
+from repro.serving.events import StreamDispatcher, run_stream
 from repro.serving.scheduler import make_scheduler
 from repro.workloads.deepbench import task
 
 T = task("lstm", 512, 25)
+
+
+class _RoundRobin(StreamDispatcher):
+    def resize(self, active, work_until):
+        self.active = active
+
+    def choose(self, seq, request):
+        return seq % self.active
 
 
 class TestPolicy:
@@ -203,7 +211,7 @@ class TestFleetIntegration:
                 self._bursty(n=200),
                 engines=(engine,),
                 schedulers=(make_scheduler("fifo"),),
-                dispatch=lambda seq, req, work: seq % len(work),
+                dispatch=_RoundRobin(),
                 slo_ms=5.0,
                 autoscaler=Autoscaler(min_replicas=1, max_replicas=4),
             )

@@ -130,33 +130,33 @@ class TestLargestTask:
     """GRU 2816: the point where Brainwave overtakes Plasticine."""
 
     def test_gru2816_serves(self):
-        from repro.api import serve_on_brainwave, serve_on_plasticine
+        from repro.serving import ServingEngine
         from repro.workloads.deepbench import task
 
         t = task("gru", 2816)
-        plast = serve_on_plasticine(t)
-        bw = serve_on_brainwave(t)
+        plast = ServingEngine("plasticine").serve(t).result
+        bw = ServingEngine("brainwave").serve(t).result
         assert plast.latency_ms > bw.latency_ms
         assert 1.3 < plast.latency_s / bw.latency_s < 2.7  # "up to 2x"
 
     def test_gru2816_overflows_capacity_on_both(self):
         # 47.6M weights: > 31.5 MB at fp8 on Plasticine, > 30.5 MB in BFP
         # on Stratix 10 — neither chip truly holds it (EXPERIMENTS.md).
-        from repro.api import serve_on_plasticine
         from repro.baselines import BrainwaveServingModel
+        from repro.serving import ServingEngine
         from repro.workloads.deepbench import task
 
         t = task("gru", 2816)
-        res = serve_on_plasticine(t)
+        res = ServingEngine("plasticine").serve(t).result
         assert not res.design.resources.fits_capacity
         bw = BrainwaveServingModel()
         assert not bw.weights_fit_onchip(t, int(30.5 * 2**20))
 
     def test_gru2816_step_latency_sane(self):
-        from repro.api import serve_on_plasticine
+        from repro.serving import ServingEngine
         from repro.workloads.deepbench import task
 
-        res = serve_on_plasticine(task("gru", 2816))
+        res = ServingEngine("plasticine").serve(task("gru", 2816)).result
         per_step_us = res.latency_s / 750 * 1e6
         assert 5.0 < per_step_us < 9.0  # ~7k cycles/step at 1 GHz
 

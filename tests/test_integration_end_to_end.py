@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import serve_on_brainwave, serve_on_cpu, serve_on_gpu, serve_on_plasticine
 from repro.dse.search import build_task_program
 from repro.mapping import map_rnn_program
 from repro.plasticine import PlasticineConfig, simulate_pipeline
@@ -27,6 +26,7 @@ from repro.rnn import (
     lstm_sequence,
 )
 from repro.rnn.lstm_loop import LoopParams
+from repro.serving import ServingEngine
 from repro.spatial import PrecisionPolicy
 from repro.workloads.deepbench import RNNTask, all_tasks, task
 
@@ -93,39 +93,44 @@ class TestScalingLaws:
     """Latency structure the paper's Table 6 implies."""
 
     def test_latency_linear_in_timesteps(self):
-        base = serve_on_plasticine(task("lstm", 512, 10)).latency_s
-        triple = serve_on_plasticine(task("lstm", 512, 30)).latency_s
-        assert triple == pytest.approx(3 * base, rel=1e-6)
+        base = ServingEngine("plasticine").serve(task("lstm", 512, 10)).result
+        triple = ServingEngine("plasticine").serve(task("lstm", 512, 30)).result
+        assert triple.latency_s == pytest.approx(3 * base.latency_s, rel=1e-6)
 
     def test_latency_superlinear_in_hidden(self):
         # cycles/step ~ ceil(H/hu) * ceil(2H/512): quadratic region.
-        l1 = serve_on_plasticine(task("lstm", 1024, 25)).latency_s
-        l2 = serve_on_plasticine(task("lstm", 2048, 25)).latency_s
-        assert 2.5 < l2 / l1 < 4.5
+        l1 = ServingEngine("plasticine").serve(task("lstm", 1024, 25)).result
+        l2 = ServingEngine("plasticine").serve(task("lstm", 2048, 25)).result
+        assert 2.5 < l2.latency_s / l1.latency_s < 4.5
 
     def test_effective_tflops_flat_to_rising(self):
         # The paper's "consistent FLOPS" claim.
-        vals = [
-            serve_on_plasticine(task("lstm", h, 25)).effective_tflops
+        results = [
+            ServingEngine("plasticine").serve(task("lstm", h, 25)).result
             for h in (512, 1024, 2048)
         ]
+        vals = [r.effective_tflops for r in results]
         assert vals == sorted(vals)
         assert vals[0] > 3.0  # even the small point is far above CPU/GPU
 
     def test_plasticine_wins_small_loses_large_vs_bw(self):
         small = task("gru", 512)
         large = task("gru", 2560)
-        p_small = serve_on_plasticine(small).speedup_over(serve_on_brainwave(small))
-        p_large = serve_on_plasticine(large).speedup_over(serve_on_brainwave(large))
+        p_small = ServingEngine("plasticine").serve(small).result.speedup_over(
+            ServingEngine("brainwave").serve(small).result
+        )
+        p_large = ServingEngine("plasticine").serve(large).result.speedup_over(
+            ServingEngine("brainwave").serve(large).result
+        )
         assert p_small > 10
         assert p_large < 1.0
 
     def test_ordering_cpu_gpu_spatial(self):
         for t in (task("lstm", 1024), task("gru", 1536)):
-            cpu = serve_on_cpu(t).latency_s
-            gpu = serve_on_gpu(t).latency_s
-            bw = serve_on_brainwave(t).latency_s
-            pl = serve_on_plasticine(t).latency_s
+            cpu = ServingEngine("cpu").serve(t).result.latency_s
+            gpu = ServingEngine("gpu").serve(t).result.latency_s
+            bw = ServingEngine("brainwave").serve(t).result.latency_s
+            pl = ServingEngine("plasticine").serve(t).result.latency_s
             assert cpu > gpu > bw
             assert cpu > gpu > pl
 
@@ -135,7 +140,9 @@ class TestWholeSuiteInvariants:
 
     @pytest.fixture(scope="class")
     def results(self):
-        return {t.name: serve_on_plasticine(t) for t in all_tasks()}
+        return {
+            t.name: ServingEngine("plasticine").serve(t).result for t in all_tasks()
+        }
 
     def test_all_designs_fit_compute_and_bandwidth(self, results):
         for name, res in results.items():
@@ -224,20 +231,21 @@ class TestMapperSimulatorAgreement:
 
 class TestServingResultContract:
     def test_notes_propagate_replication(self):
-        res = serve_on_plasticine(task("lstm", 256))
+        res = ServingEngine("plasticine").serve(task("lstm", 256)).result
         assert any("replicated" in n for n in res.notes)
 
     def test_use_dse_flag(self):
-        res = serve_on_plasticine(task("lstm", 256), use_dse=True)
+        engine = ServingEngine("plasticine", use_dse=True)
+        res = engine.serve(task("lstm", 256)).result
         assert res.design.resources.fits_compute
 
     def test_unknown_size_falls_back_to_dse(self):
-        res = serve_on_plasticine(RNNTask("lstm", 320, 4))
+        res = ServingEngine("plasticine").serve(RNNTask("lstm", 320, 4)).result
         assert res.latency_s > 0
 
     def test_effective_tflops_consistency(self):
         t = task("gru", 1024)
-        res = serve_on_plasticine(t)
+        res = ServingEngine("plasticine").serve(t).result
         assert res.effective_tflops == pytest.approx(
             t.flops / res.latency_s / 1e12, rel=1e-9
         )

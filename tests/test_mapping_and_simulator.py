@@ -285,10 +285,11 @@ class TestMapper:
 
 class TestServingAPI:
     def test_plasticine_result_fields(self):
-        from repro import serve_on_plasticine
+        from repro.serving import ServingEngine
 
         task = RNNTask("lstm", 256, 5)
-        res = serve_on_plasticine(task, params=LoopParams(hu=2, ru=2, rv=64))
+        engine = ServingEngine("plasticine", params=LoopParams(hu=2, ru=2, rv=64))
+        res = engine.serve(task).result
         assert res.platform == "plasticine"
         assert res.latency_s > 0
         assert res.effective_tflops > 0
@@ -296,10 +297,10 @@ class TestServingAPI:
         assert res.design is not None
 
     def test_speedup_over(self):
-        from repro import serve_on_gpu, serve_on_plasticine
+        from repro.serving import ServingEngine
 
         task = RNNTask("lstm", 512, 25)
-        p = serve_on_plasticine(task)
-        g = serve_on_gpu(task)
+        p = ServingEngine("plasticine").serve(task).result
+        g = ServingEngine("gpu").serve(task).result
         assert p.speedup_over(g) == pytest.approx(g.latency_s / p.latency_s)
         assert p.speedup_over(g) > 1

@@ -338,36 +338,23 @@ _GOLDEN = {
 
 
 class TestWrapperParity:
-    """serve_on_* wrappers reproduce the pre-redesign numbers exactly."""
+    """Every platform reproduces the numbers of the pre-redesign one-shot
+    serving functions exactly."""
 
     @pytest.mark.parametrize("key", sorted(_GOLDEN), ids=lambda k: f"{k[0]}-h{k[1]}")
     def test_golden_values(self, key):
-        from repro.api import (
-            serve_on_brainwave,
-            serve_on_cpu,
-            serve_on_gpu,
-            serve_on_plasticine,
-        )
-
         kind, hidden, timesteps = key
         t = RNNTask(kind, hidden, timesteps)
         (p_lat, p_tflops, p_pow, p_cps, bw_lat, cpu_lat, gpu_lat) = _GOLDEN[key]
 
-        plast = serve_on_plasticine(t)
+        plast = ServingEngine("plasticine").serve(t).result
         assert plast.latency_s == pytest.approx(p_lat, rel=1e-12)
         assert plast.effective_tflops == pytest.approx(p_tflops, rel=1e-12)
         assert plast.power_w == pytest.approx(p_pow, rel=1e-12)
         assert plast.cycles_per_step == p_cps
-        assert serve_on_brainwave(t).latency_s == pytest.approx(bw_lat, rel=1e-12)
-        assert serve_on_cpu(t).latency_s == pytest.approx(cpu_lat, rel=1e-12)
-        assert serve_on_gpu(t).latency_s == pytest.approx(gpu_lat, rel=1e-12)
-
-    def test_engine_matches_wrappers(self):
-        from repro.api import serve_on_brainwave, serve_on_plasticine
-
-        t = task("lstm", 512, 25)
-        assert (
-            ServingEngine("plasticine").serve(t).result.latency_s
-            == serve_on_plasticine(t).latency_s
-        )
-        assert ServingEngine("brainwave").serve(t).result == serve_on_brainwave(t)
+        bw = ServingEngine("brainwave").serve(t).result
+        cpu = ServingEngine("cpu").serve(t).result
+        gpu = ServingEngine("gpu").serve(t).result
+        assert bw.latency_s == pytest.approx(bw_lat, rel=1e-12)
+        assert cpu.latency_s == pytest.approx(cpu_lat, rel=1e-12)
+        assert gpu.latency_s == pytest.approx(gpu_lat, rel=1e-12)

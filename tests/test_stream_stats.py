@@ -568,6 +568,26 @@ class TestStreamingTraces:
         _assert_mirrors(report, summary)
 
 
+class _NaiveLeastLoaded(StreamDispatcher):
+    """Join-the-shortest-queue by a full scan (earliest projection,
+    lowest index).  It projects each dispatch itself and ignores
+    ``assign``, so it checks the loop's projections instead of trusting
+    them."""
+
+    def bind(self, engines):
+        self.engines = engines
+
+    def resize(self, active, work_until):
+        self.work = list(work_until[:active])
+
+    def choose(self, seq, request):
+        work = self.work
+        j = min(range(len(work)), key=lambda j: (work[j], j))
+        latency = self.engines[j].result_for(request.task).latency_s
+        work[j] = max(request.arrival_s, work[j]) + latency
+        return j
+
+
 class TestLeastLoadedDispatcherParity:
     """The incremental heap dispatcher must pick the exact replica the
     naive O(replicas) scan picked, on every arrival."""
@@ -580,17 +600,11 @@ class TestLeastLoadedDispatcherParity:
         )
         fleet = Fleet("gpu", replicas=replicas, policy="least-loaded")
         report = fleet.serve_stream(arrivals, slo_ms=5.0)
-
-        def naive(seq, req, work_until):
-            return min(
-                range(len(work_until)), key=lambda j: (work_until[j], j)
-            )
-
         reference = run_stream(
             arrivals,
             engines=[ServingEngine("gpu") for _ in range(replicas)],
             schedulers=[make_scheduler("fifo") for _ in range(replicas)],
-            dispatch=naive,
+            dispatch=_NaiveLeastLoaded(),
             slo_ms=5.0,
         )
         assert list(report.assignments) == reference.assignments
@@ -723,9 +737,44 @@ class _JoinEarliest(StreamDispatcher):
         return min(range(len(work)), key=lambda j: (work[j], -j))
 
 
-def _legacy_scatter(seed):
-    rng = random.Random(seed)
-    return lambda seq, request, work: rng.randrange(len(work))
+class _Scatter(StreamDispatcher):
+    """A seeded uniform pick among the active replicas."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def resize(self, active, work_until):
+        self.active = active
+
+    def choose(self, seq, request):
+        return self.rng.randrange(self.active)
+
+
+class _PickAt(StreamDispatcher):
+    """``replica`` for the third arrival, replica 0 for every other."""
+
+    def __init__(self, replica):
+        self.replica = replica
+
+    def choose(self, seq, request):
+        return self.replica if seq == 2 else 0
+
+
+class _Recorder(StreamDispatcher):
+    """Replica 0 for every arrival, logging each protocol call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def resize(self, active, work_until):
+        self.calls.append(("resize", active, list(work_until)))
+
+    def assign(self, replica, work_until_s):
+        self.calls.append(("assign", replica, work_until_s))
+
+    def choose(self, seq, request):
+        self.calls.append(("choose", seq, request.request_id))
+        return 0
 
 
 def _run_both(arrivals, k, make_dispatch, *, summary=False, stop_after=None):
@@ -766,7 +815,7 @@ class TestFifoFleetLoop:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize(
         "make_dispatch",
-        [lambda: _legacy_scatter(3), _JoinEarliest],
+        [lambda: _Scatter(3), _JoinEarliest],
         ids=["legacy", "stream-dispatcher"],
     )
     def test_equal_time_ties_match_heap(self, k, make_dispatch):
@@ -837,7 +886,7 @@ class TestFifoFleetLoop:
                         _HeapForcedNone() if forced else NoneBatcher()
                         for _ in range(3)
                     ],
-                    dispatch=lambda seq, req, work: replica if seq == 2 else 0,
+                    dispatch=_PickAt(replica),
                 )
 
     def test_empty_stream_raises_like_heap(self):
@@ -855,6 +904,74 @@ class TestFifoFleetLoop:
                     presorted=True,
                     summary=StreamSummary("gpu"),
                 )
+
+
+class TestDispatchContract:
+    """``run_stream`` takes a :class:`StreamDispatcher` or ``None`` (one
+    replica, no autoscaler), and every loop drives it alike."""
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "edf"])
+    def test_fast_loops_call_the_protocol_like_heap(self, scheduler):
+        # fifo runs the k-replica FIFO loop, edf the single-replica loop.
+        arrivals = poisson_arrivals(T, rate_per_s=60_000.0, n_requests=200, seed=1)
+        logs = []
+        for batcher in (NoneBatcher(), _HeapForcedNone()):
+            recorder = _Recorder()
+            run_stream(
+                arrivals,
+                engines=[ServingEngine("gpu")],
+                schedulers=[make_scheduler(scheduler)],
+                batchers=[batcher],
+                dispatch=recorder,
+                slo_ms=5.0,
+            )
+            logs.append(recorder.calls)
+        assert logs[0] == logs[1]
+        assert len(logs[0]) == 1 + 2 * len(arrivals)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {
+                "autoscaler": Autoscaler(min_replicas=1, max_replicas=2),
+                "replica_factory": lambda index: (
+                    ServingEngine("gpu"), make_scheduler("fifo"), NoneBatcher()
+                ),
+            },
+            {"timeout_ms": 5},
+        ],
+        ids=["plain", "autoscaler", "timeout"],
+    )
+    def test_zero_replicas_rejected(self, options):
+        with pytest.raises(ServingError, match="at least one replica"):
+            run_stream(
+                uniform_arrivals(T, rate_per_s=100.0, n_requests=4),
+                engines=[],
+                schedulers=[],
+                dispatch=_Scatter(0),
+                **options,
+            )
+
+    def test_dispatch_is_a_stream_dispatcher_or_none(self):
+        arrivals = uniform_arrivals(T, rate_per_s=100.0, n_requests=4)
+
+        def run(k, dispatch, **options):
+            return run_stream(
+                arrivals,
+                engines=[ServingEngine("gpu") for _ in range(k)],
+                schedulers=[make_scheduler("fifo") for _ in range(k)],
+                dispatch=dispatch,
+                **options,
+            )
+
+        with pytest.raises(ServingError, match="StreamDispatcher"):
+            run(1, lambda seq, req, work: 0)
+        with pytest.raises(ServingError, match="StreamDispatcher"):
+            run(2, None)
+        with pytest.raises(ServingError, match="StreamDispatcher"):
+            run(1, None, autoscaler=Autoscaler(min_replicas=1, max_replicas=2))
+        assert run(1, None).assignments == [0] * 4
 
 
 def _responses_digest(report):

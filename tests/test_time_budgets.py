@@ -21,7 +21,6 @@ from repro.serving import (
     run_stream,
     serve_parallel,
 )
-from repro.serving.events import single_replica_dispatch
 from repro.serving.server import ServingServer
 from repro.workloads.deepbench import task
 
@@ -56,7 +55,6 @@ class TestRejected:
                 _arrivals(),
                 engines=[ServingEngine("gpu")],
                 schedulers=[FIFOScheduler()],
-                dispatch=single_replica_dispatch,
                 **{name: bad},
             )
 

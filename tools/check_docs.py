@@ -10,8 +10,11 @@ registry name — the pass list is read off the live registry, so a new
 pass cannot land without a doc entry.  docs/CLI.md must document every
 ``repro serve`` flag, and every ``--flag`` it mentions must still be an
 option of ``repro`` or one of its subcommands, so a removed flag cannot
-leave a stale row behind.  Also sanity-checks that the docs/ suite and
-the README cross-link each other.
+leave a stale row behind.  Every ``src/repro/...`` path in README.md
+and docs/*.md must exist, and every dotted ``repro.x.y`` name there
+must resolve, so a deleted module or function cannot leave a stale
+reference behind.  Also sanity-checks that the docs/ suite and the
+README cross-link each other.
 
 Run from the repo root (CI does):
 
@@ -21,6 +24,7 @@ Run from the repo root (CI does):
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -52,6 +56,13 @@ REQUIRED_LINKS = {
 CLI_DOC = REPO / "docs" / "CLI.md"
 #: A ``--flag`` token in prose, code blocks or tables.
 FLAG_TOKEN = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+#: Docs whose code references must resolve.
+REFERENCE_DOCS = (*REPO.glob("README.md"), *sorted((REPO / "docs").glob("*.md")))
+#: A source path such as ``src/repro/serving/events.py``.
+SRC_PATH = re.compile(r"src/repro(?:/[\w.]+)*")
+#: A dotted name such as ``repro.serving.traffic.mix``.
+DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
 
 
 def _long_options(parser: argparse.ArgumentParser) -> set[str]:
@@ -92,6 +103,26 @@ def mapping_passes() -> list[str]:
     from repro.mapping.passes import available_passes
 
     return list(available_passes())
+
+
+def resolves(name: str) -> bool:
+    """Whether a dotted ``repro`` name exists: import its longest module
+    prefix, then look the rest up attribute by attribute."""
+    src = REPO / "src"
+    if str(src) not in sys.path:
+        sys.path.insert(0, str(src))
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
 
 
 def main() -> int:
@@ -142,6 +173,20 @@ def main() -> int:
             f"docs/CLI.md mentions {flag}, which no `repro` command accepts"
         )
 
+    paths: set[str] = set()
+    names: set[str] = set()
+    for doc in REFERENCE_DOCS:
+        text = doc.read_text()
+        rel = doc.relative_to(REPO)
+        for path in sorted({p.rstrip(".") for p in SRC_PATH.findall(text)}):
+            paths.add(path)
+            if not (REPO / path).exists():
+                failures.append(f"{rel} names {path}, which does not exist")
+        for name in sorted(set(DOTTED_NAME.findall(text))):
+            names.add(name)
+            if not resolves(name):
+                failures.append(f"{rel} names {name}, which does not resolve")
+
     passes = mapping_passes()
     for name in passes:
         if name not in architecture:
@@ -160,6 +205,7 @@ def main() -> int:
         f"{len(flags)} serve flags referenced, "
         f"{len(doc_flags)} CLI.md flags all accepted, "
         f"{len(passes)} mapping passes documented, "
+        f"{len(paths)} source paths and {len(names)} repro names resolve, "
         f"{len(REQUIRED_LINKS)} docs cross-linked"
     )
     return 0
