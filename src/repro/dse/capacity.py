@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 from typing import Iterator
 
 from repro.errors import DSEError
@@ -68,17 +68,13 @@ from repro.dse.runner import (
     run_jobs,
 )
 from repro.serving.batching import available_batchers
-from repro.serving.fleet import SCHEDULING_POLICIES, Fleet
+from repro.serving.fleet import SCHEDULING_POLICIES, Fleet, _mix_label
 from repro.serving.scheduler import available_schedulers
 from repro.serving.stats import StreamSummary
 from repro.serving.traffic import diurnal_arrivals
 from repro.workloads.deepbench import RNNTask
 
 __all__ = ["FleetSpace", "CapacityPoint", "CapacityPlan", "plan_capacity"]
-
-
-def _mix_label(roster: "tuple[str, ...]") -> str:
-    return ",".join(f"{name}:{len(list(run))}" for name, run in groupby(roster))
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,18 @@ Usage::
     python -m repro serve --platform plasticine          # one platform
     python -m repro serve lstm 512 --stream --rate 400 --slo-ms 5
     python -m repro all              # everything (slow: runs the DSE)
+
+``repro serve`` runs one frontend: the one-shot table, the simulated
+stream, ``--shards``, ``--clients``, ``--listen`` alone, or
+``--plan-capacity``.  :data:`_SERVE_FLAG_SCOPE` records which flags each
+one reads; docs/CLI.md states the rule.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Callable
 
 from repro.errors import ReproError
@@ -57,75 +63,176 @@ def _cmd_claims(args: argparse.Namespace) -> str:
     return abstract_claims().text
 
 
-def _cmd_serve(args: argparse.Namespace) -> str:
-    from repro.errors import ServingError
+def _cmd_serve(parser: argparse.ArgumentParser, args: argparse.Namespace) -> str:
+    """``repro serve``: run the frontend the flags select.
+
+    :func:`_serve_frontend` validates the flags against
+    :data:`_SERVE_FLAG_SCOPE` and names the frontend: the one-shot
+    table, the simulated stream (:func:`_serve_stream_table`, which
+    also runs ``--shards``), the live server with clients
+    (``--clients``) or alone (``--listen``), or the capacity planner
+    (``--plan-capacity``).
+    """
     from repro.serving import available_platforms, get_platform
     from repro.workloads.deepbench import task
 
-    _validate_serve_flags(args)
+    frontend = _serve_frontend(args, parser)
     t = task(args.kind, args.hidden, args.timesteps)
-    if args.plan_capacity:
+    if frontend == "plan":
         return _serve_plan_capacity(args, t)
     if args.platform:
         get_platform(args.platform)  # fail fast with the registry's message
         names = [args.platform]
-    elif args.fleet_mix:
-        # One row: the whole heterogeneous fleet is the "platform".
-        names = [args.fleet_mix]
     else:
         names = list(available_platforms())
-    if args.listen and args.clients is None:
-        if not args.platform:
-            raise ServingError(
-                "--listen without --clients serves forever and needs one "
-                "platform; pass --platform NAME"
-            )
-        return _serve_listen_forever(args, t)
-    if args.clients is not None:
+    if frontend == "listen":
+        return _serve_listen_forever(args)
+    if frontend == "clients":
         return _serve_live_table(args, t, names)
-    if args.stream:
-        return _serve_stream_table(args, t, names)
-    return _serve_once_table(t, names)
+    if frontend == "once":
+        return _serve_once_table(t, names)
+    return _serve_stream_table(args, t, names)
 
 
-def _validate_serve_flags(args: argparse.Namespace) -> None:
-    """Cross-flag validation for the parallel/live serving frontends.
+#: What each ``repro serve`` frontend is called in an error.
+_FRONTENDS = {
+    "once": "the one-shot table",
+    "stream": "the simulated stream",
+    "shards": "--shards",
+    "clients": "--clients",
+    "listen": "--listen without --clients",
+    "plan": "--plan-capacity",
+}
 
-    Also resolves the ``--mode`` default: ``full`` classically, but a
-    sharded run *is* summary serving (each worker streams its shard
-    through O(1)-memory statistics), so ``--shards`` defaults to
-    ``summary`` and an explicit ``--mode full`` with it is rejected
-    rather than silently downgraded.
+#: The selector flags (argparse dests), the frontend each picks, and
+#: what it does.  The one-shot table and the simulated stream have no
+#: selector: a flag that only a stream reads picks the stream.
+_SELECTORS = {
+    "shards": ("shards", "--shards replays a stream across worker processes"),
+    "clients": ("clients", "--clients drives a live server"),
+    "listen": ("listen", "--listen starts a live server"),
+    "plan_capacity": ("plan", "--plan-capacity sweeps candidate fleets"),
+}
+
+_SIMULATED = ("stream", "shards")
+_LIVE = ("clients", "listen")
+
+#: Which frontends read each ``repro serve`` flag (by argparse dest),
+#: and why a frontend that does not read it rejects it.
+_SERVE_FLAG_SCOPE = (
+    (("platform",), ("once", *_SIMULATED, *_LIVE, "plan"), ""),
+    (("stream",), (*_SIMULATED, *_LIVE),
+     "--stream serves a stream, and --plan-capacity simulates its own "
+     "diurnal workload"),
+    (("slo_ms", "replicas", "scheduler", "batcher", "max_batch"),
+     (*_SIMULATED, *_LIVE, "plan"), ""),
+    (("rate", "requests", "seed"), (*_SIMULATED, "clients", "plan"),
+     "--rate/--requests/--seed generate requests, and a real-time "
+     "server serves what its clients send"),
+    (("mix", "length_dist", "trace", "record_trace"), (*_SIMULATED, "clients"),
+     "--mix/--length-dist/--trace/--record-trace shape the stream that "
+     "--stream, --shards and --clients serve"),
+    (("mode",), _SIMULATED, "--mode sets the simulated stream's accounting"),
+    (("timeout_ms",), (*_SIMULATED, *_LIVE),
+     "--timeout-ms bounds served requests, and --plan-capacity scores "
+     "clean candidate fleets"),
+    (("fleet_mix", "policy"), (*_SIMULATED, "plan"),
+     "--fleet-mix/--policy dispatch a simulated fleet; the live frontend "
+     "serves a single platform"),
+    (("affinity_by", "autoscale"), _SIMULATED,
+     "--affinity-by/--autoscale steer a simulated fleet"),
+    (("faults", "fault_seed", "retries", "hedge_ms"), _SIMULATED,
+     "--faults/--fault-seed/--retries/--hedge-ms inject into the "
+     "simulated stream"),
+    (("shards", "workers", "shard_by"), ("shards",),
+     "--workers/--shard-by apply to a sharded run; add --shards N"),
+    (("clients",), ("clients",), ""),
+    (("listen",), _LIVE, ""),
+    (("plan_capacity", "dse_workers", "dse_prune"), ("plan",),
+     "--dse-workers/--no-dse-prune tune the capacity-planner DSE; "
+     "add --plan-capacity"),
+)
+
+
+def _serve_frontend(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> str:
+    """Validate parsed ``repro serve`` flags and name the frontend they
+    select: ``once``, ``stream``, ``shards``, ``clients``, ``listen``
+    or ``plan``.
+
+    ``parser`` is the ``serve`` subparser; a flag counts as given when
+    its value differs from the parser's default.  Value checks run
+    first.  Then the selector flags pick the frontend (two are an
+    error); with none, any given flag that the one-shot table does not
+    read but the simulated stream does picks the stream.  A given flag
+    the chosen frontend does not read is an error naming every such
+    flag.
     """
     from repro.errors import ServingError
+
+    _check_serve_values(args)
+    readers = {dest: fronts for dests, fronts, _ in _SERVE_FLAG_SCOPE for dest in dests}
+    given = [d for d in readers if getattr(args, d) != parser.get_default(d)]
+    picked = {dest: _SELECTORS[dest][0] for dest in _SELECTORS if dest in given}
+    # A selector that another picked frontend reads is that frontend's
+    # option (--listen with --clients), not a rival.
+    rivals = [
+        dest for dest, front in picked.items()
+        if not any(o != front and o in readers[dest] for o in picked.values())
+    ]
+    if len(rivals) > 1:
+        raise ServingError(
+            " and ".join(_SELECTORS[dest][1] for dest in rivals)
+            + "; pick one frontend"
+        )
+    if rivals:
+        frontend = picked[rivals[0]]
+    elif any("once" not in readers[d] and "stream" in readers[d] for d in given):
+        frontend = "stream"
+    else:
+        frontend = "once"
+    unread = [
+        (dests, hint) for dests, fronts, hint in _SERVE_FLAG_SCOPE
+        if frontend not in fronts and any(d in given for d in dests)
+    ]
+    if unread:
+        named = ", ".join(
+            ("--no-" if getattr(args, d) is False else "--") + d.replace("_", "-")
+            for dests, _ in unread for d in dests if d in given
+        )
+        raise ServingError(
+            f"{_FRONTENDS[frontend]} does not read {named}: "
+            + "; ".join(hint for _, hint in unread)
+        )
+    if frontend == "listen" and not args.platform:
+        raise ServingError(
+            "--listen without --clients serves forever and needs one "
+            "platform; pass --platform NAME"
+        )
+    return frontend
+
+
+def _check_serve_values(args: argparse.Namespace) -> None:
+    """The ``repro serve`` checks on flag values, whatever the frontend."""
+    from repro.errors import ServingError
+    from repro.serving import parse_fleet_mix
     from repro.serving.request import _check_budget_ms
 
-    if args.shards is not None and args.shards < 1:
-        raise ServingError("--shards must be >= 1")
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ServingError("--workers must be >= 1")
-        if args.shards is None:
-            raise ServingError("--workers only applies to a sharded run; add --shards N")
-    if args.clients is not None and args.clients < 1:
-        raise ServingError("--clients must be >= 1")
+    for flag, count in (
+        ("--shards", args.shards),
+        ("--workers", args.workers),
+        ("--clients", args.clients),
+        ("--dse-workers", args.dse_workers),
+        ("--replicas", args.replicas),
+    ):
+        if count is not None and count < 1:
+            raise ServingError(f"{flag} must be >= 1")
+    if args.retries < 0:
+        raise ServingError("--retries must be >= 0")
     if args.listen:
         _parse_listen(args.listen)  # fail fast on a malformed spec
-    if args.shards is not None:
-        if args.listen:
-            raise ServingError(
-                "--shards replays a stream across worker processes and "
-                "--listen starts a live server; pick one frontend"
-            )
-        if args.mode == "full":
-            raise ServingError(
-                "--shards merges per-shard summaries and cannot "
-                "materialize every response; drop --mode full (sharded "
-                "runs default to --mode summary)"
-            )
     if args.fleet_mix:
-        from repro.serving import parse_fleet_mix
-
         parse_fleet_mix(args.fleet_mix)  # fail fast on a malformed spec
         if args.platform:
             raise ServingError(
@@ -136,66 +243,19 @@ def _validate_serve_flags(args: argparse.Namespace) -> None:
                 "--fleet-mix sets the replica count from the roster "
                 "(e.g. plasticine:2,gpu:1 is three replicas); drop --replicas"
             )
-        if args.listen or args.clients is not None:
-            raise ServingError(
-                "--fleet-mix drives the simulated stream; the live "
-                "frontend serves a single platform"
-            )
-    if args.plan_capacity:
-        if args.listen or args.clients is not None or args.shards is not None:
-            raise ServingError(
-                "--plan-capacity sweeps candidate fleets over its own "
-                "diurnal workload; drop --listen/--clients/--shards"
-            )
-        if args.trace or args.mix:
-            raise ServingError(
-                "--plan-capacity generates its own diurnal workload; "
-                "drop --trace/--mix"
-            )
-    if args.dse_workers is not None and args.dse_workers < 1:
-        raise ServingError("--dse-workers must be >= 1")
-    if not args.plan_capacity and (
-        args.dse_workers is not None or not args.dse_prune
-    ):
+    if args.shards is not None and args.mode == "full":
         raise ServingError(
-            "--dse-workers/--no-dse-prune tune the capacity-planner DSE; "
-            "add --plan-capacity"
+            "--shards merges per-shard summaries and cannot "
+            "materialize every response; drop --mode full (sharded "
+            "runs default to --mode summary)"
         )
     _check_budget_ms("--slo-ms", args.slo_ms)
     _check_budget_ms("--timeout-ms", args.timeout_ms)
     _check_budget_ms("--hedge-ms", args.hedge_ms)
-    if args.retries < 0:
-        raise ServingError("--retries must be >= 0")
     if args.retries and args.timeout_ms is None:
         raise ServingError(
             "--retries re-dispatches timed-out requests; add --timeout-ms"
         )
-    faulty = args.faults != "none" or args.hedge_ms is not None or args.retries
-    if args.plan_capacity and (
-        faulty or args.timeout_ms is not None or args.autoscale
-    ):
-        raise ServingError(
-            "--plan-capacity scores clean candidate fleets; drop "
-            "--faults/--retries/--hedge-ms/--timeout-ms/--autoscale"
-        )
-    if faulty and (args.listen or args.clients is not None):
-        raise ServingError(
-            "--faults/--retries/--hedge-ms inject into the simulated "
-            "stream; the live frontend honors only --timeout-ms"
-        )
-    if args.mode is None:
-        args.mode = "summary" if args.shards is not None else "full"
-    if (
-        args.shards is not None
-        or args.listen
-        or args.clients is not None
-        or faulty
-        or args.timeout_ms is not None
-        or args.fleet_mix
-    ):
-        # The parallel, live, fault-injected, and mixed-fleet frontends
-        # are stream serving by definition.
-        args.stream = True
 
 
 #: Fallback sequence length for --mix specs naming a task outside the
@@ -295,35 +355,25 @@ def _mix_lazy(tenant_kwargs: tuple) -> object:
 
 
 def _build_stream(args: argparse.Namespace, default_task):
-    """Build the arrival stream for --stream mode.
+    """Build the arrival stream a simulated stream, ``--shards`` or
+    ``--clients`` run serves.
 
     Returns ``(make_arrivals, description)`` where ``make_arrivals()``
-    yields a fresh stream per call (each platform consumes its own).
-    Precedence: --trace replays a recorded stream verbatim; --mix
-    interleaves one Poisson tenant per spec (splitting --rate and
-    --requests evenly); otherwise a single Poisson stream of the
-    positional task.
+    yields a fresh lazy stream per call (each platform consumes its own).
+    Precedence: --trace replays a recorded stream, read line by line
+    (:func:`~repro.serving.traffic.iter_trace`); --mix merges one Poisson
+    tenant per spec (splitting --rate and --requests evenly); otherwise
+    a single Poisson stream of the positional task.
 
-    With ``--mode summary`` everything is *lazy*: the trace is read line
-    by line (:func:`~repro.serving.traffic.iter_trace`), generators
-    yield requests one at a time (``materialize=False``), and --mix
-    merges sorted tenant streams incrementally — a million-request
-    stream never sits in memory.  The lazy factories are built from
-    module-level callables (``functools.partial``), so ``--shards`` can
-    ship them to pool workers for per-shard re-generation.
+    Generators yield requests one at a time (``materialize=False``) and
+    --mix merges the sorted tenant streams incrementally, so a
+    million-request stream never sits in memory.  Each factory is a
+    ``functools.partial`` of a module-level callable, so ``--shards``
+    can ship it to pool workers for per-shard re-generation.
     """
-    from functools import partial
     from repro.errors import ServingError
-    from repro.serving import (
-        iter_trace,
-        length_sampler,
-        mix,
-        poisson_arrivals,
-        record_trace,
-        replay_trace,
-    )
+    from repro.serving import iter_trace, length_sampler, poisson_arrivals, record_trace
 
-    lazy = args.mode == "summary"
     lengths = length_sampler(args.length_dist) if args.length_dist else None
     if args.trace:
         if lengths is not None:
@@ -332,67 +382,37 @@ def _build_stream(args: argparse.Namespace, default_task):
                 "trace already records every request's length; drop one "
                 "of --trace / --length-dist"
             )
-        if lazy:
-            factory = partial(iter_trace, args.trace)
-        else:
-            arrivals = replay_trace(args.trace)
-
-            def factory():
-                return arrivals
+        factory = partial(iter_trace, args.trace)
         desc = f"trace {args.trace}"
     elif args.mix:
         specs = _parse_mix(args.mix)
-        per_rate = args.rate / len(specs)
-        per_n = max(1, args.requests // len(specs))
         tenant_kwargs = tuple(
             dict(
                 task=t,
-                rate_per_s=per_rate,
-                n_requests=per_n,
+                rate_per_s=args.rate / len(specs),
+                n_requests=max(1, args.requests // len(specs)),
                 seed=args.seed + i,
                 tenant=t.name,
                 priority=priority,
                 slo_ms=slo_ms,
                 lengths=lengths,
-                materialize=not lazy,
+                materialize=False,
             )
             for i, (t, slo_ms, priority) in enumerate(specs)
         )
-
-        if lazy:
-            factory = partial(_mix_lazy, tenant_kwargs)
-        else:
-            arrivals = mix(
-                *(poisson_arrivals(**kw) for kw in tenant_kwargs)
-            )
-
-            def factory():
-                return arrivals
+        factory = partial(_mix_lazy, tenant_kwargs)
         desc = f"{len(specs)}-tenant mix at {args.rate:.0f} req/s"
     else:
-        if lazy:
-            factory = partial(
-                poisson_arrivals,
-                default_task,
-                rate_per_s=args.rate,
-                n_requests=args.requests,
-                seed=args.seed,
-                tenant=default_task.name,
-                lengths=lengths,
-                materialize=False,
-            )
-        else:
-            arrivals = poisson_arrivals(
-                default_task,
-                rate_per_s=args.rate,
-                n_requests=args.requests,
-                seed=args.seed,
-                tenant=default_task.name,
-                lengths=lengths,
-            )
-
-            def factory():
-                return arrivals
+        factory = partial(
+            poisson_arrivals,
+            default_task,
+            rate_per_s=args.rate,
+            n_requests=args.requests,
+            seed=args.seed,
+            tenant=default_task.name,
+            lengths=lengths,
+            materialize=False,
+        )
         desc = f"{default_task.name} at {args.rate:.0f} req/s"
     if lengths is not None and not args.trace:
         desc += f", lengths {args.length_dist}"
@@ -570,103 +590,60 @@ def _serve_plan_capacity(args: argparse.Namespace, t) -> str:
 
 
 def _serve_stream_table(args: argparse.Namespace, t, names: list[str]) -> str:
-    from repro.errors import ServingError
+    """The simulated stream, in one process or across ``--shards``."""
     from repro.harness.report import format_table
-    from repro.serving import Fleet, ServingEngine
+    from repro.serving import parse_fleet_mix, serve_parallel
+    from repro.serving.fleet import _mix_label, _serve_stream_on
 
-    if args.replicas < 1:
-        raise ServingError("--replicas must be >= 1")
     autoscaler = _parse_autoscale(args.autoscale) if args.autoscale else None
-    fault_kwargs = dict(
+    make_arrivals, desc = _build_stream(args, t)
+    mode = args.mode or ("summary" if args.shards is not None else "full")
+    batched = args.batcher != "none"
+    mixed = bool(args.fleet_mix)
+    n_replicas = args.replicas
+    if mixed:
+        roster = parse_fleet_mix(args.fleet_mix)
+        n_replicas = len(roster)
+        names = [_mix_label(roster)]
+    options = dict(
+        replicas=args.replicas,
+        mix=args.fleet_mix,
+        policy=args.policy,
+        affinity_by=args.affinity_by,
+        autoscaler=autoscaler,
+        slo_ms=args.slo_ms,
+        scheduler=args.scheduler,
+        batcher=args.batcher,
+        max_batch=args.max_batch,
         faults=args.faults,
         fault_seed=args.fault_seed,
         timeout_ms=args.timeout_ms,
         retries=args.retries,
         hedge_ms=args.hedge_ms,
     )
-    make_arrivals, desc = _build_stream(args, t)
-    # Summary mode streams lazily, which requires (and all built-in
-    # sources guarantee) time-ordered input with monotone ids.
-    presorted = args.mode == "summary"
-    batched = args.batcher != "none"
-    mixed = bool(args.fleet_mix)
-    n_replicas = args.replicas
-    if mixed:
-        from itertools import groupby
-
-        from repro.serving import parse_fleet_mix
-
-        roster = parse_fleet_mix(args.fleet_mix)
-        n_replicas = len(roster)
-        # Canonical name:count label, e.g. "plasticine:2,gpu:1".
-        names = [
-            ",".join(f"{n}:{len(list(g))}" for n, g in groupby(roster))
-        ]
     n_requests = 0
     rows = []
     breakdowns = []
     for name in names:
-        arrivals = None if args.shards is not None else make_arrivals()
         if args.shards is not None:
-            from repro.serving import serve_parallel
-
             report = serve_parallel(
                 make_arrivals,
                 name,
                 shards=args.shards,
                 shard_by=args.shard_by,
                 workers=args.workers,
-                replicas=args.replicas,
-                policy=args.policy,
-                scheduler=args.scheduler,
-                batcher=args.batcher,
-                max_batch=args.max_batch,
-                slo_ms=args.slo_ms,
-                autoscaler=autoscaler,
-                mix=args.fleet_mix,
-                affinity_by=args.affinity_by,
-                **fault_kwargs,
-            )
-        elif mixed:
-            server = Fleet(
-                args.fleet_mix,
-                policy=args.policy,
-                affinity_by=args.affinity_by,
-            )
-            report = server.serve_stream(
-                arrivals,
-                slo_ms=args.slo_ms,
-                scheduler=args.scheduler,
-                batcher=args.batcher,
-                max_batch=args.max_batch,
-                autoscaler=autoscaler,
-                mode=args.mode,
-                presorted=presorted,
-                **fault_kwargs,
-            )
-        elif args.replicas > 1 or autoscaler is not None:
-            server = Fleet(name, replicas=args.replicas, policy=args.policy)
-            report = server.serve_stream(
-                arrivals,
-                slo_ms=args.slo_ms,
-                scheduler=args.scheduler,
-                batcher=args.batcher,
-                max_batch=args.max_batch,
-                autoscaler=autoscaler,
-                mode=args.mode,
-                presorted=presorted,
-                **fault_kwargs,
+                **options,
             )
         else:
-            report = ServingEngine(name).serve_stream(
-                arrivals,
-                slo_ms=args.slo_ms,
-                scheduler=args.scheduler,
-                batcher=args.batcher,
-                max_batch=args.max_batch,
-                mode=args.mode,
-                presorted=presorted,
-                **fault_kwargs,
+            # Summary mode streams lazily, which requires (and all
+            # built-in sources guarantee) time-ordered input with
+            # monotone ids.
+            report = _serve_stream_on(
+                make_arrivals(),
+                platform=name,
+                mode=mode,
+                presorted=mode == "summary",
+                **options,
             )
         n_requests = report.n_requests
         row = [
@@ -714,7 +691,7 @@ def _serve_stream_table(args: argparse.Namespace, t, names: list[str]) -> str:
         title += f", {args.shards} {args.shard_by} shard(s)"
     if args.faults != "none":
         title += f", faults {args.faults}"
-    if args.mode == "summary":
+    if mode == "summary":
         title += ", summary mode"
     title += ")"
     headers = ["platform", "service ms", "P50 ms", "P99 ms", "queue ms",
@@ -810,22 +787,13 @@ def _serve_live_table(args: argparse.Namespace, t, names: list[str]) -> str:
 
     from repro.errors import ServingError
     from repro.harness.report import format_table
-    from repro.serving.server import ServingServer
 
     make_arrivals, desc = _build_stream(args, t)
     requests = list(make_arrivals())
     bound_spec = _parse_listen(args.listen) if args.listen else None
 
     async def run_one(name: str):
-        server = ServingServer(
-            name,
-            replicas=args.replicas,
-            scheduler=args.scheduler,
-            batcher=args.batcher,
-            max_batch=args.max_batch,
-            slo_ms=args.slo_ms,
-            timeout_ms=args.timeout_ms,
-        )
+        server = _live_server(args, name)
         await server.start()
         bound = None
         if bound_spec is not None:
@@ -873,7 +841,24 @@ def _serve_live_table(args: argparse.Namespace, t, names: list[str]) -> str:
     )
 
 
-def _serve_listen_forever(args: argparse.Namespace, t) -> str:
+def _live_server(args: argparse.Namespace, platform: str, clock=None):
+    """The live :class:`~repro.serving.server.ServingServer` both live
+    frontends run, configured by the serve flags they read."""
+    from repro.serving.server import ServingServer
+
+    return ServingServer(
+        platform,
+        replicas=args.replicas,
+        scheduler=args.scheduler,
+        batcher=args.batcher,
+        max_batch=args.max_batch,
+        slo_ms=args.slo_ms,
+        clock=clock,
+        timeout_ms=args.timeout_ms,
+    )
+
+
+def _serve_listen_forever(args: argparse.Namespace) -> str:
     """--listen without --clients: serve real clients until interrupted.
 
     Runs on a real (wall) clock; Ctrl-C triggers the graceful drain and
@@ -881,22 +866,13 @@ def _serve_listen_forever(args: argparse.Namespace, t) -> str:
     """
     import asyncio
 
-    from repro.serving.server import RealClock, ServingServer
+    from repro.serving.server import RealClock
 
     kind, host, port = _parse_listen(args.listen)
     box: dict = {}
 
     async def run() -> None:
-        server = ServingServer(
-            args.platform,
-            replicas=args.replicas,
-            scheduler=args.scheduler,
-            batcher=args.batcher,
-            max_batch=args.max_batch,
-            slo_ms=args.slo_ms,
-            clock=RealClock(),
-            timeout_ms=args.timeout_ms,
-        )
+        server = _live_server(args, args.platform, clock=RealClock())
         await server.start()
         box["server"] = server
         if kind == "unix":
@@ -1016,7 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve a DeepBench task through the serving engine. "
         "With --stream, run a Poisson request stream through the "
         "discrete-event queue simulation and report P50/P99 against the "
-        "SLO.",
+        "SLO. A flag that only a stream reads implies --stream, and a "
+        "flag the chosen frontend does not read is an error.",
         epilog="The --mix mini-grammar "
         "(kind:hidden[:timesteps][@slo_ms][^priority]), the sharded "
         "multi-core replay (--shards/--workers/--shard-by), the live "
@@ -1105,7 +1082,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=0, help="stream arrival seed")
     serve.add_argument(
-        "--replicas", type=int, default=1, help="fleet replicas (stream mode)"
+        "--replicas",
+        type=int,
+        default=1,
+        help="replicas serving the stream or the live server (per shard "
+        "with --shards); with --plan-capacity, the largest fleet searched "
+        "(min 3)",
     )
     serve.add_argument(
         "--fleet-mix",
@@ -1114,13 +1096,13 @@ def build_parser() -> argparse.ArgumentParser:
         "name[:count] entries (e.g. plasticine:2,brainwave:1,gpu:1); "
         "replaces --platform/--replicas, dispatches by projected "
         "completion under each replica's own cost model, and adds "
-        "energy (J/req) and TCO ($/1M requests) columns (stream mode)",
+        "energy (J/req) and TCO ($/1M requests) columns",
     )
     serve.add_argument(
         "--policy",
         choices=SCHEDULING_POLICIES,
         default="least-loaded",
-        help="fleet dispatch policy (stream mode); 'affinity' pins each "
+        help="fleet dispatch policy; 'affinity' pins each "
         "--affinity-by key to the platform tier that first served it",
     )
     serve.add_argument(
@@ -1161,20 +1143,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheduler",
         choices=available_schedulers(),
         default="fifo",
-        help="per-replica queue discipline (stream mode)",
+        help="per-replica queue discipline",
     )
     serve.add_argument(
         "--batcher",
         choices=available_batchers(),
         default="none",
-        help="per-replica dynamic batching policy (stream mode); "
-        "'none' serves batch-1 like the paper",
+        help="per-replica dynamic batching policy; 'none' serves "
+        "batch-1 like the paper",
     )
     serve.add_argument(
         "--max-batch",
         type=int,
         default=8,
-        help="batch-size cap for the batching policy (stream mode)",
+        help="batch-size cap for the batching policy",
     )
     serve.add_argument(
         "--autoscale",
@@ -1246,7 +1228,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--record-trace",
         help="write the generated arrival stream to a JSONL trace file",
     )
-    serve.set_defaults(fn=_cmd_serve)
+    serve.set_defaults(fn=partial(_cmd_serve, serve))
 
     sub.add_parser("all", help="everything (slow)").set_defaults(fn=_cmd_all)
     return parser

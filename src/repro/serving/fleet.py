@@ -580,3 +580,46 @@ class Fleet:
                 self._platform_name_for if self.is_heterogeneous else None
             ),
         )
+
+
+def _serve_stream_on(
+    arrivals: Iterable[ServeRequest | RNNTask],
+    *,
+    platform: str,
+    replicas: int,
+    mix: str | None,
+    policy: str,
+    affinity_by: str,
+    autoscaler: Autoscaler | None,
+    platform_options: "dict[str, object] | None" = None,
+    **stream_options: object,
+) -> "StreamReport | StreamSummary":
+    """Serve ``arrivals`` on the engine or fleet these arguments describe.
+
+    A ``mix`` spec is the whole roster (``platform`` and ``replicas``
+    are then ignored); otherwise more than one replica, or an
+    autoscaler, makes a homogeneous :class:`Fleet`, and anything else
+    one :class:`~repro.serving.engine.ServingEngine`.
+    ``stream_options`` go to ``serve_stream`` unchanged.  The CLI's
+    stream table and every :func:`~repro.serving.parallel.serve_parallel`
+    shard build their server here.
+    """
+    options = platform_options or {}
+    if mix is not None:
+        # The parsed roster, so a one-entry spec is one replica, not
+        # Fleet("gpu")'s default of two.
+        fleet = Fleet(
+            parse_fleet_mix(mix), policy=policy, affinity_by=affinity_by, **options
+        )
+    elif replicas > 1 or autoscaler is not None:
+        fleet = Fleet(
+            platform,
+            replicas=replicas,
+            policy=policy,
+            affinity_by=affinity_by,
+            **options,
+        )
+    else:
+        engine = ServingEngine(platform, **options)
+        return engine.serve_stream(arrivals, **stream_options)
+    return fleet.serve_stream(arrivals, autoscaler=autoscaler, **stream_options)

@@ -57,13 +57,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ServingError
 from repro.serving.autoscaler import Autoscaler
-from repro.serving.batching import make_batcher
-from repro.serving.engine import ServingEngine
 from repro.serving.events import normalize_arrivals
-from repro.serving.faults import _MASK64, _splitmix64, make_fault_policy
-from repro.serving.fleet import Fleet
+from repro.serving.faults import _MASK64, _splitmix64
+from repro.serving.fleet import _serve_stream_on
 from repro.serving.request import ServeRequest, _check_budget_ms
-from repro.serving.scheduler import make_scheduler
 from repro.serving.stats import StreamSummary
 from repro.workloads.deepbench import RNNTask
 
@@ -204,26 +201,11 @@ class _ShardJob:
     shard_by: str
     factory: "StreamFactory | None"
     requests: "tuple[ServeRequest, ...] | None"
-    platform: str
-    platform_options: "tuple[tuple[str, object], ...]"
-    replicas: int
-    policy: str
-    scheduler: str
-    batcher: str
-    max_batch: int | None
-    slo_ms: float | None
-    autoscaler: Autoscaler | None
     seed: int
-    #: Fleet-mix spec ("name[:count],..."); overrides platform/replicas
-    #: with a per-shard heterogeneous fleet when set.
-    mix: str | None = None
-    #: Affinity key for policy="affinity" fleets (task/tenant/length-band).
-    affinity_by: str = "task"
-    faults: str = "none"
-    fault_seed: int = 0
-    timeout_ms: float | None = None
-    retries: int = 0
-    hedge_ms: float | None = None
+    #: Keyword arguments of this shard's
+    #: :func:`~repro.serving.fleet._serve_stream_on` call: the engine or
+    #: fleet description and the ``serve_stream`` options.
+    serve: "dict[str, object]"
 
     def stream(self) -> Iterable[ServeRequest]:
         if self.requests is not None:
@@ -273,57 +255,17 @@ def pool_map(fn, jobs: "Sequence[object]", workers: int) -> list:
         return pool.map(fn, jobs)
 
 
-def _run_shard(job: _ShardJob) -> StreamSummary:
-    """Worker entry point: one shard, one independent event loop."""
-    options = dict(job.platform_options)
-    if job.mix is not None:
-        # Every shard runs the same heterogeneous fleet, so the merged
-        # summary's platform label and roster are shard-invariant.
-        server: "ServingEngine | Fleet" = Fleet(
-            job.mix, policy=job.policy, affinity_by=job.affinity_by
-        )
-    elif job.replicas > 1 or job.autoscaler is not None:
-        server = Fleet(
-            job.platform, replicas=job.replicas, policy=job.policy, **options
-        )
-    else:
-        server = ServingEngine(job.platform, **options)
+def _run_shard(job: _ShardJob) -> "StreamSummary | None":
+    """Worker entry point: one shard, one independent event loop.
+
+    A shard that drew no traffic (e.g. more shards than tenants) returns
+    ``None`` instead of tripping the event loop's empty-stream error.
+    """
     stream = iter(job.stream())
     head = next(stream, None)
     if head is None:
-        # This shard drew no traffic (e.g. more shards than tenants):
-        # contribute a merge identity instead of tripping the event
-        # loop's empty-stream error.
-        return StreamSummary(
-            server.platform_name,
-            slo_ms=job.slo_ms,
-            scheduler=make_scheduler(job.scheduler).name,
-            batcher=make_batcher(job.batcher).name,
-            faults=make_fault_policy(job.faults).name,
-        )
-    kwargs: dict = {
-        "slo_ms": job.slo_ms,
-        "scheduler": job.scheduler,
-        "batcher": job.batcher,
-        "max_batch": job.max_batch,
-        "mode": "summary",
-        # A pre-split sub-list is already normalized; a factory stream
-        # must be time-ordered with monotone ids (what every built-in
-        # generator, mix(presorted=True), and recorded trace emit) and
-        # is validated lazily by the event loop.
-        "presorted": job.requests is None,
-        "faults": job.faults,
-        # Each shard's fault timeline draws from its own derived seed,
-        # so the merged result is pool-size independent but shards do
-        # not replay each other's crashes.
-        "fault_seed": shard_seed(job.fault_seed, job.shard),
-        "timeout_ms": job.timeout_ms,
-        "retries": job.retries,
-        "hedge_ms": job.hedge_ms,
-    }
-    if isinstance(server, Fleet):
-        kwargs["autoscaler"] = job.autoscaler
-    return server.serve_stream(chain((head,), stream), **kwargs)
+        return None
+    return _serve_stream_on(chain((head,), stream), **job.serve)
 
 
 def serve_parallel(
@@ -456,6 +398,29 @@ def serve_parallel(
                 "not a materialized stream"
             )
         parts = [tuple(p) for p in split_requests(arrivals, shards, shard_by=shard_by)]
+    serve = dict(
+        platform=platform,
+        replicas=replicas,
+        mix=mix,
+        policy=policy,
+        affinity_by=affinity_by,
+        autoscaler=autoscaler,
+        platform_options=platform_options,
+        slo_ms=slo_ms,
+        scheduler=scheduler,
+        batcher=batcher,
+        max_batch=max_batch,
+        mode="summary",
+        # A pre-split sub-list is already normalized; a factory stream
+        # must be time-ordered with monotone ids (what every built-in
+        # generator, mix(presorted=True), and recorded trace emit) and
+        # is validated lazily by the event loop.
+        presorted=factory is not None,
+        faults=faults,
+        timeout_ms=timeout_ms,
+        retries=retries,
+        hedge_ms=hedge_ms,
+    )
     jobs = [
         _ShardJob(
             shard=shard,
@@ -463,30 +428,17 @@ def serve_parallel(
             shard_by=shard_by,
             factory=factory,
             requests=parts[shard],
-            platform=platform,
-            platform_options=tuple(sorted(platform_options.items())),
-            replicas=replicas,
-            policy=policy,
-            scheduler=scheduler,
-            batcher=batcher,
-            max_batch=max_batch,
-            slo_ms=slo_ms,
-            autoscaler=autoscaler,
             seed=seed,
-            mix=mix,
-            affinity_by=affinity_by,
-            faults=faults,
-            fault_seed=fault_seed,
-            timeout_ms=timeout_ms,
-            retries=retries,
-            hedge_ms=hedge_ms,
+            # Each shard's fault timeline draws from its own derived
+            # seed, so the merged result is pool-size independent but
+            # shards do not replay each other's crashes.
+            serve={**serve, "fault_seed": shard_seed(fault_seed, shard)},
         )
         for shard in range(shards)
     ]
     if workers is None:
         workers = min(shards, os.cpu_count() or 1)
-    summaries = pool_map(_run_shard, jobs, workers)
-    merged = summaries[0].merge(*summaries[1:])
-    if merged.is_empty:
+    summaries = [s for s in pool_map(_run_shard, jobs, workers) if s is not None]
+    if not summaries:
         raise ServingError("serve_stream needs at least one request")
-    return merged
+    return summaries[0].merge(*summaries[1:])

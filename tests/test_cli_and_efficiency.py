@@ -209,6 +209,20 @@ class TestCLI:
             }
         assert cells["full"] == cells["summary"]
 
+    def test_serve_stream_single_entry_fleet_mix_is_one_replica(self, capsys):
+        # "--fleet-mix gpu" is a one-replica roster, as the title says:
+        # its capacity matches the single-engine run's.
+        argv = ["serve", "--stream", "--rate", "500", "--requests", "50"]
+        capacity = {}
+        for extra in (["--fleet-mix", "gpu"], ["--platform", "gpu"]):
+            assert main([*argv, *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert "1 replica(s)" in lines[0]
+            header = [c.strip() for c in lines[1].split("|")]
+            row = [c.strip() for c in lines[3].split("|")]
+            capacity[extra[0]] = row[header.index("max req/s")]
+        assert capacity["--fleet-mix"] == capacity["--platform"]
+
     def test_serve_stream_unknown_batcher_exits(self):
         with pytest.raises(SystemExit):
             main(["serve", "--stream", "--batcher", "megabatch"])

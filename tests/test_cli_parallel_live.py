@@ -4,12 +4,16 @@
 `--clients/--listen` (the live asyncio server) ride the same table
 pipeline as the classic stream simulation; these tests pin the flag
 validation, the table output, and the parity between a sharded run and
-the equivalent round-robin fleet at the CLI level.
+the equivalent round-robin fleet at the CLI level.  A seeded fuzz of
+the whole serve-flag matrix checks that every combination either runs
+or fails with one clean ``error:`` line.
 """
 
 import asyncio
 import json
 import os
+import random
+from collections import Counter
 
 import pytest
 
@@ -76,11 +80,53 @@ class TestFlagValidation:
             (("--listen", "nonsense"), "bad --listen spec"),
             (("--listen", "unix:"), "needs a socket path"),
             (("--clients", "0"), "--clients must be >= 1"),
+            (("--clients", "4", "--autoscale", "1:4"),
+             "--clients does not read --autoscale"),
+            (("--clients", "4", "--policy", "round-robin"),
+             "--clients does not read --policy"),
+            (("--plan-capacity", "--length-dist", "uniform:5:30"),
+             "--plan-capacity does not read --length-dist"),
+            (("--plan-capacity", "--mode", "summary"),
+             "--plan-capacity does not read --mode"),
+            (("--shard-by", "tenant"),
+             "the simulated stream does not read --shard-by"),
         ],
     )
     def test_rejected_combinations(self, capsys, extra, message):
         assert main(_serve(*extra)) == 1
         assert message in capsys.readouterr().err
+
+    def test_plan_capacity_rejects_record_trace_and_writes_nothing(
+        self, capsys, tmp_path
+    ):
+        trace = tmp_path / "never.jsonl"
+        assert main(_serve("--plan-capacity", "--record-trace", str(trace))) == 1
+        assert "--plan-capacity does not read --record-trace" in capsys.readouterr().err
+        assert not trace.exists()
+
+    def test_listen_alone_rejects_traffic_flags(self, capsys, monkeypatch):
+        # Should the flags be accepted, the real-time server's idle sleep
+        # delivers the Ctrl-C at once instead of serving forever.
+        real_sleep = asyncio.sleep
+
+        async def interrupt(seconds, *a, **kw):
+            if seconds != 3600:
+                return await real_sleep(seconds, *a, **kw)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(asyncio, "sleep", interrupt)
+        assert main(_serve("--listen", "127.0.0.1:0", "--mix", "lstm:512")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --listen without --clients does not read")
+        for flag in ("--rate", "--requests", "--mix"):
+            assert flag in err
+
+    @pytest.mark.parametrize(
+        "extra", [("--mix", "lstm:512,gru:512"), ("--mode", "summary")]
+    )
+    def test_stream_only_flag_selects_stream(self, capsys, extra):
+        assert main(["serve", "--platform", "gpu", *extra]) == 0
+        assert capsys.readouterr().out.startswith("Streaming ")
 
     def test_listen_forever_needs_one_platform(self, capsys):
         assert main([
@@ -109,6 +155,132 @@ class TestFlagValidation:
         with pytest.raises(SystemExit):
             main(_serve("--faults", "gremlins"))
         assert "--faults" in capsys.readouterr().err
+
+
+def _fuzz_pool(trace: str, record: str) -> dict:
+    """Serve flags the matrix fuzz draws from, each with its valid
+    values (``None`` for a switch)."""
+    return {
+        "--stream": [None],
+        "--rate": ["800", "3000"],
+        "--slo-ms": ["0.5", "inf"],
+        "--mode": ["full", "summary"],
+        "--seed": ["3"],
+        "--replicas": ["2"],
+        "--fleet-mix": ["gpu:2", "gpu,cpu"],
+        "--policy": ["round-robin", "affinity"],
+        "--affinity-by": ["tenant", "length-band"],
+        "--plan-capacity": [None],
+        "--dse-workers": ["1"],
+        "--no-dse-prune": [None],
+        "--scheduler": ["edf", "priority"],
+        "--batcher": ["size-cap", "bucket"],
+        "--max-batch": ["4"],
+        "--autoscale": ["1:3"],
+        "--faults": ["crash", "chaos"],
+        "--fault-seed": ["5"],
+        "--timeout-ms": ["20"],
+        "--retries": ["1"],
+        "--hedge-ms": ["10"],
+        "--mix": ["lstm:256,gru:256", "lstm:256@5^1"],
+        "--length-dist": ["uniform:5:30"],
+        "--trace": [trace],
+        "--record-trace": [record],
+        "--shards": ["2"],
+        "--workers": ["1"],
+        "--shard-by": ["tenant", "hash"],
+        "--clients": ["2"],
+        "--listen": ["127.0.0.1:0"],
+    }
+
+
+#: Out-of-range or malformed values the fuzz substitutes now and then.
+_FUZZ_BAD = {
+    "--rate": ["0"],
+    "--slo-ms": ["-1"],
+    "--replicas": ["0"],
+    "--fleet-mix": ["gpu:x"],
+    "--dse-workers": ["0"],
+    "--scheduler": ["bogus"],
+    "--max-batch": ["0"],
+    "--autoscale": ["3:1", "x"],
+    "--timeout-ms": ["0"],
+    "--retries": ["-1"],
+    "--mix": ["lstm"],
+    "--length-dist": ["nope:1"],
+    "--trace": ["missing.jsonl"],
+    "--shards": ["0"],
+    "--clients": ["0"],
+    "--listen": ["nonsense"],
+}
+
+
+#: Flags the fuzz mostly draws together with the flag they need.
+#: --shards and --listen always get theirs: one pool worker, and no
+#: server that runs until interrupted.
+_FUZZ_PARTNERS = (
+    ("--retries", "--timeout-ms"),
+    ("--dse-workers", "--plan-capacity"),
+    ("--no-dse-prune", "--plan-capacity"),
+    ("--workers", "--shards"),
+    ("--shard-by", "--shards"),
+    ("--shards", "--workers"),
+    ("--listen", "--clients"),
+)
+
+
+class TestFlagMatrixFuzz:
+    def test_seeded_flag_combinations_exit_cleanly(self, capsys, tmp_path):
+        """Random serve-flag combinations at toy sizes either run (exit 0)
+        or fail with exactly one ``error:`` line (exit 1); argparse
+        rejects bad choices with exit 2.  Nothing escapes as a
+        traceback, and an accepted --record-trace writes its file."""
+        from repro.serving import record_trace, uniform_arrivals
+
+        trace = str(tmp_path / "replay.jsonl")
+        record = tmp_path / "recorded.jsonl"
+        record_trace(
+            uniform_arrivals(task("lstm", 256, 25), rate_per_s=500, n_requests=30),
+            trace,
+        )
+        pool = _fuzz_pool(trace, str(record))
+        rng = random.Random(20)
+        outcomes = Counter()
+        for _ in range(250):
+            drawn = rng.sample(sorted(pool), rng.randint(1, 4))
+            for flag, partner in _FUZZ_PARTNERS:
+                if flag in drawn and partner not in drawn and (
+                    flag in ("--shards", "--listen") or rng.random() < 0.8
+                ):
+                    drawn.append(partner)
+            argv = ["serve", "lstm", "256", "--requests", rng.choice(["20", "50"])]
+            if "--fleet-mix" not in drawn:
+                argv += ["--platform", "gpu"]
+            for flag in drawn:
+                values = pool[flag]
+                if flag in _FUZZ_BAD and rng.random() < 0.15:
+                    values = _FUZZ_BAD[flag]
+                value = rng.choice(values)
+                argv += [flag] if value is None else [flag, value]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a traceback: report the command
+                pytest.fail(f"repro {' '.join(argv)} raised {exc!r}")
+            out, err = capsys.readouterr()
+            outcomes[code] += 1
+            if code == 0:
+                assert out.strip(), argv
+                if "--record-trace" in drawn:
+                    assert record.exists(), argv
+            elif code == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            else:
+                assert code == 2, (argv, code)
+            record.unlink(missing_ok=True)
+        # Every outcome occurs, so the draw is not all rejections.
+        assert set(outcomes) == {0, 1, 2}
 
 
 class TestFaultyCLI:

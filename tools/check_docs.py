@@ -10,7 +10,10 @@ registry name — the pass list is read off the live registry, so a new
 pass cannot land without a doc entry.  docs/CLI.md must document every
 ``repro serve`` flag, and every ``--flag`` it mentions must still be an
 option of ``repro`` or one of its subcommands, so a removed flag cannot
-leave a stale row behind.  Every ``src/repro/...`` path in README.md
+leave a stale row behind.  Every ``repro serve`` example in the
+``sh`` blocks of README.md and docs/CLI.md must pass the CLI's parser
+and flag checks (run without serving), so an example cannot combine
+flags the CLI rejects.  Every ``src/repro/...`` path in README.md
 and docs/*.md must exist, and every dotted ``repro.x.y`` name there
 must resolve, so a deleted module or function cannot leave a stale
 reference behind.  Also sanity-checks that the docs/ suite and the
@@ -24,8 +27,11 @@ Run from the repo root (CI does):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -57,6 +63,11 @@ CLI_DOC = REPO / "docs" / "CLI.md"
 #: A ``--flag`` token in prose, code blocks or tables.
 FLAG_TOKEN = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
+#: Docs whose ``repro serve`` examples must pass the CLI's flag checks.
+EXAMPLE_DOCS = (REPO / "README.md", CLI_DOC)
+#: The body of a fenced ``sh`` code block.
+SH_BLOCK = re.compile(r"```sh\n(.*?)```", re.S)
+
 #: Docs whose code references must resolve.
 REFERENCE_DOCS = (*REPO.glob("README.md"), *sorted((REPO / "docs").glob("*.md")))
 #: A source path such as ``src/repro/serving/events.py``.
@@ -74,9 +85,8 @@ def _long_options(parser: argparse.ArgumentParser) -> set[str]:
     }
 
 
-def cli_flags() -> tuple[list[str], set[str]]:
-    """Long options of ``repro serve`` (bar ``--help``), and of ``repro``
-    with every subcommand (``--no-*`` forms included)."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``repro`` parser and its subcommand parsers by name."""
     src = REPO / "src"
     if str(src) not in sys.path:
         sys.path.insert(0, str(src))
@@ -88,11 +98,53 @@ def cli_flags() -> tuple[list[str], set[str]]:
         for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    every = _long_options(parser).union(
-        *map(_long_options, subparsers.choices.values())
-    )
-    serve = _long_options(subparsers.choices["serve"]) - {"--help"}
+    return parser, subparsers.choices
+
+
+def cli_flags() -> tuple[list[str], set[str]]:
+    """Long options of ``repro serve`` (bar ``--help``), and of ``repro``
+    with every subcommand (``--no-*`` forms included)."""
+    parser, commands = _parsers()
+    every = _long_options(parser).union(*map(_long_options, commands.values()))
+    serve = _long_options(commands["serve"]) - {"--help"}
     return sorted(serve), every
+
+
+def serve_examples(text: str) -> list[list[str]]:
+    """The ``repro serve`` commands in a doc's ``sh`` blocks, each as
+    the argument list after ``serve``."""
+    commands = []
+    for block in SH_BLOCK.findall(text):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:3] == ["python", "-m", "repro"]:
+                words = words[3:]
+            elif words[:1] == ["repro"]:
+                words = words[1:]
+            if words[:1] == ["serve"]:
+                commands.append(words[1:])
+    return commands
+
+
+def serve_example_error(
+    serve: argparse.ArgumentParser, argv: list[str]
+) -> str | None:
+    """Why ``repro serve`` (the ``serve`` subparser) would reject these
+    arguments, or ``None``: the parser and the flag checks run, nothing
+    is served."""
+    from repro.errors import ReproError
+    from repro.harness.cli import _serve_frontend
+
+    usage = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(usage):
+            args = serve.parse_args(argv)
+        _serve_frontend(args, serve)
+    except SystemExit:
+        return usage.getvalue().strip().splitlines()[-1]
+    except ReproError as exc:
+        return str(exc)
+    return None
 
 
 def mapping_passes() -> list[str]:
@@ -173,6 +225,18 @@ def main() -> int:
             f"docs/CLI.md mentions {flag}, which no `repro` command accepts"
         )
 
+    n_examples = 0
+    serve = _parsers()[1]["serve"]
+    for doc in EXAMPLE_DOCS:
+        for argv in serve_examples(doc.read_text()):
+            n_examples += 1
+            error = serve_example_error(serve, argv)
+            if error is not None:
+                failures.append(
+                    f"{doc.relative_to(REPO)} example `repro serve "
+                    f"{shlex.join(argv)}` is rejected: {error}"
+                )
+
     paths: set[str] = set()
     names: set[str] = set()
     for doc in REFERENCE_DOCS:
@@ -204,6 +268,7 @@ def main() -> int:
         f"docs-check ok: {n_modules} serving/workload modules documented, "
         f"{len(flags)} serve flags referenced, "
         f"{len(doc_flags)} CLI.md flags all accepted, "
+        f"{n_examples} serve examples pass the flag checks, "
         f"{len(passes)} mapping passes documented, "
         f"{len(paths)} source paths and {len(names)} repro names resolve, "
         f"{len(REQUIRED_LINKS)} docs cross-linked"
