@@ -15,17 +15,19 @@ for the RNN-serving designs:
   holds a P99 SLO on a diurnal serving workload.
 * :mod:`repro.dse.runner` — the shared execution engine both searches
   route through: ordered worker-pool fan-out (bit-identical to the
-  sequential loops at any worker count), exact SLO pruning for the
-  capacity planner, and an in-process evaluation memo for the chip
-  tuner.  No search result is persisted: every answer follows the
-  current mapper and cost models.
+  sequential loops at any worker count) and exact SLO pruning for the
+  capacity planner.  The chip tuner memoizes in-process in the serving
+  engine's :class:`~repro.serving.engine.EvalMemo`.  No search result
+  is persisted: every answer follows the current mapper and cost
+  models.
 """
 
 from repro.dse.space import ParameterSpace
-from repro.dse.runner import DSEStats, EvalMemo, PruningSummary, prune_threshold
+from repro.dse.runner import DSEStats, PruningSummary, prune_threshold
 from repro.dse.search import DSEResult, SearchPoint, search
 from repro.dse.tuner import paper_params, tune
 from repro.dse.capacity import CapacityPlan, CapacityPoint, FleetSpace, plan_capacity
+from repro.serving.engine import EvalMemo
 
 __all__ = [
     "ParameterSpace",

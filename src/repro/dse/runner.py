@@ -1,11 +1,11 @@
-"""Shared DSE execution engine: pools, pruning, and memoization.
+"""Shared DSE execution engine: pools and pruning.
 
 Both search loops — the chip-level Table 7 tuner
 (:mod:`repro.dse.search`) and the fleet-level capacity planner
 (:mod:`repro.dse.capacity`) — are embarrassingly parallel sweeps of a
 pure per-candidate evaluation.  This module is the machinery they
 share, so every future DSE axis (sparsity platforms, new compiler
-passes, bigger fleet spaces) gets all three speedups for free:
+passes, bigger fleet spaces) gets both speedups for free:
 
 * :func:`run_jobs` — ordered fan-out onto a fork-preferred
   ``multiprocessing`` pool (:func:`~repro.serving.parallel.pool_map`,
@@ -19,10 +19,6 @@ passes, bigger fleet spaces) gets all three speedups for free:
   conclude ``meets_slo=False`` (see :func:`prune_threshold` for the
   exactness argument).  Feasible candidates are never aborted, so the
   planner's ``best`` and feasible frontier are unchanged by pruning.
-* :class:`EvalMemo` — a keyed LRU for the chip DSE's
-  map-and-simulate results, so length variants of one task family and
-  repeated tuner calls (the capacity planner re-tunes per Plasticine
-  candidate) map each point once per process.
 
 Nothing is persisted across processes: every search answers from the
 current mapper and cost models.
@@ -31,7 +27,6 @@ current mapper and cost models.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,7 +36,6 @@ from repro.serving.stats import _HIST_RATIO, StreamSummary
 
 __all__ = [
     "DSEStats",
-    "EvalMemo",
     "PruneAbort",
     "PruningSummary",
     "prune_threshold",
@@ -59,7 +53,8 @@ class DSEStats:
     candidates: int = 0
     #: Points actually mapped-and-simulated (or stream-replayed) fresh.
     evaluated: int = 0
-    #: Points answered by the in-process :class:`EvalMemo`.
+    #: Points answered by the in-process
+    #: :class:`~repro.serving.engine.EvalMemo`.
     memo_hits: int = 0
     #: Task programs built (hoisted per ``LoopParams``, so typically
     #: one per parameter point rather than one per grid point).
@@ -185,48 +180,3 @@ class PruningSummary(StreamSummary):
             self.clear_misses += 1
             if self.clear_misses > self.threshold:
                 raise PruneAbort(self)
-
-
-# -- memoization (chip tuner) -----------------------------------------------
-
-
-class EvalMemo:
-    """A small keyed LRU for pure evaluation results.
-
-    Keys must be hashable (the chip DSE uses ``(task family, params,
-    bits, chip, pass_config)`` — all frozen dataclasses); values are
-    whatever compact record the caller can rebuild a result from.
-    Hit/miss counters feed :class:`DSEStats`.
-    """
-
-    def __init__(self, maxsize: int = 4096) -> None:
-        if maxsize < 1:
-            raise DSEError("memo maxsize must be >= 1")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._data: "OrderedDict[object, object]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def get(self, key: object):
-        """The cached record, or None — counts a hit/miss either way."""
-        record = self._data.get(key)
-        if record is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return record
-
-    def put(self, key: object, record: object) -> None:
-        self._data[key] = record
-        self._data.move_to_end(key)
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.hits = 0
-        self.misses = 0

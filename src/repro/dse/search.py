@@ -9,7 +9,7 @@ that path is memoized, hoisted, and parallel:
   across the pass-config axis (pass configs only affect mapping, not
   the program);
 * every mapped-and-simulated point lands in a per-process LRU
-  (:class:`~repro.dse.runner.EvalMemo`) keyed by ``(task family,
+  (:class:`~repro.serving.engine.EvalMemo`) keyed by ``(task family,
   params, bits, chip, pass_config)`` — the result scales exactly with
   ``timesteps`` (``total = T * cycles_per_step``), so length variants
   of one family share entries;
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import DSEError
-from repro.dse.runner import DSEStats, EvalMemo, run_jobs
+from repro.dse.runner import DSEStats, run_jobs
 from repro.dse.space import ParameterSpace
 from repro.mapping.mapper import MappedDesign, map_rnn_program
 from repro.mapping.passes import PassConfig
@@ -34,6 +34,7 @@ from repro.plasticine.chip import PlasticineConfig
 from repro.plasticine.simulator import simulate_pipeline
 from repro.rnn.gru_loop import declare_gru_program
 from repro.rnn.lstm_loop import LoopParams, declare_lstm_program
+from repro.serving.engine import EvalMemo
 from repro.workloads.deepbench import RNNTask
 
 __all__ = ["SearchPoint", "DSEResult", "search", "build_task_program"]
@@ -213,7 +214,7 @@ def evaluate(
     for a single configuration.
 
     ``memoize`` consults the per-process
-    :class:`~repro.dse.runner.EvalMemo` first — a hit reconstructs the
+    :class:`~repro.serving.engine.EvalMemo` first — a hit reconstructs the
     point bit-identically (per-step cycles and resources are
     length-independent; the total is ``timesteps * cycles_per_step``,
     the simulator's own identity).

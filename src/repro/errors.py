@@ -25,10 +25,6 @@ class DSLError(ReproError):
     """Misuse of the Spatial-like DSL (bad shapes, out-of-context ops)."""
 
 
-class DSLTypeError(DSLError):
-    """A DSL expression was built from incompatible operand types."""
-
-
 class DSLBoundsError(DSLError):
     """A DSL memory access is provably out of bounds."""
 
@@ -43,10 +39,6 @@ class MappingError(ReproError):
 
 class ResourceError(MappingError):
     """The mapped design does not fit on the configured chip."""
-
-
-class PlacementError(MappingError):
-    """No legal placement exists for a pipeline graph."""
 
 
 class SimulationError(ReproError):

@@ -167,7 +167,9 @@ def _serve_frontend(
     error); with none, any given flag that the one-shot table does not
     read but the simulated stream does picks the stream.  A given flag
     the chosen frontend does not read is an error naming every such
-    flag.
+    flag.  So are ``--max-batch`` under ``--batcher none``,
+    ``--affinity-by`` without ``--policy affinity``, and a given
+    positional task under ``--listen`` alone.
     """
     from repro.errors import ServingError
 
@@ -205,11 +207,33 @@ def _serve_frontend(
             f"{_FRONTENDS[frontend]} does not read {named}: "
             + "; ".join(hint for _, hint in unread)
         )
-    if frontend == "listen" and not args.platform:
+    # Flags read only under another flag's value.
+    if "max_batch" in given and args.batcher == "none":
         raise ServingError(
-            "--listen without --clients serves forever and needs one "
-            "platform; pass --platform NAME"
+            "--batcher none serves batch-1 and does not read --max-batch; "
+            "add --batcher NAME"
         )
+    if "affinity_by" in given and args.policy != "affinity":
+        raise ServingError(
+            f"--policy {args.policy} does not read --affinity-by; "
+            "add --policy affinity"
+        )
+    if frontend == "listen":
+        positional = [
+            str(getattr(args, d)) for d in ("kind", "hidden", "timesteps")
+            if getattr(args, d) != parser.get_default(d)
+        ]
+        if positional:
+            raise ServingError(
+                f"--listen without --clients does not read the positional "
+                f"task ({' '.join(positional)}): a real-time server serves "
+                f"what its clients send; drop it"
+            )
+        if not args.platform:
+            raise ServingError(
+                "--listen without --clients serves forever and needs one "
+                "platform; pass --platform NAME"
+            )
     return frontend
 
 

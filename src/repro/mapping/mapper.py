@@ -159,10 +159,6 @@ class _Placer:
         """Return previously taken PCUs to the free pool (pass rewrites)."""
         self.free_pcus.extend(c for c in coords if c != self.edge_coord)
 
-    def release_pmus(self, coords: list[Coord]) -> None:
-        """Return previously taken PMUs to the free pool (pass rewrites)."""
-        self.free_pmus.extend(c for c in coords if c != self.edge_coord)
-
 
 def _overflow_note(placer: _Placer) -> str | None:
     """The resource-report note flagging placement overflow, if any."""

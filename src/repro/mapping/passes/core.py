@@ -368,10 +368,6 @@ class PassManager:
         )
         return cls(names, verify=verify, trace_hook=trace_hook)
 
-    @property
-    def pass_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.passes)
-
     def run(self, state: MappingState) -> MappingState:
         from repro.mapping.passes.verify import verify_state
 

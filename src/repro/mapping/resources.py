@@ -52,14 +52,6 @@ class ResourceReport:
         return self.fits_compute and self.fits_bandwidth and self.fits_capacity
 
     @property
-    def pcu_utilization(self) -> float:
-        return self.pcus_used / self.pcus_available
-
-    @property
-    def pmu_utilization(self) -> float:
-        return self.pmus_used / self.pmus_available
-
-    @property
     def capacity_utilization(self) -> float:
         return self.bytes_used / self.onchip_bytes
 

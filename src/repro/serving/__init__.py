@@ -3,8 +3,9 @@
 This package is the serving surface of the reproduction, structured the
 way real accelerator deployments are:
 
-* :mod:`repro.serving.platform` — the :class:`Platform` protocol
-  (``prepare`` once, ``serve`` many) and the decorator registry that
+* :mod:`repro.serving.platform` — the two-method :class:`Platform`
+  protocol (``prepare`` once, ``latency_s`` per request; one base
+  ``serve`` builds every result row) and the decorator registry that
   makes platforms pluggable by name.
 * :mod:`repro.serving.platforms` — the four built-in platforms:
   Plasticine (mapper + cycle simulator) and the CPU / GPU / Brainwave

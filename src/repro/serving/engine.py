@@ -5,9 +5,12 @@ batch-1 requests under a stringent latency window.  The engine models
 one accelerator running that loop:
 
 * a keyed cache of :class:`~repro.serving.platform.PreparedModel` per
-  task — the platform's compile phase (for Plasticine: parameter
-  selection, mapping, cycle simulation) runs once and every later
-  request for the same task reuses it;
+  task family — the platform's compile phase (for Plasticine:
+  parameter selection, mapping, cycle simulation) runs once and every
+  later request for any length of the family reuses it;
+* one memoized cost lookup per shape (:class:`EvalMemo`), behind
+  :meth:`~ServingEngine.result_for`, :meth:`~ServingEngine.serve_batched`
+  and :meth:`~ServingEngine.batch_latency_s`;
 * ``serve`` / ``serve_batch`` for one-off and grouped requests;
 * ``serve_stream`` — a heap-based discrete-event simulation of a
   single-server queue over timestamped arrivals (see
@@ -29,12 +32,13 @@ Example::
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
-from repro.errors import ServingError
+from repro.errors import ConfigError, ServingError
 from repro.serving.autoscaler import ScaleEvent
 from repro.serving.batching import Batcher, make_batcher
 from repro.serving.events import run_stream
@@ -55,16 +59,66 @@ __all__ = [
     "StreamReport",
     "StreamSummary",
     "CacheStats",
+    "EvalMemo",
     "ServingEngine",
     "poisson_arrivals",
     "uniform_arrivals",
 ]
 
-#: Default bound on the per-shape result memo (see
-#: :meth:`ServingEngine.result_for`); far above any realistic number of
-#: distinct (task, batch) shapes, it only exists so an adversarial
-#: stream of unique shapes cannot grow the memo without bound.
-DEFAULT_MEMO_CAPACITY = 4096
+class EvalMemo:
+    """A small keyed LRU for pure evaluation results.
+
+    The engine memoizes serving results per shape in one, and the chip
+    DSE its map-and-simulate records (keyed by ``(task family, params,
+    bits, chip, pass_config)`` — all frozen dataclasses).  Keys must be
+    hashable; a stored value is never ``None``.  The default bound is
+    far above any realistic number of distinct shapes; it only keeps an
+    adversarial stream of unique keys from growing the memo without
+    bound.
+
+    Example::
+
+        >>> from repro.serving.engine import EvalMemo
+        >>> memo = EvalMemo(maxsize=2)
+        >>> memo.put("a", 1); memo.put("b", 2)
+        >>> memo.get("a")              # refreshes "a"
+        1
+        >>> memo.put("c", 3)           # evicts "b", least recently used
+        >>> memo.get("b"), len(memo), (memo.hits, memo.misses)
+        (None, 2, (1, 1))
+    """
+
+    def __init__(self, maxsize: int = 4096) -> None:
+        if maxsize < 1:
+            raise ConfigError("memo maxsize must be >= 1")
+        self.maxsize = maxsize
+        self.hits = 0
+        self.misses = 0
+        self._data: "OrderedDict[object, object]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def get(self, key: object):
+        """The cached record, or None — counts a hit/miss either way."""
+        record = self._data.get(key)
+        if record is None:
+            self.misses += 1
+            return None
+        self._data.move_to_end(key)
+        self.hits += 1
+        return record
+
+    def put(self, key: object, record: object) -> None:
+        self._data[key] = record
+        self._data.move_to_end(key)
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+
+    def clear(self) -> None:
+        self._data.clear()
+        self.hits = 0
+        self.misses = 0
 
 
 @dataclass
@@ -335,15 +389,14 @@ class ServingEngine:
             shared dict so replicas compile each task only once.
         memoize: Memoize per-shape serving results (default on).  The
             four built-in platforms are deterministic, so the cost model
-            needs consulting only once per distinct ``(compile_key,
-            timesteps, batch_size)`` shape; every later request of that
-            shape reuses the identical (frozen) result.  Turn off to
-            force a cost-model walk per request (benchmarking the
-            unmemoized loop).
-        memo: Optional externally-owned result memo, shared the same way
-            ``cache`` is (a fleet passes one dict across replicas).
-        memo_capacity: Bound on the memo; least-recently-used shapes are
-            evicted beyond it.
+            needs consulting only once per distinct ``(task,
+            batch_size)`` shape; every later request of that shape
+            reuses the identical (frozen) result.  Turn off to force a
+            cost-model walk per request (benchmarking the unmemoized
+            loop).
+        memo: Optional externally-owned result memo (an
+            :class:`EvalMemo`, whose ``maxsize`` bounds it), shared the
+            same way ``cache`` is (a fleet passes one across replicas).
         **platform_options: Forwarded to the platform constructor when
             ``platform`` is a key.
 
@@ -364,36 +417,16 @@ class ServingEngine:
         *,
         cache: dict[RNNTask, PreparedModel] | None = None,
         memoize: bool = True,
-        memo: dict | None = None,
-        memo_capacity: int = DEFAULT_MEMO_CAPACITY,
+        memo: EvalMemo | None = None,
         **platform_options: object,
     ) -> None:
         self.platform = PLATFORMS.make(platform, **platform_options)
-        if memo_capacity < 1:
-            raise ServingError("memo_capacity must be >= 1")
         self._cache: dict[RNNTask, PreparedModel] = cache if cache is not None else {}
         self.memoize = bool(memoize)
         #: Result memo: task -> batch-1 ServingResult, (task, B) -> the
-        #: batched result.  Insertion order doubles as the LRU order.
-        self._memo: dict = memo if memo is not None else {}
-        self._memo_capacity = memo_capacity
+        #: batch-B result.
+        self._memo = memo if memo is not None else EvalMemo()
         self.cache_stats = CacheStats()
-
-    def _memo_get(self, key):
-        """LRU lookup: a hit is refreshed to most-recently-used."""
-        memo = self._memo
-        result = memo.get(key)
-        if result is not None and next(reversed(memo)) is not key:
-            # Refresh recency (dicts iterate in insertion order).
-            del memo[key]
-            memo[key] = result
-        return result
-
-    def _memo_put(self, key, result) -> None:
-        memo = self._memo
-        if len(memo) >= self._memo_capacity:
-            memo.pop(next(iter(memo)))
-        memo[key] = result
 
     @property
     def platform_name(self) -> str:
@@ -402,18 +435,15 @@ class ServingEngine:
     def prepare(self, task: RNNTask) -> PreparedModel:
         """Fetch (or compile and cache) the prepared model for a task.
 
-        The cache is keyed by the platform's :meth:`Platform.compile_key
-        <repro.serving.platform.Platform.compile_key>`: on
-        length-flexible platforms (all four built-ins) every
-        sequence-length variant of a task family shares one compiled
-        model, so a variable-length stream compiles each family once.
-        The returned model may therefore have been prepared for a
-        different length of the same family — serve through
-        :meth:`result_for` (or :meth:`Platform.serve_request
-        <repro.serving.platform.Platform.serve_request>`), which
-        re-costs it for the actual task.
+        Every sequence-length variant of a task family shares one
+        compiled model (the cache key is the family at ``T = 1``), so a
+        variable-length stream compiles each family once.  The returned
+        model may therefore have been prepared for a different length of
+        the same family — serve through :meth:`result_for` (or
+        :meth:`Platform.serve <repro.serving.platform.Platform.serve>`),
+        which costs the actual task.
         """
-        key = self.platform.compile_key(task)
+        key = task.with_timesteps(1)
         prepared = self._cache.get(key)
         if prepared is not None:
             self.cache_stats.hits += 1
@@ -448,15 +478,22 @@ class ServingEngine:
             >>> engine.result_for(t.with_timesteps(5)) is short  # memoized
             True
         """
-        if self.memoize:
-            result = self._memo_get(task)
-            if result is not None:
-                self.cache_stats.hits += 1
-                return result
-            result = self.platform.serve_request(self.prepare(task), task)
-            self._memo_put(task, result)
-            return result
-        return self.platform.serve_request(self.prepare(task), task)
+        return self._result(task, 1)
+
+    def _result(self, task: RNNTask, batch_size: int) -> ServingResult:
+        """The one cost lookup behind :meth:`result_for`,
+        :meth:`serve_batched` and :meth:`batch_latency_s`, memoized
+        under ``task`` at batch 1 and ``(task, batch_size)`` otherwise."""
+        if not self.memoize:
+            return self.platform.serve(self.prepare(task), task, batch_size)
+        key = task if batch_size == 1 else (task, batch_size)
+        result = self._memo.get(key)
+        if result is None:
+            result = self.platform.serve(self.prepare(task), task, batch_size)
+            self._memo.put(key, result)
+        else:
+            self.cache_stats.hits += 1
+        return result
 
     def clear_cache(self) -> None:
         self._cache.clear()
@@ -511,32 +548,12 @@ class ServingEngine:
             >>> (res.batch_size, res.latency_s < 8 * t1)
             (8, True)
         """
-        if self.memoize:
-            key = (task, batch_size)
-            result = self._memo_get(key)
-            if result is not None:
-                self.cache_stats.hits += 1
-                return result
-            result = self.platform.serve_batched(
-                self.prepare(task), batch_size, task=task
-            )
-            self._memo_put(key, result)
-            return result
-        return self.platform.serve_batched(self.prepare(task), batch_size, task=task)
+        return self._result(task, batch_size)
 
     def batch_latency_s(self, task: RNNTask, batch_size: int) -> float:
-        """Latency of a batched execution, from the cached prepared model.
-
-        Memoized through the same per-shape result memo as
-        :meth:`serve_batched` (``batch_latency_s(prepared, B)`` and
-        ``serve_batched(..., B).latency_s`` are the same number by the
-        platform contract).
-        """
-        if self.memoize:
-            return self.serve_batched(task, batch_size).latency_s
-        return self.platform.batch_latency_s(
-            self.prepare(task), batch_size, task=task
-        )
+        """Latency of a batched execution: :meth:`serve_batched`'s
+        memoized result's ``latency_s``."""
+        return self._result(task, batch_size).latency_s
 
     def serve_stream(
         self,

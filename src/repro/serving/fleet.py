@@ -52,7 +52,13 @@ from typing import Callable, Iterable, Sequence
 from repro.errors import ServingError
 from repro.serving.autoscaler import Autoscaler
 from repro.serving.batching import Batcher, make_batcher
-from repro.serving.engine import ServeRequest, ServingEngine, StreamReport, _serve_stream
+from repro.serving.engine import (
+    EvalMemo,
+    ServeRequest,
+    ServingEngine,
+    StreamReport,
+    _serve_stream,
+)
 from repro.serving.events import StreamDispatcher
 from repro.serving.faults import FaultPolicy
 from repro.serving.platform import Platform, PreparedModel
@@ -412,7 +418,7 @@ class Fleet:
         # mid-stream — while prepared models never cross platforms
         # (Platform._check_prepared forbids the handoff).
         self._caches: dict[object, dict[RNNTask, PreparedModel]] = {}
-        self._memos: dict[object, dict] = {}
+        self._memos: dict[object, EvalMemo] = {}
         self.engines = tuple(self._new_engine(i) for i in range(replicas))
 
     def _spec_for(self, index: int) -> "str | Platform":
@@ -430,7 +436,7 @@ class Fleet:
         return ServingEngine(
             spec,
             cache=self._caches.setdefault(key, {}),
-            memo=self._memos.setdefault(key, {}),
+            memo=self._memos.setdefault(key, EvalMemo()),
             **self._platform_options,
         )
 

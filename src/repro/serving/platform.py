@@ -1,39 +1,61 @@
 """Platform protocol and the decorator-based platform registry.
 
 A serving platform splits its work into the two phases every real
-deployment has (Brainwave and Spartus both structure serving this way):
+deployment has (Brainwave and Spartus both structure serving this way),
+and implements exactly one method per phase:
 
 * :meth:`Platform.prepare` — the one-time compile/initialize phase.  For
   Plasticine this is the expensive part: pick loop parameters, build the
   loop-based program, map it onto the chip, and cycle-simulate one
-  request.  For the analytical baselines it precomputes the per-step
-  model evaluation.  The output is a :class:`PreparedModel`.
-* :meth:`Platform.serve` — the steady-state per-request phase: turn a
-  prepared model into a :class:`~repro.serving.result.ServingResult`
-  without redoing any compile work.
+  request.  The output is a :class:`PreparedModel`, which also carries
+  the static fields of every result row (power, cycles per step, notes).
+* :meth:`Platform.latency_s` — the steady-state cost: the batch-1
+  latency of any sequence-length variant of the prepared task family.
 
-Platforms self-register under a string key::
-
-    @register_platform("myaccel")
-    class MyAccelPlatform(Platform):
-        ...
-
-    engine = ServingEngine("myaccel")
-
-so new accelerator models plug into the engine, the CLI, and the fleet
+Everything else comes from the base class: :meth:`Platform.serve`
+builds every :class:`~repro.serving.result.ServingResult` row, and
+:meth:`Platform.batch_latency_s` prices a batch with the paper's
+pipeline model.  Platforms self-register under a string key, so a new
+accelerator model plugs into the engine, the CLI, and the fleet
 scheduler without touching any of them.
+
+Example — a complete plugin, served through the engine::
+
+    >>> from repro.serving import (
+    ...     Platform, PreparedModel, ServingEngine, register_platform)
+    >>> from repro.serving.platform import unregister_platform
+    >>> from repro.workloads.deepbench import task
+    >>> @register_platform("myaccel")
+    ... class MyAccelPlatform(Platform):
+    ...     def prepare(self, task):
+    ...         return PreparedModel(self.name, task, state=2e-6, power_w=40.0)
+    ...     def latency_s(self, prepared, task):
+    ...         return 1e-4 + task.total_steps * prepared.state
+    >>> engine = ServingEngine("myaccel")
+    >>> t = task("lstm", 512, 25)
+    >>> result = engine.serve(t).result
+    >>> round(result.latency_ms, 6), result.power_w
+    (0.15, 40.0)
+    >>> longer = engine.serve(t.with_timesteps(100)).result  # no recompile
+    >>> round(longer.latency_ms, 6), engine.cache_stats.misses
+    (0.3, 1)
+    >>> unregister_platform("myaccel")
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ServingError
 from repro.registry import Registry
 from repro.serving.result import ServingResult
 from repro.workloads.deepbench import RNNTask
+
+if TYPE_CHECKING:  # only for annotations; avoids eager heavy imports
+    from repro.mapping.mapper import MappedDesign
+    from repro.plasticine.simulator import SimulationResult
 
 __all__ = [
     "PreparedModel",
@@ -48,13 +70,18 @@ __all__ = [
 class PreparedModel:
     """The output of a platform's one-time compile/initialize phase.
 
+    One prepared model serves every sequence-length variant of its
+    task's family: compiled state depends only on the cell shape.
+
     Attributes:
         platform: Registry key of the platform that prepared it.
         task: The task it was compiled for.
-        state: Opaque platform-specific compiled state (mapped design,
-            simulation, precomputed model outputs, ...).  Only the
-            owning platform interprets it.
+        state: Opaque platform-specific compiled state.  Only the
+            owning platform's :meth:`Platform.latency_s` reads it.
         notes: Human-readable remarks from the compile phase.
+        power_w, cycles_per_step, design, simulation: Copied as they
+            are into every :class:`~repro.serving.result.ServingResult`
+            served from this model (``None`` where not modelled).
 
     Example::
 
@@ -69,20 +96,24 @@ class PreparedModel:
     task: RNNTask
     state: Any = field(repr=False, compare=False)
     notes: tuple[str, ...] = ()
+    power_w: float | None = None
+    cycles_per_step: int | None = None
+    design: "MappedDesign | None" = field(default=None, repr=False, compare=False)
+    simulation: "SimulationResult | None" = field(default=None, repr=False, compare=False)
 
 
 class Platform(ABC):
     """A registered serving platform: compile once, serve many.
 
     Subclasses implement :meth:`prepare` (one-time compile) and
-    :meth:`serve` (steady-state batch-1 request).  The batched cost
-    model — :meth:`batch_latency_s` / :meth:`serve_batched` — comes for
-    free from the paper's pipeline decomposition: a batch-B execution of
-    one task costs the one-time setup (pipeline fill, instruction issue,
-    kernel launch) once, plus B times the steady-state per-item work.
-    Platforms tune it with :attr:`batch_setup_fraction` or override the
-    methods outright (Plasticine derives the split exactly from its
-    cycle simulation).
+    :meth:`latency_s` (batch-1 latency of any length variant of the
+    prepared family).  The batched cost model comes for free from the
+    paper's pipeline decomposition: a batch-B execution of one task
+    costs the one-time setup (pipeline fill, instruction issue, kernel
+    launch) once, plus B times the steady-state per-item work.
+    Platforms tune it with :attr:`batch_setup_fraction` or override
+    :meth:`batch_latency_s` outright (Plasticine derives the split
+    exactly from its cycle simulation).
 
     Example::
 
@@ -108,94 +139,14 @@ class Platform(ABC):
     #: :meth:`batch_latency_s` itself.
     batch_setup_fraction: float = 0.0
 
-    #: True when one prepared model serves *any sequence length* of its
-    #: task family: the compiled state depends only on the cell shape,
-    #: and cost is affine in the step count (all four built-ins are).
-    #: Such platforms implement :meth:`request_latency_s`, and the
-    #: engine's compile cache collapses length variants onto one
-    #: :meth:`compile_key`.
-    length_flexible: bool = False
-
     @abstractmethod
     def prepare(self, task: RNNTask) -> PreparedModel:
-        """One-time compile/initialize phase for ``task``."""
+        """One-time compile/initialize phase for ``task``'s family."""
 
     @abstractmethod
-    def serve(self, prepared: PreparedModel) -> ServingResult:
-        """Steady-state phase: serve one request from a prepared model."""
-
-    def compile_key(self, task: RNNTask) -> RNNTask:
-        """The cache key under which ``task``'s compiled state is shared.
-
-        Length-flexible platforms collapse every sequence-length variant
-        of a family onto one key, so a stream whose requests carry
-        per-request ``timesteps`` overrides compiles each family once
-        instead of once per distinct length.  Platforms whose compiled
-        state genuinely depends on ``T`` keep the default exact key.
-        """
-        if self.length_flexible:
-            return task.with_timesteps(1)
-        return task
-
-    def request_latency_s(self, prepared: PreparedModel, task: RNNTask) -> float:
-        """Batch-1 latency of ``task`` served from ``prepared``, where
-        ``task`` may be a sequence-length variant of the prepared task's
-        family.  Length-flexible platforms must override this; for
-        ``task == prepared.task`` it must reproduce
-        ``serve(prepared).latency_s`` exactly.
-        """
-        raise ServingError(
-            f"platform {self.name!r} cannot re-cost a prepared model for "
-            f"{task.name}; it was compiled for {prepared.task.name} and the "
-            f"platform is not length-flexible"
-        )
-
-    def _latency_for(self, prepared: PreparedModel, task: RNNTask) -> float:
-        """Batch-1 latency of ``task``: the exact serve number when the
-        model was prepared for it, the re-costed one otherwise."""
-        if task == prepared.task:
-            return self.serve(prepared).latency_s
-        return self.request_latency_s(prepared, task)
-
-    def serve_request(
-        self, prepared: PreparedModel, task: RNNTask | None = None
-    ) -> ServingResult:
-        """Serve one request for ``task`` from a prepared model.
-
-        ``task`` defaults to the prepared task (plain :meth:`serve`).
-        When it is a length variant of the prepared family, the result
-        is re-costed for the request's *actual* step count via
-        :meth:`request_latency_s` — padding never enters batch-1
-        serving.
-
-        Example::
-
-            >>> from repro.serving import get_platform
-            >>> from repro.workloads.deepbench import task
-            >>> gpu = get_platform("gpu")
-            >>> t = task("lstm", 512, 25)
-            >>> prepared = gpu.prepare(t)
-            >>> short = gpu.serve_request(prepared, t.with_timesteps(5))
-            >>> long = gpu.serve_request(prepared, t.with_timesteps(500))
-            >>> short.latency_s < long.latency_s
-            True
-        """
-        self._check_prepared(prepared)
-        if task is None or task == prepared.task:
-            return self.serve(prepared)
-        if task.family_key != prepared.task.family_key:
-            raise ServingError(
-                f"prepared model for {prepared.task.name} cannot serve "
-                f"{task.name}: different task families"
-            )
-        latency_s = self.request_latency_s(prepared, task)
-        base = self.serve(prepared)
-        return replace(
-            base,
-            task=task,
-            latency_s=latency_s,
-            effective_tflops=task.effective_tflops(latency_s),
-        )
+    def latency_s(self, prepared: PreparedModel, task: RNNTask) -> float:
+        """Batch-1 latency of ``task``, any length variant of the
+        prepared task's family, served from ``prepared``."""
 
     def batch_latency_s(
         self,
@@ -216,38 +167,61 @@ class Platform(ABC):
         """
         self._check_prepared(prepared)
         _check_batch_size(batch_size)
-        t1 = self._latency_for(prepared, task if task is not None else prepared.task)
+        t1 = self.latency_s(prepared, task if task is not None else prepared.task)
+        if batch_size == 1:
+            return t1  # setup + (t1 - setup) can round one ulp off t1
         setup = t1 * self.batch_setup_fraction
         return setup + batch_size * (t1 - setup)
 
-    def serve_batched(
+    def serve(
         self,
         prepared: PreparedModel,
-        batch_size: int,
         task: RNNTask | None = None,
+        batch_size: int = 1,
     ) -> ServingResult:
-        """Serve a batch of same-shape requests as one execution.
+        """Serve ``batch_size`` same-shape requests as one execution.
 
-        Returns one :class:`~repro.serving.result.ServingResult` for the
-        whole batch: ``latency_s`` is the batch completion time from
-        :meth:`batch_latency_s`, ``effective_tflops`` counts all B
-        requests' (possibly padded) work, and ``batch_size`` records the
-        coalesced size.  ``task`` is the executed task — for a padded
-        batch, the family padded to the longest member.
-        ``batch_size=1`` returns the plain :meth:`serve_request` result,
-        bit for bit.
+        ``task`` defaults to the prepared task and may be any length
+        variant of its family: the result is costed for that task's
+        *actual* step count, so padding never enters batch-1 serving.
+        ``latency_s`` is :meth:`batch_latency_s` (at batch 1, exactly
+        :meth:`latency_s`); ``effective_tflops`` counts all
+        ``batch_size`` requests' work.
+
+        Example::
+
+            >>> from repro.serving import get_platform
+            >>> from repro.workloads.deepbench import task
+            >>> gpu = get_platform("gpu")
+            >>> t = task("lstm", 512, 25)
+            >>> prepared = gpu.prepare(t)
+            >>> short = gpu.serve(prepared, t.with_timesteps(5))
+            >>> long = gpu.serve(prepared, t.with_timesteps(500))
+            >>> short.latency_s < long.latency_s
+            True
+            >>> gpu.serve(prepared, batch_size=4).batch_size
+            4
         """
         self._check_prepared(prepared)
         _check_batch_size(batch_size)
-        exec_task = task if task is not None else prepared.task
-        base = self.serve_request(prepared, exec_task)
-        if batch_size == 1:
-            return base
-        latency_s = self.batch_latency_s(prepared, batch_size, task=exec_task)
-        return replace(
-            base,
+        if task is None:
+            task = prepared.task
+        elif task.family_key != prepared.task.family_key:
+            raise ServingError(
+                f"prepared model for {prepared.task.name} cannot serve "
+                f"{task.name}: different task families"
+            )
+        latency_s = self.batch_latency_s(prepared, batch_size, task)
+        return ServingResult(
+            platform=self.name,
+            task=task,
             latency_s=latency_s,
-            effective_tflops=exec_task.effective_tflops(latency_s) * batch_size,
+            effective_tflops=task.effective_tflops(latency_s) * batch_size,
+            power_w=prepared.power_w,
+            cycles_per_step=prepared.cycles_per_step,
+            design=prepared.design,
+            simulation=prepared.simulation,
+            notes=prepared.notes,
             batch_size=batch_size,
         )
 

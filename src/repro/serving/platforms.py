@@ -1,13 +1,12 @@
 """Built-in platforms: Plasticine plus the CPU/GPU/Brainwave baselines.
 
-Each class adapts one of the performance models to the prepare/serve
-split of :class:`~repro.serving.platform.Platform`: everything expensive
-happens exactly once per (platform, task) in ``prepare``.
+Each class adapts one of the performance models to the two-method
+contract of :class:`~repro.serving.platform.Platform`: everything
+expensive happens exactly once per (platform, task family) in
+``prepare``, and ``latency_s`` re-costs any sequence length from it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.baselines.brainwave import BrainwaveServingModel, BrainwaveStepTrace
 from repro.baselines.cpu import CPUServingModel
@@ -16,10 +15,10 @@ from repro.baselines.gpu import GPUServingModel
 # prepare path — the DSE layer sits *above* serving (its runner fans
 # serving simulations onto worker pools), so a module-level import here
 # would be circular.
-from repro.mapping.mapper import MappedDesign, map_rnn_program
+from repro.mapping.mapper import map_rnn_program
 from repro.plasticine.area_power import ActivityProfile, AreaPowerModel
 from repro.plasticine.chip import PlasticineConfig
-from repro.plasticine.simulator import SimulationResult, simulate_pipeline
+from repro.plasticine.simulator import simulate_pipeline
 from repro.rnn.lstm_loop import LoopParams
 from repro.serving.platform import (
     Platform,
@@ -27,7 +26,6 @@ from repro.serving.platform import (
     _check_batch_size,
     register_platform,
 )
-from repro.serving.result import ServingResult
 from repro.workloads.deepbench import RNNTask
 
 __all__ = [
@@ -38,24 +36,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _CompiledPlasticine:
-    """Plasticine compiled state: the mapped design and its simulation."""
-
-    chip: PlasticineConfig
-    params: LoopParams
-    design: MappedDesign = field(repr=False)
-    simulation: SimulationResult = field(repr=False)
-    power_w: float
-
-
 @register_platform("plasticine")
 class PlasticinePlatform(Platform):
     """Map the loop-based design and run the cycle-level simulator.
 
     ``prepare`` runs the whole compile pipeline — parameter selection
     (paper Table 7 or the DSE), program construction, mapping/placement,
-    and the cycle simulation — so ``serve`` only assembles the result row.
+    and the cycle simulation — so ``latency_s`` is one multiplication.
+    The mapped cell and its per-step schedule depend only on the cell
+    shape, never on the sequence length, so one compile serves every
+    length variant.
 
     The batched cost model is exact rather than a tuned fraction: the
     cycle simulation splits a request into per-step steady-state cycles
@@ -74,11 +64,6 @@ class PlasticinePlatform(Platform):
         >>> plat.serve(prepared).latency_ms < 5.0           # paper's window
         True
     """
-
-    #: The mapped cell and its per-step schedule depend only on the cell
-    #: shape, never on the sequence length, and total cycles are affine
-    #: in the step count — one compile serves every length variant.
-    length_flexible = True
 
     def __init__(
         self,
@@ -137,50 +122,31 @@ class PlasticinePlatform(Platform):
                 f"{task.layers} layer(s){decoder} time-multiplex one "
                 f"mapped cell"
             )
-        state = _CompiledPlasticine(
-            chip=chip,
-            params=params,
+        return PreparedModel(
+            platform=self.name,
+            task=task,
+            state=chip,
+            notes=tuple(notes),
+            power_w=power_model.power_w(chip, activity),
+            cycles_per_step=sim.cycles_per_step + sim.step_overhead,
             design=design,
             simulation=sim,
-            power_w=power_model.power_w(chip, activity),
-        )
-        return PreparedModel(
-            platform=self.name, task=task, state=state, notes=tuple(notes)
         )
 
-    def serve(self, prepared: PreparedModel) -> ServingResult:
-        self._check_prepared(prepared)
-        state: _CompiledPlasticine = prepared.state
-        sim = state.simulation
-        # total_steps * per-step is sim.total_cycles exactly for the
-        # single-layer tasks the simulator ran (the simulated schedule is
-        # affine in steps with no constant), and extends it to stacked /
-        # seq2seq tasks: every cell-step pays the same simulated cost,
-        # with no per-layer re-setup.
-        cycles = prepared.task.total_steps * (sim.cycles_per_step + sim.step_overhead)
-        latency_s = cycles / (state.chip.clock_ghz * 1e9)
-        return ServingResult(
-            platform=self.name,
-            task=prepared.task,
-            latency_s=latency_s,
-            effective_tflops=prepared.task.effective_tflops(latency_s),
-            power_w=state.power_w,
-            cycles_per_step=sim.cycles_per_step + sim.step_overhead,
-            design=state.design,
-            simulation=sim,
-            notes=prepared.notes,
-        )
+    def latency_s(self, prepared: PreparedModel, task: RNNTask) -> float:
+        """``total_steps`` times the simulated per-step cycles.
 
-    def request_latency_s(self, prepared: PreparedModel, task: RNNTask) -> float:
-        """Affine re-cost for a length variant: the simulated per-step
-        schedule is length-invariant, so a request of any ``T`` costs
-        exactly ``total_steps`` times the simulated per-step cycles —
-        there is no per-launch constant to re-charge (the pipeline fill
-        is part of every step; the ``h_t`` feedback serializes steps)."""
-        state: _CompiledPlasticine = prepared.state
-        sim = state.simulation
-        cycles = task.total_steps * (sim.cycles_per_step + sim.step_overhead)
-        return cycles / (state.chip.clock_ghz * 1e9)
+        That product is ``sim.total_cycles`` exactly for the
+        single-layer tasks the simulator ran (the simulated schedule is
+        affine in steps with no constant), and extends it to any length
+        and to stacked / seq2seq tasks: every cell-step pays the same
+        simulated cost, and there is no per-launch constant to
+        re-charge (the pipeline fill is part of every step; the ``h_t``
+        feedback serializes steps).
+        """
+        chip: PlasticineConfig = prepared.state
+        cycles = task.total_steps * prepared.cycles_per_step
+        return cycles / (chip.clock_ghz * 1e9)
 
     def batch_latency_s(
         self,
@@ -200,33 +166,36 @@ class PlasticinePlatform(Platform):
         padded or multi-layer) task; its actual cell-step count scales
         the model, and the pipeline setup is part of the per-step
         schedule — never re-charged per layer.  ``batch_size=1``
-        reproduces ``serve().latency_s`` exactly.
+        reproduces :meth:`latency_s` exactly.
         """
         self._check_prepared(prepared)
         _check_batch_size(batch_size)
-        state: _CompiledPlasticine = prepared.state
-        sim = state.simulation
-        per_step = sim.cycles_per_step + sim.step_overhead
-        bottleneck = max(act.busy_cycles for act in sim.activities.values())
-        bottleneck = min(bottleneck, per_step)
+        chip: PlasticineConfig = prepared.state
+        per_step = prepared.cycles_per_step
+        activities = prepared.simulation.activities.values()
+        bottleneck = min(max(act.busy_cycles for act in activities), per_step)
         fill = per_step - bottleneck
         steps = (task if task is not None else prepared.task).total_steps
         cycles = steps * (fill + batch_size * bottleneck)
-        return cycles / (state.chip.clock_ghz * 1e9)
+        return cycles / (chip.clock_ghz * 1e9)
 
 
-@dataclass(frozen=True)
-class _AnalyticalState:
-    """Baseline compiled state: the model plus its precomputed latency."""
+class _AnalyticalPlatform(Platform):
+    """Shared contract of the analytical baselines: the compiled state is
+    the model itself, whose latency depends only on the cell shape and
+    is affine in the step count."""
 
-    model: object = field(repr=False)
-    latency_s: float
-    effective_tflops: float
-    cycles_per_step: int | None = None
+    model: BrainwaveServingModel | CPUServingModel | GPUServingModel
+
+    def prepare(self, task: RNNTask) -> PreparedModel:
+        return PreparedModel(platform=self.name, task=task, state=self.model)
+
+    def latency_s(self, prepared: PreparedModel, task: RNNTask) -> float:
+        return prepared.state.latency_seconds(task)
 
 
 @register_platform("brainwave")
-class BrainwavePlatform(Platform):
+class BrainwavePlatform(_AnalyticalPlatform):
     """The Brainwave instruction-level model (Section 3.2).
 
     Brainwave is the paper's throughput-oriented batched baseline: its
@@ -248,77 +217,26 @@ class BrainwavePlatform(Platform):
     """
 
     batch_setup_fraction = 0.70
-    #: The instruction schedule depends only on the cell shape; latency
-    #: is affine in the step count, so one prepared model covers every
-    #: sequence-length variant.
-    length_flexible = True
 
     def __init__(self, model: BrainwaveServingModel | None = None) -> None:
         self.model = model or BrainwaveServingModel()
 
-    def request_latency_s(self, prepared: PreparedModel, task: RNNTask) -> float:
-        state: _AnalyticalState = prepared.state
-        return state.model.latency_seconds(task)
-
     def prepare(self, task: RNNTask) -> PreparedModel:
         trace: BrainwaveStepTrace = self.model.step_trace(task)
-        state = _AnalyticalState(
-            model=self.model,
-            latency_s=self.model.latency_seconds(task),
-            effective_tflops=self.model.effective_tflops(task),
-            cycles_per_step=trace.step_cycles,
-        )
         notes = (
             f"{trace.mvm_instructions} MVM + {trace.mfu_instructions} MFU instrs/step",
         )
-        return PreparedModel(platform=self.name, task=task, state=state, notes=notes)
-
-    def serve(self, prepared: PreparedModel) -> ServingResult:
-        self._check_prepared(prepared)
-        state: _AnalyticalState = prepared.state
-        return ServingResult(
+        return PreparedModel(
             platform=self.name,
-            task=prepared.task,
-            latency_s=state.latency_s,
-            effective_tflops=state.effective_tflops,
-            cycles_per_step=state.cycles_per_step,
-            notes=prepared.notes,
-        )
-
-
-class _ProcessorPlatform(Platform):
-    """Shared prepare/serve for the CPU and GPU streaming models."""
-
-    model: CPUServingModel | GPUServingModel
-    #: Per-step streaming cost depends only on the cell shape; latency
-    #: is affine in the step count.
-    length_flexible = True
-
-    def request_latency_s(self, prepared: PreparedModel, task: RNNTask) -> float:
-        state: _AnalyticalState = prepared.state
-        return state.model.latency_seconds(task)
-
-    def prepare(self, task: RNNTask) -> PreparedModel:
-        state = _AnalyticalState(
-            model=self.model,
-            latency_s=self.model.latency_seconds(task),
-            effective_tflops=self.model.effective_tflops(task),
-        )
-        return PreparedModel(platform=self.name, task=task, state=state)
-
-    def serve(self, prepared: PreparedModel) -> ServingResult:
-        self._check_prepared(prepared)
-        state: _AnalyticalState = prepared.state
-        return ServingResult(
-            platform=self.name,
-            task=prepared.task,
-            latency_s=state.latency_s,
-            effective_tflops=state.effective_tflops,
+            task=task,
+            state=self.model,
+            notes=notes,
+            cycles_per_step=trace.step_cycles,
         )
 
 
 @register_platform("cpu")
-class CPUPlatform(_ProcessorPlatform):
+class CPUPlatform(_AnalyticalPlatform):
     """The Xeon Skylake / TensorFlow streaming model.
 
     Batch-1 RNN inference on a CPU is mostly serial compute, so batching
@@ -330,7 +248,7 @@ class CPUPlatform(_ProcessorPlatform):
         >>> from repro.serving import get_platform
         >>> from repro.workloads.deepbench import task
         >>> cpu = get_platform("cpu")
-        >>> cpu.serve_batched(cpu.prepare(task("lstm", 512, 25)), 4).batch_size
+        >>> cpu.serve(cpu.prepare(task("lstm", 512, 25)), batch_size=4).batch_size
         4
     """
 
@@ -341,7 +259,7 @@ class CPUPlatform(_ProcessorPlatform):
 
 
 @register_platform("gpu")
-class GPUPlatform(_ProcessorPlatform):
+class GPUPlatform(_AnalyticalPlatform):
     """The Tesla V100 / cuDNN streaming model.
 
     Batch-1 MVMs leave a V100 memory-bound on weight fetch (the paper's

@@ -25,10 +25,10 @@ class ServingResult:
     """Uniform serving outcome across platforms.
 
     ``batch_size`` is 1 for the classic batch-1 request; a batched
-    execution (see :meth:`Platform.serve_batched
-    <repro.serving.platform.Platform.serve_batched>`) produces one
-    result for the whole batch, with ``latency_s`` the batch completion
-    time and ``effective_tflops`` counting every request's work.
+    execution (see :meth:`Platform.serve
+    <repro.serving.platform.Platform.serve>`) produces one result for
+    the whole batch, with ``latency_s`` the batch completion time and
+    ``effective_tflops`` counting every request's work.
 
     Example::
 

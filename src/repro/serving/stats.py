@@ -592,17 +592,13 @@ class StreamSummary(_StreamFigures):
         slo_ms: float | None = None,
         scheduler: str = "fifo",
         batcher: str = "none",
-        band_base: float = 2.0,
         faults: str = "none",
         _classes: "dict[tuple, _ClassAcc] | None" = None,
     ) -> None:
-        if band_base <= 1.0:
-            raise ServingError("band_base must be > 1")
         self.platform = platform
         self.slo_ms = slo_ms
         self.scheduler = scheduler
         self.batcher = batcher
-        self.band_base = band_base
         self.faults = faults
         self.fault_stats = FaultStats()
         self.scale_events: "tuple[ScaleEvent, ...]" = ()
@@ -793,7 +789,7 @@ class StreamSummary(_StreamFigures):
 
     def _check_mergeable(self, other: "StreamSummary") -> None:
         for attr in (
-            "platform", "slo_ms", "scheduler", "batcher", "band_base", "faults",
+            "platform", "slo_ms", "scheduler", "batcher", "faults",
         ):
             mine, theirs = getattr(self, attr), getattr(other, attr)
             if mine != theirs:
@@ -811,7 +807,7 @@ class StreamSummary(_StreamFigures):
         operation is associative and never mutates its inputs, so shard
         results can be merged in any grouping (a seeded fuzz test pins
         this over random splits).  All inputs must share the stream
-        configuration (platform, scheduler, batcher, SLO, band base).
+        configuration (platform, scheduler, batcher, SLO, faults).
 
         Counters and sums (``n_requests``, SLO misses, batch sizes,
         padding FLOPs) add exactly.  Per-class reservoirs concatenate
@@ -844,7 +840,6 @@ class StreamSummary(_StreamFigures):
             slo_ms=self.slo_ms,
             scheduler=self.scheduler,
             batcher=self.batcher,
-            band_base=self.band_base,
             faults=self.faults,
         )
         parts = (self, *others)
@@ -1028,27 +1023,12 @@ class StreamSummary(_StreamFigures):
             slo_ms=self.slo_ms,
             scheduler=self.scheduler,
             batcher=self.batcher,
-            band_base=self.band_base,
             faults=self.faults,
             _classes={key: self._classes[key] for key in accs},
         )
 
     def _members(self, field: str) -> "list[tuple[tuple, object]]":
         return [(key, getattr(acc, field)) for key, acc in self._classes.items()]
-
-    def per_length_band(self, band_base: float = 2.0) -> "dict[str, StreamSummary]":
-        """Sub-summaries keyed by geometric sequence-length band.
-
-        The band base is fixed when the summary starts accumulating
-        (``band_base`` at construction); asking for a different base
-        afterwards raises — an online summary cannot re-bucket history.
-        """
-        if band_base != self.band_base:
-            raise ServingError(
-                f"summary accumulated length bands at base {self.band_base}; "
-                f"re-run the stream with band_base={band_base} to re-bucket"
-            )
-        return super().per_length_band(band_base)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -115,6 +115,9 @@ class TestCostModel:
         plat = get_platform(name)
         prepared = plat.prepare(T)
         assert plat.batch_latency_s(prepared, 1) == plat.serve(prepared).latency_s
+        for steps in range(1, 400, 7):  # every length variant, exactly
+            t = T.with_timesteps(steps)
+            assert plat.batch_latency_s(prepared, 1, t) == plat.latency_s(prepared, t)
 
     @pytest.mark.parametrize("name", sorted(available_platforms()))
     def test_batch_latency_monotone_and_subadditive(self, name):
@@ -155,7 +158,7 @@ class TestCostModel:
             with pytest.raises(ServingError, match="batch_size"):
                 plat.batch_latency_s(prepared, bad)
             with pytest.raises(ServingError, match="batch_size"):
-                plat.serve_batched(prepared, bad)
+                plat.serve(prepared, batch_size=bad)
 
     def test_foreign_prepared_model_rejected(self):
         prepared = get_platform("cpu").prepare(T)

@@ -90,6 +90,10 @@ class TestFlagValidation:
              "--plan-capacity does not read --mode"),
             (("--shard-by", "tenant"),
              "the simulated stream does not read --shard-by"),
+            (("--max-batch", "-3"),
+             "--batcher none serves batch-1 and does not read --max-batch"),
+            (("--stream", "--affinity-by", "tenant"),
+             "--policy least-loaded does not read --affinity-by"),
         ],
     )
     def test_rejected_combinations(self, capsys, extra, message):
@@ -104,9 +108,10 @@ class TestFlagValidation:
         assert "--plan-capacity does not read --record-trace" in capsys.readouterr().err
         assert not trace.exists()
 
-    def test_listen_alone_rejects_traffic_flags(self, capsys, monkeypatch):
-        # Should the flags be accepted, the real-time server's idle sleep
-        # delivers the Ctrl-C at once instead of serving forever.
+    @pytest.fixture
+    def interrupt_idle_server(self, monkeypatch):
+        """Should a real-time server start, its idle sleep delivers the
+        Ctrl-C at once instead of serving forever."""
         real_sleep = asyncio.sleep
 
         async def interrupt(seconds, *a, **kw):
@@ -115,11 +120,22 @@ class TestFlagValidation:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(asyncio, "sleep", interrupt)
+
+    def test_listen_alone_rejects_traffic_flags(self, capsys, interrupt_idle_server):
         assert main(_serve("--listen", "127.0.0.1:0", "--mix", "lstm:512")) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --listen without --clients does not read")
         for flag in ("--rate", "--requests", "--mix"):
             assert flag in err
+
+    def test_listen_alone_rejects_positional_task(self, capsys, interrupt_idle_server):
+        argv = ["serve", "gru", "2816", "--platform", "gpu", "--listen", "127.0.0.1:0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: --listen without --clients does not read the positional task"
+        )
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "extra", [("--mix", "lstm:512,gru:512"), ("--mode", "summary")]

@@ -161,7 +161,7 @@ class TestFamilyCompileCache:
         prepared = engine.prepare(T)
         other = stacked("gru", 512, 25, layers=2)
         with pytest.raises(ServingError):
-            engine.platform.serve_request(prepared, other)
+            engine.platform.serve(prepared, other)
 
 
 def _mixed_length_burst(n=24, seed=4, lo=5, hi=160):

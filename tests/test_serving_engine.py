@@ -8,7 +8,6 @@ from repro.serving import (
     PreparedModel,
     ServeRequest,
     ServingEngine,
-    ServingResult,
     available_platforms,
     get_platform,
     poisson_arrivals,
@@ -39,13 +38,8 @@ class TestRegistry:
             def prepare(self, t):
                 return PreparedModel(platform=self.name, task=t, state=None)
 
-            def serve(self, prepared):
-                return ServingResult(
-                    platform=self.name,
-                    task=prepared.task,
-                    latency_s=1e-3,
-                    effective_tflops=prepared.task.effective_tflops(1e-3),
-                )
+            def latency_s(self, prepared, t):
+                return 1e-3
 
         try:
             assert "dummy-test" in available_platforms()

@@ -26,7 +26,7 @@ import random
 
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import ConfigError, ServingError
 from repro.serving import (
     Autoscaler,
     Fleet,
@@ -48,6 +48,7 @@ from repro.serving import (
     uniform_arrivals,
 )
 from repro.serving.batching import NoneBatcher
+from repro.serving.engine import EvalMemo
 from repro.serving.scheduler import make_scheduler
 from repro.serving.stats import EXACT_SAMPLE_CAP, percentile
 from repro.workloads.deepbench import task
@@ -189,6 +190,25 @@ class TestSummaryMirrorsReport:
             for key, sub_report in report_slices.items():
                 _assert_mirrors(sub_report, summary_slices[key])
 
+    @pytest.mark.parametrize("base", [2.0, 3.0, 10.0])
+    def test_length_bands_mirror_report_at_any_base(self, base):
+        # Summary classes keep each request's own timesteps, so a
+        # summary slices into length bands exactly at any base.
+        arrivals = poisson_arrivals(
+            T, rate_per_s=2000, n_requests=3000, seed=5,
+            lengths=ZipfLength(8, 400),
+        )
+        report = ServingEngine("gpu").serve_stream(arrivals, slo_ms=5.0)
+        summary = ServingEngine("gpu").serve_stream(
+            arrivals, slo_ms=5.0, mode="summary"
+        )
+        report_bands = report.per_length_band(base)
+        summary_bands = summary.per_length_band(base)
+        assert list(summary_bands) == list(report_bands)
+        assert len(report_bands) > 1
+        for key, sub_report in report_bands.items():
+            _assert_mirrors(sub_report, summary_bands[key])
+
     def test_presorted_summary_identical_to_unsorted(self):
         arrivals = poisson_arrivals(T, rate_per_s=2000, n_requests=500, seed=2)
         a = ServingEngine("gpu").serve_stream(
@@ -259,13 +279,6 @@ class TestSummaryErrors:
         summary = ServingEngine("gpu").serve_stream([T], mode="summary")
         with pytest.raises(ServingError, match="no SLO"):
             summary.slo_miss_rate
-
-    def test_length_band_rebucketing_rejected(self):
-        summary = ServingEngine("gpu").serve_stream(
-            [T], slo_ms=5.0, mode="summary"
-        )
-        with pytest.raises(ServingError, match="band"):
-            summary.per_length_band(band_base=10.0)
 
     def test_percentile_helper_empty(self):
         with pytest.raises(ServingError, match="empty"):
@@ -361,7 +374,7 @@ class TestResultMemo:
         assert first == second
 
     def test_memo_capacity_evicts_lru(self):
-        engine = ServingEngine("gpu", memo_capacity=2)
+        engine = ServingEngine("gpu", memo=EvalMemo(maxsize=2))
         a = engine.result_for(T.with_timesteps(10))
         engine.result_for(T.with_timesteps(20))
         # Touch the first shape so it is most-recently-used...
@@ -371,8 +384,8 @@ class TestResultMemo:
         assert len(engine._memo) == 2
 
     def test_memo_capacity_validated(self):
-        with pytest.raises(ServingError, match="memo_capacity"):
-            ServingEngine("gpu", memo_capacity=0)
+        with pytest.raises(ConfigError, match="maxsize"):
+            ServingEngine("gpu", memo=EvalMemo(maxsize=0))
 
     def test_clear_cache_clears_memo(self):
         engine = ServingEngine("gpu")

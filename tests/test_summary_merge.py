@@ -226,7 +226,6 @@ class TestMergeValidation:
             StreamSummary("gpu", slo_ms=9.0),
             StreamSummary("gpu", slo_ms=5.0, scheduler="edf"),
             StreamSummary("gpu", slo_ms=5.0, batcher="size-cap"),
-            StreamSummary("gpu", slo_ms=5.0, band_base=4.0),
         ):
             with pytest.raises(ServingError, match="merge"):
                 base.merge(other)
