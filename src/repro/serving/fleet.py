@@ -320,7 +320,7 @@ class _AffinityDispatcher(_CostAwareDispatcher):
 def _affinity_key_fn(affinity_by: str) -> Callable[[ServeRequest], object]:
     if affinity_by == "task":
         # One key per task *family*: length variants share the compiled
-        # state (length-flexible platforms), so they share the pin too.
+        # state, so they share the pin too.
         # Derived once per task change, like the dispatchers' pricing.
         last: list = [None, None]
 

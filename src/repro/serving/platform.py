@@ -184,9 +184,9 @@ class Platform(ABC):
         ``task`` defaults to the prepared task and may be any length
         variant of its family: the result is costed for that task's
         *actual* step count, so padding never enters batch-1 serving.
-        ``latency_s`` is :meth:`batch_latency_s` (at batch 1, exactly
-        :meth:`latency_s`); ``effective_tflops`` counts all
-        ``batch_size`` requests' work.
+        ``latency_s`` is :meth:`latency_s` at batch 1 and
+        :meth:`batch_latency_s` otherwise; ``effective_tflops`` counts
+        all ``batch_size`` requests' work.
 
         Example::
 
@@ -211,7 +211,10 @@ class Platform(ABC):
                 f"prepared model for {prepared.task.name} cannot serve "
                 f"{task.name}: different task families"
             )
-        latency_s = self.batch_latency_s(prepared, batch_size, task)
+        if batch_size == 1:
+            latency_s = self.latency_s(prepared, task)
+        else:
+            latency_s = self.batch_latency_s(prepared, batch_size, task)
         return ServingResult(
             platform=self.name,
             task=task,
