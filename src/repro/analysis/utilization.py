@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.baselines.machine import XEON_SKYLAKE
 from repro.errors import ConfigError
+from repro.platforms import PLATFORMS
 
 __all__ = ["flops_utilization", "UtilizationRow", "utilization_table"]
 
@@ -37,13 +39,14 @@ class UtilizationRow:
         return flops_utilization(self.effective_tflops, self.peak_tflops)
 
 
-#: Serving-precision peak TFLOPS per platform (Table 4: fp32 for CPU,
-#: fp16 ~ 2x fp32 for V100, 8-bit for the spatial architectures).
+#: Serving-precision peak TFLOPS per platform (Table 4): the CPU
+#: model's fp32 peak, fp16 ~ 2x fp32 for V100, 8-bit for the spatial
+#: architectures.
 PLATFORM_PEAKS = {
-    "cpu": 0.128,
-    "gpu": 31.4,
-    "brainwave": 48.0,
-    "plasticine": 49.0,
+    "cpu": XEON_SKYLAKE.peak_tflops,
+    "gpu": 2 * PLATFORMS["gpu"].peak_tflops_32bit,
+    "brainwave": float(PLATFORMS["brainwave"].peak_tflops_8bit),
+    "plasticine": float(PLATFORMS["plasticine"].peak_tflops_8bit),
 }
 
 

@@ -255,7 +255,6 @@ def map_rnn_program(
     chip: PlasticineConfig | None = None,
     *,
     bits: int = 8,
-    seq_sync_cycles: int = SEQ_SYNC_CYCLES,
     pass_config=None,
     passes=None,
     verify: bool = True,
@@ -274,7 +273,6 @@ def map_rnn_program(
         chip: Target chip (default: the Table 3 RNN-serving variant).
         bits: Weight/multiply precision (8, 16, or 32) — determines the
             per-PCU dot width via packing.
-        seq_sync_cycles: Sequential-loop control overhead per step.
         pass_config: A :class:`~repro.mapping.passes.PassConfig` enabling
             optimization passes (``fuse_gates``, ``double_buffer``); the
             default runs the plain pipeline.
@@ -292,10 +290,7 @@ def map_rnn_program(
         manager = PassManager(list(passes), verify=verify)
     else:
         manager = PassManager.default(pass_config, verify=verify)
-    state = manager.run_program(
-        prog, chip=chip, bits=bits, seq_sync_cycles=seq_sync_cycles
-    )
-    return state.design
+    return manager.run_program(prog, chip=chip, bits=bits).design
 
 
 def _map_rnn_monolith(
@@ -303,7 +298,6 @@ def _map_rnn_monolith(
     chip: PlasticineConfig | None = None,
     *,
     bits: int = 8,
-    seq_sync_cycles: int = SEQ_SYNC_CYCLES,
 ) -> MappedDesign:
     """The original single-function lowering (pre-pass-pipeline).
 
@@ -324,7 +318,7 @@ def _map_rnn_monolith(
         n_iterations=n_iter,
         steps=steps_loop.extent,
         replicas=hu,
-        step_overhead=seq_sync_cycles,
+        step_overhead=SEQ_SYNC_CYCLES,
     )
     placer = _Placer(chip)
     anchor: Coord = (chip.layout.rows // 2, 0)

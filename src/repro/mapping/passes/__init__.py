@@ -8,7 +8,6 @@ Importing this package registers the built-in passes:
 from repro.mapping.passes.core import (
     DEFAULT_PIPELINE,
     EdgeDraft,
-    EwPlan,
     GatePlan,
     MappingPass,
     MappingState,
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_PIPELINE",
     "LUT_ACCESS_CYCLES",
     "EdgeDraft",
-    "EwPlan",
     "GatePlan",
     "MappingPass",
     "MappingState",

@@ -12,7 +12,8 @@ passes produced and adds one layer:
     placement-independent latencies, per-replica resource needs);
 ``place_units``
     allocate physical PCUs/PMUs on the grid (greedy nearest-available,
-    identical to the legacy monolith's order);
+    identical to the legacy monolith's order) and record each unit on
+    its stage draft, the IR's one placement record;
 ``route_edges``
     derive routed edge costs and the placement-dependent latency terms
     (reduction trees, the writeback broadcast) from real Manhattan
@@ -67,7 +68,7 @@ __all__ = [
     "StageDraft",
     "EdgeDraft",
     "GatePlan",
-    "EwPlan",
+    "xh_pmus",
     "PassTiming",
     "MappingState",
     "MappingPass",
@@ -128,9 +129,11 @@ class StageDraft:
     :class:`~repro.mapping.pipeline.Stage`, mutable so passes can refine
     it layer by layer).
 
-    ``units_pcu`` / ``units_pmu`` hold every physical unit the stage
-    occupies across all replicas; ``n_pcus`` / ``n_pmus`` stay
-    per-replica, exactly like the final frozen stage.
+    ``units_pcu`` / ``units_pmu`` are the IR's one placement record:
+    every physical unit the stage occupies across all replicas, in take
+    order (a dot stage's PMUs are its weight slices, then its ``[x, h]``
+    copies, then any back buffers — see :func:`xh_pmus`).  ``n_pcus`` /
+    ``n_pmus`` stay per-replica, exactly like the final frozen stage.
     """
 
     name: str
@@ -139,9 +142,14 @@ class StageDraft:
     n_pcus: int = 0
     n_pmus: int = 0
     coord: Coord | None = None
-    role: str = ""
     units_pcu: tuple[Coord, ...] = ()
     units_pmu: tuple[Coord, ...] = ()
+
+
+def xh_pmus(dot: StageDraft, hu: int) -> tuple[Coord, ...]:
+    """A dot stage's ``[x, h]`` copies (and any back buffers): its PMUs
+    after the one weight slice per dot PCU."""
+    return dot.units_pmu[dot.n_pcus * hu :]
 
 
 @dataclass
@@ -156,38 +164,14 @@ class EdgeDraft:
 
 @dataclass
 class GatePlan:
-    """Per-gate lowering decisions, threaded from planning to routing."""
+    """Which stages lower one gate (their units live on the drafts)."""
 
     gate: GateGroup
     dot_name: str
     accum_name: str
-    pcus_per_unit: int
-    n_dot_pcus: int
-    accum_pcus: int
     #: Length of the accumulate chain (cross-PCU tree adds), before the
     #: bias add and LUT access — what ``fuse_gates`` packs together.
     accum_chain_ops: int
-    # -- filled by place_units ------------------------------------------
-    dot_pcus: tuple[Coord, ...] = ()
-    replica0: tuple[Coord, ...] = ()
-    weight_pmus: tuple[Coord, ...] = ()
-    xh_pmus: tuple[Coord, ...] = ()
-    accum_units: tuple[Coord, ...] = ()
-    lut_pmus: tuple[Coord, ...] = ()
-    #: Set by ``fuse_gates`` when this gate's accum was merged away.
-    fused_into: str | None = None
-
-
-@dataclass
-class EwPlan:
-    """Element-wise chain plan (ops, PCU chain length, extra LUTs)."""
-
-    ew_ops: int
-    ew_pcus: int
-    extra_luts: int
-    ew_n_pmus: int
-    ew_units: tuple[Coord, ...] = ()
-    ew_pmu_units: tuple[Coord, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -212,7 +196,6 @@ class MappingState:
     prog: Program
     chip: PlasticineConfig
     bits: int = 8
-    seq_sync_cycles: int = SEQ_SYNC_CYCLES
 
     # -- recognize_rnn ----------------------------------------------------
     root: LoopRecord | None = None
@@ -227,14 +210,9 @@ class MappingState:
     stages: dict[str, StageDraft] = field(default_factory=dict)
     edges: list[EdgeDraft] = field(default_factory=list)
     gate_plans: list[GatePlan] = field(default_factory=list)
-    ew_plan: EwPlan | None = None
 
-    # -- place_units ------------------------------------------------------
+    # -- place_units (the units themselves live on the stage drafts) ------
     placer: _Placer | None = None
-    anchor: Coord | None = None
-    ew_anchor: Coord | None = None
-    state_pmu_coords: list[Coord] = field(default_factory=list)
-    accum_coords: list[Coord] = field(default_factory=list)
     #: Unit ledger: physical units handed out by the placer (take minus
     #: release).  The verifier checks it against the stage drafts.
     pcus_allocated: int = 0
@@ -244,10 +222,8 @@ class MappingState:
     luts_folded: bool = False
     fused_groups: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
     double_buffered: bool = False
-    double_buffer_pmus: list[Coord] = field(default_factory=list)
-    #: Effective Sequential-step overhead; ``None`` means the plain
-    #: ``seq_sync_cycles`` (``double_buffer`` lowers it).
-    step_overhead: int | None = None
+    #: Effective Sequential-step overhead (``double_buffer`` lowers it).
+    step_overhead: int = SEQ_SYNC_CYCLES
 
     # -- report_resources -------------------------------------------------
     graph: PipelineGraph | None = None
@@ -396,13 +372,9 @@ class PassManager:
         chip: PlasticineConfig | None = None,
         *,
         bits: int = 8,
-        seq_sync_cycles: int = SEQ_SYNC_CYCLES,
     ) -> MappingState:
         """Build a fresh state for ``prog`` and run the pipeline."""
         state = MappingState(
-            prog=prog,
-            chip=chip or PlasticineConfig.rnn_serving(),
-            bits=bits,
-            seq_sync_cycles=seq_sync_cycles,
+            prog=prog, chip=chip or PlasticineConfig.rnn_serving(), bits=bits
         )
         return self.run(state)

@@ -32,6 +32,7 @@ from repro.mapping.passes.core import (
     MappingState,
     StageDraft,
     register_pass,
+    xh_pmus,
 )
 
 __all__ = ["FuseGates", "DoubleBuffer"]
@@ -75,7 +76,7 @@ class FuseGates(MappingPass):
             # Snapshot the placer so an unprofitable fusion can back out.
             pool_snapshot = list(state.placer.free_pcus)
             overflow_snapshot = state.placer.overflow_pcus
-            released = [u for p in plans for u in p.accum_units]
+            released = [u for s in old for u in s.units_pcu]
             state.placer.release_pcus(released)
             fused_units = state.placer.take_pcus(fused_pcus * hu, _centroid(released))
             fused_coord = fused_units[0]
@@ -106,12 +107,13 @@ class FuseGates(MappingPass):
                 )
                 for p in plans
             )
-            new_routes = {
-                p.accum_name: max(
-                    layout.route_cycles(u, fused_coord, hop) for u in p.replica0
+            new_routes = {}
+            for p in plans:
+                dot = state.stage(p.dot_name)
+                new_routes[p.accum_name] = max(
+                    layout.route_cycles(u, fused_coord, hop)
+                    for u in dot.units_pcu[: dot.n_pcus]
                 )
-                for p in plans
-            }
             new_worst = max(
                 path(p, fused_latency, new_routes[p.accum_name], fused_to_ew)
                 for p in plans
@@ -134,7 +136,6 @@ class FuseGates(MappingPass):
                 n_pcus=fused_pcus,
                 n_pmus=sum(s.n_pmus for s in old),  # the per-gate LUT tables
                 coord=fused_coord,
-                role="accum",
                 units_pcu=tuple(fused_units),
                 units_pmu=tuple(u for s in old for u in s.units_pmu),
             )
@@ -169,12 +170,10 @@ class FuseGates(MappingPass):
                     rebuilt_edges.append(edge)
             state.edges = rebuilt_edges
 
-            for plan in plans:
-                plan.fused_into = fused.name
             state.fused_groups.append((fused.name, old_names))
             state.log(
                 f"fused {len(plans)} accum stages into {fused.name!r}: "
-                f"{sum(p.accum_pcus for p in plans)} -> {fused_pcus} PCUs/replica"
+                f"{sum(s.n_pcus for s in old)} -> {fused_pcus} PCUs/replica"
             )
 
 
@@ -190,23 +189,22 @@ class DoubleBuffer(MappingPass):
         hu = state.hu
         writeback = state.stage("writeback")
 
+        added = 0
         for plan in state.gate_plans:
             dot = state.stage(plan.dot_name)
-            extra = state.placer.take_pmus(plan.n_dot_pcus * hu, plan.xh_pmus[0])
-            state.pmus_allocated += len(extra)
-            dot.n_pmus += plan.n_dot_pcus
-            dot.units_pmu = dot.units_pmu + tuple(extra)
-            state.double_buffer_pmus.extend(extra)
+            extra = state.placer.take_pmus(dot.n_pcus * hu, xh_pmus(dot, hu)[0])
+            added += len(extra)
+            dot.n_pmus += dot.n_pcus
+            dot.units_pmu += tuple(extra)
+        state.pmus_allocated += added
 
         # With a back buffer to write into, the next step's loads no
         # longer wait for the broadcast: only the control handshake that
         # exceeds the (now overlapped) writeback stays exposed.
-        old = state.step_overhead if state.step_overhead is not None else (
-            state.seq_sync_cycles
-        )
+        old = state.step_overhead
         state.step_overhead = max(0, old - writeback.latency)
         state.double_buffered = True
         state.log(
             f"double-buffered [x,h]: step overhead {old} -> "
-            f"{state.step_overhead} cycles, +{len(state.double_buffer_pmus)} PMUs"
+            f"{state.step_overhead} cycles, +{added} PMUs"
         )

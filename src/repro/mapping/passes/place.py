@@ -7,15 +7,41 @@ the load anchor, then weight PMUs and ``[x, h]`` PMUs near the first dot
 PCU, then accumulate PCUs near the dot centroid and LUT PMUs beside
 them; finally the element-wise PCUs near the accumulate centroid.  Any
 deviation here is caught by the differential parity suite.
+
+Each stage draft records its own units (``units_pcu`` / ``units_pmu``,
+in take order); nothing else in the IR keeps a copy.
 """
 
 from __future__ import annotations
 
 from repro.mapping.mapper import _centroid, _Placer
-from repro.mapping.passes.core import MappingPass, MappingState, register_pass
+from repro.mapping.passes.core import (
+    MappingPass,
+    MappingState,
+    StageDraft,
+    register_pass,
+)
 from repro.plasticine.network import Coord
 
 __all__ = ["PlaceUnits"]
+
+
+def _place(state: MappingState, draft: StageDraft, near: Coord) -> None:
+    """Take the draft's PCUs (all replicas) nearest ``near``, then its
+    PMUs nearest its first PCU, and add both to the unit ledger.
+
+    One take of a dot stage's ``2 * n`` PMUs per replica hands out what
+    the monolith's two takes of ``n`` do (weight slices, then ``[x, h]``
+    copies): the placer's pool stays sorted by distance from the same
+    point between them.
+    """
+    placer = state.placer
+    draft.units_pcu = tuple(placer.take_pcus(draft.n_pcus * state.hu, near))
+    draft.units_pmu = tuple(
+        placer.take_pmus(draft.n_pmus * state.hu, draft.units_pcu[0])
+    )
+    state.pcus_allocated += len(draft.units_pcu)
+    state.pmus_allocated += len(draft.units_pmu)
 
 
 @register_pass("place_units")
@@ -26,57 +52,24 @@ class PlaceUnits(MappingPass):
 
     def run(self, state: MappingState) -> None:
         chip = state.chip
-        placer = _Placer(chip)
-        state.placer = placer
-        hu = state.hu
+        placer = state.placer = _Placer(chip)
         anchor: Coord = (chip.layout.rows // 2, 0)
-        state.anchor = anchor
         state.stage("load_x").coord = anchor
 
+        accums = []
         for plan in state.gate_plans:
             dot = state.stage(plan.dot_name)
-            dot_pcus = placer.take_pcus(plan.n_dot_pcus * hu, anchor)
-            state.pcus_allocated += len(dot_pcus)
-            # Two PMUs per dot PCU: the weight slice and the [x, h] copy.
-            weight_pmus = placer.take_pmus(plan.n_dot_pcus * hu, dot_pcus[0])
-            xh_pmus = placer.take_pmus(plan.n_dot_pcus * hu, dot_pcus[0])
-            state.pmus_allocated += len(weight_pmus) + len(xh_pmus)
-            state.state_pmu_coords.extend(xh_pmus)
-            dot.coord = _centroid(dot_pcus)
-            dot.units_pcu = tuple(dot_pcus)
-            dot.units_pmu = tuple(weight_pmus) + tuple(xh_pmus)
-            plan.dot_pcus = tuple(dot_pcus)
-            plan.replica0 = tuple(dot_pcus[: plan.n_dot_pcus])
-            plan.weight_pmus = tuple(weight_pmus)
-            plan.xh_pmus = tuple(xh_pmus)
-
+            _place(state, dot, anchor)
+            dot.coord = _centroid(dot.units_pcu)
             accum = state.stage(plan.accum_name)
-            accum_units = placer.take_pcus(plan.accum_pcus * hu, dot.coord)
-            state.pcus_allocated += len(accum_units)
-            lut_pmus = placer.take_pmus(hu, accum_units[0])
-            state.pmus_allocated += len(lut_pmus)
-            accum.coord = accum_units[0]
-            accum.units_pcu = tuple(accum_units)
-            accum.units_pmu = tuple(lut_pmus)
-            plan.accum_units = tuple(accum_units)
-            plan.lut_pmus = tuple(lut_pmus)
-            state.accum_coords.append(accum_units[0])
+            _place(state, accum, dot.coord)
+            accum.coord = accum.units_pcu[0]
+            accums.append(accum.coord)
 
         ew = state.stage("ew")
-        ew_plan = state.ew_plan
-        ew_anchor = _centroid(state.accum_coords)
-        state.ew_anchor = ew_anchor
-        ew_units = placer.take_pcus(ew_plan.ew_pcus * hu, ew_anchor)
-        state.pcus_allocated += len(ew_units)
-        ew_pmu_units = placer.take_pmus(ew_plan.ew_n_pmus * hu, ew_units[0])
-        state.pmus_allocated += len(ew_pmu_units)
-        ew.coord = ew_units[0]
-        ew.units_pcu = tuple(ew_units)
-        ew.units_pmu = tuple(ew_pmu_units)
-        ew_plan.ew_units = tuple(ew_units)
-        ew_plan.ew_pmu_units = tuple(ew_pmu_units)
-
-        state.stage("writeback").coord = ew_units[0]
+        _place(state, ew, _centroid(accums))
+        ew.coord = ew.units_pcu[0]
+        state.stage("writeback").coord = ew.coord
         state.log(
             f"placed {state.pcus_allocated} PCUs and {state.pmus_allocated} PMUs "
             f"(overflow: {placer.overflow_pcus} PCU / {placer.overflow_pmus} PMU)"

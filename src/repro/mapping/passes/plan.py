@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 from repro.mapping.passes.core import (
-    EwPlan,
     GatePlan,
     MappingPass,
     MappingState,
@@ -37,9 +36,7 @@ class PlanGates(MappingPass):
         pcu_rv = chip.dot_lanes_per_pcu(state.bits)
         timing = chip.pcu.map_reduce_timing(state.bits)
 
-        state.add_stage(
-            StageDraft("load_x", ii=1, latency=chip.hop_latency + 1, role="load")
-        )
+        state.add_stage(StageDraft("load_x", ii=1, latency=chip.hop_latency + 1))
 
         for gate in state.gates:
             # One MapReduce unit may span several PCUs if the program's
@@ -53,19 +50,16 @@ class PlanGates(MappingPass):
                     latency=gate.issue_blocks + timing.depth_cycles,
                     n_pcus=n_dot_pcus,
                     n_pmus=2 * n_dot_pcus,  # weight slice + [x, h] copy per PCU
-                    role="dot",
                 )
             )
             accum_chain_ops = max(gate.ru - 1, 1)
-            accum_pcus = max(1, math.ceil(accum_chain_ops / chip.pcu.stages))
             accum = state.add_stage(
                 StageDraft(
                     f"accum_{gate.name}",
                     ii=1,
                     latency=1,  # bias add; tree/LUT terms come from later passes
-                    n_pcus=accum_pcus,
+                    n_pcus=max(1, math.ceil(accum_chain_ops / chip.pcu.stages)),
                     n_pmus=1,  # per-replica LUT table
-                    role="accum",
                 )
             )
             state.add_edge("load_x", dot.name)
@@ -75,9 +69,6 @@ class PlanGates(MappingPass):
                     gate=gate,
                     dot_name=dot.name,
                     accum_name=accum.name,
-                    pcus_per_unit=pcus_per_unit,
-                    n_dot_pcus=n_dot_pcus,
-                    accum_pcus=accum_pcus,
                     accum_chain_ops=accum_chain_ops,
                 )
             )
@@ -98,26 +89,22 @@ class PlanGates(MappingPass):
         )
         ew_pcus = max(1, math.ceil(ew_ops / chip.pcu.stages))
         extra_luts = max(0, cell_ops.get(OpKind.LUT, 0) - len(state.gates))
-        ew_n_pmus = 1 + (1 if extra_luts else 0)
         state.add_stage(
             StageDraft(
                 "ew",
                 ii=1,
                 latency=ew_ops + (ew_pcus - 1) * 2 * chip.hop_latency,
                 n_pcus=ew_pcus,
-                n_pmus=ew_n_pmus,
-                role="ew",
+                # State memory (c for LSTM / h for GRU) + any extra LUT table.
+                n_pmus=1 + (1 if extra_luts else 0),
             )
         )
         for plan in state.gate_plans:
             state.add_edge(plan.accum_name, "ew")
-        state.ew_plan = EwPlan(
-            ew_ops=ew_ops, ew_pcus=ew_pcus, extra_luts=extra_luts, ew_n_pmus=ew_n_pmus
-        )
 
         # State writeback: broadcast latency is placement-dependent and
         # added by route_edges; the +1 write cycle is structural.
-        state.add_stage(StageDraft("writeback", ii=1, latency=1, role="writeback"))
+        state.add_stage(StageDraft("writeback", ii=1, latency=1))
         state.add_edge("ew", "writeback")
         state.log(
             f"planned {len(state.stages)} stages, {len(state.edges)} edges, "

@@ -12,8 +12,13 @@ timing of this pass itself is still being measured and is not included).
 from __future__ import annotations
 
 from repro.errors import MappingError
-from repro.mapping.mapper import MappedDesign, _memory_footprint, _overflow_note
-from repro.mapping.passes.core import MappingPass, MappingState, register_pass
+from repro.mapping.mapper import (
+    SEQ_SYNC_CYCLES,
+    MappedDesign,
+    _memory_footprint,
+    _overflow_note,
+)
+from repro.mapping.passes.core import MappingPass, MappingState, register_pass, xh_pmus
 from repro.mapping.pipeline import PipelineGraph, Stage
 from repro.mapping.resources import resource_report
 
@@ -45,11 +50,7 @@ class ReportResources(MappingPass):
             n_iterations=state.n_iterations,
             steps=state.steps,
             replicas=state.hu,
-            step_overhead=(
-                state.step_overhead
-                if state.step_overhead is not None
-                else state.seq_sync_cycles
-            ),
+            step_overhead=state.step_overhead,
         )
         for draft in state.stages.values():
             graph.add_stage(
@@ -60,6 +61,8 @@ class ReportResources(MappingPass):
                     n_pcus=draft.n_pcus,
                     n_pmus=draft.n_pmus,
                     coord=draft.coord,
+                    units_pcu=draft.units_pcu,
+                    units_pmu=draft.units_pmu,
                 )
             )
         for edge in state.edges:
@@ -68,8 +71,9 @@ class ReportResources(MappingPass):
         weight_bytes, state_bytes, lut_bytes = _memory_footprint(state.prog)
         # The [x,h] vector is replicated per dot PCU for bandwidth (and
         # doubled again by double_buffer's back buffers).
-        xh_copies = graph.replicas * (
-            len(state.state_pmu_coords) + len(state.double_buffer_pmus)
+        xh_copies = graph.replicas * sum(
+            len(xh_pmus(state.stage(plan.dot_name), state.hu))
+            for plan in state.gate_plans
         )
         notes = []
         if xh_copies:
@@ -81,7 +85,7 @@ class ReportResources(MappingPass):
             )
         if state.double_buffered:
             notes.append(
-                f"double_buffer: step overhead {state.seq_sync_cycles} -> "
+                f"double_buffer: step overhead {SEQ_SYNC_CYCLES} -> "
                 f"{graph.step_overhead} cycles"
             )
         overflow = _overflow_note(state.placer)

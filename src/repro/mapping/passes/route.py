@@ -10,7 +10,7 @@ state-broadcast on the writeback stage.
 from __future__ import annotations
 
 from repro.mapping.mapper import _tree_latency
-from repro.mapping.passes.core import MappingPass, MappingState, register_pass
+from repro.mapping.passes.core import MappingPass, MappingState, register_pass, xh_pmus
 
 __all__ = ["RouteEdges"]
 
@@ -25,33 +25,30 @@ class RouteEdges(MappingPass):
         chip = state.chip
         layout = chip.layout
         hop = chip.hop_latency
+        anchor = state.stage("load_x").coord
+        ew = state.stage("ew")
 
+        xh_copies = []
         for plan in state.gate_plans:
+            dot = state.stage(plan.dot_name)
             accum = state.stage(plan.accum_name)
-            state.edge("load_x", plan.dot_name).route = max(
-                layout.route_cycles(state.anchor, p, hop) for p in plan.dot_pcus
+            replica0 = dot.units_pcu[: dot.n_pcus]
+            state.edge("load_x", dot.name).route = max(
+                layout.route_cycles(anchor, p, hop) for p in dot.units_pcu
             )
-            state.edge(plan.dot_name, plan.accum_name).route = max(
-                layout.route_cycles(p, accum.coord, hop) for p in plan.replica0
+            state.edge(dot.name, accum.name).route = max(
+                layout.route_cycles(p, accum.coord, hop) for p in replica0
             )
             # Cross-PCU reduction tree over the ru partial sums.
-            tree = (
-                _tree_latency(list(plan.replica0), chip) if plan.gate.ru > 1 else 0
-            )
-            accum.latency += tree
-
-        ew = state.stage("ew")
-        for plan in state.gate_plans:
-            accum = state.stage(plan.accum_name)
-            state.edge(plan.accum_name, "ew").route = layout.route_cycles(
+            accum.latency += _tree_latency(replica0, chip) if plan.gate.ru > 1 else 0
+            state.edge(accum.name, "ew").route = layout.route_cycles(
                 accum.coord, ew.coord, hop
             )
+            xh_copies.extend(xh_pmus(dot, state.hu))
 
         # State writeback: broadcast the h element to every [x, h] copy.
         writeback = state.stage("writeback")
-        broadcast = max(
-            layout.route_cycles(ew.coord, pmu, hop) for pmu in state.state_pmu_coords
-        )
+        broadcast = max(layout.route_cycles(ew.coord, pmu, hop) for pmu in xh_copies)
         writeback.latency += broadcast
         state.edge("ew", "writeback").route = 0
         state.log(f"routed {len(state.edges)} edges, writeback broadcast={broadcast}")

@@ -18,6 +18,8 @@ from repro.errors import MappingError
 
 __all__ = ["Stage", "PipelineGraph", "kahn_order"]
 
+_Units = tuple[tuple[int, int], ...]
+
 
 def kahn_order(nodes, edges) -> list:
     """FIFO Kahn topological order, the one ``networkx.topological_sort``
@@ -51,6 +53,10 @@ class Stage:
         n_pcus: PCUs this stage occupies per pipeline replica.
         n_pmus: PMUs this stage occupies per pipeline replica.
         coord: Representative placement (row, col) or None if virtual.
+        units_pcu: Every PCU the stage occupies across all replicas, in
+            the placer's take order (empty unless the pass pipeline
+            placed it; outside equality).
+        units_pmu: Likewise for PMUs.
     """
 
     name: str
@@ -59,6 +65,8 @@ class Stage:
     n_pcus: int = 0
     n_pmus: int = 0
     coord: tuple[int, int] | None = None
+    units_pcu: _Units = field(default=(), compare=False, repr=False)
+    units_pmu: _Units = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.ii < 1:

@@ -6,56 +6,54 @@ design.  Legend:
 
 * ``D`` — dot-product (map-reduce) PCU, ``A`` — accumulate/LUT PCU,
   ``E`` — element-wise chain PCU, ``.`` — idle PCU;
-* ``w`` — weight PMU, ``x`` — ``[x,h]``-copy PMU, ``l`` — LUT PMU,
-  ``,`` — idle PMU.
+* ``w`` — weight PMU, ``x`` — ``[x,h]``-copy PMU (double-buffered
+  copies included), ``l`` — LUT/state PMU, ``,`` — idle PMU.
 """
 
 from __future__ import annotations
 
-from repro.mapping.mapper import MappedDesign, _Placer
-from repro.plasticine.network import Coord
+from repro.errors import MappingError
+from repro.mapping.mapper import MappedDesign
 
 __all__ = ["placement_map"]
+
+#: Stage-name prefix -> (PCU mark, PMU mark).  A dot stage's first PMU
+#: per PCU is its weight slice (``w``); the rest are ``[x, h]`` copies.
+_MARKS = {"dot": ("D", "x"), "accum": ("A", "l"), "ew": ("E", "l")}
 
 
 def placement_map(design: MappedDesign, max_rows: int | None = None) -> str:
     """Render the design's placement as an ASCII grid.
 
-    Re-runs the mapper's deterministic placement to recover coordinates
-    (the mapper stores only representative stage coordinates).
+    Draws the units each stage recorded when the pass pipeline placed it
+    (``Stage.units_pcu`` / ``units_pmu``), after every optimization pass
+    that ran.  A cell shows the first unit drawn on it, so requests that
+    overflowed the grid (synthesized at its edge cell) add nothing.
+    Raises :class:`~repro.errors.MappingError` for a design that records
+    no units, such as one built by the legacy monolith.
     """
     chip = design.chip
     layout = chip.layout
-    grid: dict[Coord, str] = {}
-    for c in layout.pcus:
-        grid[c] = "."
-    for c in layout.pmus:
-        grid[c] = ","
-
-    placer = _Placer(chip)
-    anchor: Coord = (layout.rows // 2, 0)
-    hu = design.hu
-    for gate in design.gates:
-        pcu_rv = chip.dot_lanes_per_pcu(design.bits)
-        per_unit = max(1, -(-gate.rv // pcu_rv))
-        n_dot = gate.ru * per_unit
-        for c in placer.take_pcus(n_dot * hu, anchor):
-            grid[c] = "D"
-        dots_anchor = next(c for c, v in grid.items() if v == "D")
-        for c in placer.take_pmus(n_dot * hu, dots_anchor):
-            grid[c] = "w"
-        for c in placer.take_pmus(n_dot * hu, dots_anchor):
-            grid[c] = "x"
-        accum_needed = max(1, -(-max(gate.ru - 1, 1) // chip.pcu.stages))
-        for c in placer.take_pcus(accum_needed * hu, dots_anchor):
-            grid[c] = "A"
-        for c in placer.take_pmus(hu, dots_anchor):
-            grid[c] = "l"
-    ew_stage = design.graph.stages["ew"]
-    for c in placer.take_pcus(ew_stage.n_pcus * hu, ew_stage.coord or anchor):
-        grid[c] = "E"
-    for c in placer.take_pmus(ew_stage.n_pmus * hu, ew_stage.coord or anchor):
-        grid[c] = "l"
+    stages = design.graph.stages.values()
+    if not any(stage.units_pcu for stage in stages):
+        raise MappingError(
+            f"{design.program_name}: the design records no placed units; "
+            f"only the pass pipeline's designs can be drawn"
+        )
+    grid = dict.fromkeys(layout.pcus, ".")
+    grid.update(dict.fromkeys(layout.pmus, ","))
+    for stage in stages:
+        marks = _MARKS.get(stage.name.split("_")[0])
+        if marks is None:
+            continue
+        pcu_mark, pmu_mark = marks
+        n_weights = stage.n_pcus * design.hu if pcu_mark == "D" else 0
+        for unit in stage.units_pcu:
+            if grid.get(unit) == ".":
+                grid[unit] = pcu_mark
+        for i, unit in enumerate(stage.units_pmu):
+            if grid.get(unit) == ",":
+                grid[unit] = "w" if i < n_weights else pmu_mark
 
     rows = layout.rows if max_rows is None else min(layout.rows, max_rows)
     lines = [

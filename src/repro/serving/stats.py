@@ -719,29 +719,6 @@ class StreamSummary(_StreamFigures):
                 idx = _HIST_BUCKETS - 1
             counts[idx] += 1
 
-    def observe_response(self, response) -> None:
-        """Fold a materialized :class:`ServeResponse` into the summary.
-
-        Example::
-
-            >>> from repro.serving import ServingEngine
-            >>> from repro.serving.stats import StreamSummary
-            >>> from repro.workloads.deepbench import task
-            >>> resp = ServingEngine("gpu").serve(task("lstm", 512, 25))
-            >>> summary = StreamSummary("gpu", slo_ms=5.0)
-            >>> summary.observe_response(resp)
-            >>> summary.n_requests
-            1
-        """
-        self.observe_served(
-            response.request,
-            response.result,
-            response.start_s,
-            response.finish_s,
-            response.batch_size,
-            outcome=response.outcome,
-        )
-
     def note_assignment(self, replica: int, count: int = 1) -> None:
         """Count ``count`` requests dispatched to ``replica``.
 

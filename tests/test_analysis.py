@@ -140,6 +140,16 @@ class TestUtilization:
         assert rows[0].platform == "plasticine"
         assert 0 < rows[0].utilization < 1
 
+    def test_platform_peaks_are_table4_serving_precision_peaks(self):
+        # Derived from repro.platforms and the CPU machine model; pinned
+        # bit for bit against the Table 4 figures they reproduce.
+        from repro.analysis.utilization import PLATFORM_PEAKS
+
+        want = {"cpu": 0.128, "gpu": 31.4, "brainwave": 48.0, "plasticine": 49.0}
+        assert {k: v.hex() for k, v in PLATFORM_PEAKS.items()} == {
+            k: v.hex() for k, v in want.items()
+        }
+
     def test_plasticine_utilization_consistent_across_sizes(self):
         # The headline claim: utilization stays high and flat-to-rising.
         from repro.serving import ServingEngine

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.dse.search import build_task_program
 from repro.errors import MappingError
-from repro.mapping.mapper import SEQ_SYNC_CYCLES
 from repro.mapping.passes import (
     DEFAULT_PIPELINE,
     MappingPass,
@@ -52,7 +51,6 @@ def _fresh_state(prog) -> MappingState:
         prog=prog,
         chip=PlasticineConfig.rnn_serving(),
         bits=8,
-        seq_sync_cycles=SEQ_SYNC_CYCLES,
     )
 
 

@@ -166,8 +166,8 @@ class TestVariableLengthPathGolden:
     Three routes into the new code path are pinned: (a) a ``FixedLength``
     sampler attaching per-request length overrides that equal the task's
     own length, (b) request tasks constructed as ``with_timesteps``
-    variants (exercising ``family_key``/``compile_key`` sharing and
-    ``Platform.serve_request`` re-costing), and (c) the length-aware
+    variants (exercising the engine's family-keyed compile cache and
+    ``Platform.serve`` -> ``latency_s`` re-costing), and (c) the length-aware
     ``pad``/``bucket`` batchers with a cap of one, which must coalesce
     nothing.  All of them must reproduce the goldens exactly — no
     tolerances."""
