@@ -44,7 +44,7 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
 from repro.dse.search import build_task_program
 from repro.harness.report import format_table
 from repro.mapping.mapper import _map_rnn_monolith, map_rnn_program
-from repro.mapping.passes import PassConfig, diff_designs
+from repro.mapping.passes import PassConfig, PassManager, diff_designs
 from repro.plasticine.chip import PlasticineConfig
 from repro.plasticine.simulator import simulate_pipeline
 from repro.rnn.lstm_loop import LoopParams
@@ -104,7 +104,7 @@ def _overhead(reps: int) -> dict:
     for name, fn in (
         ("monolith", lambda: _map_rnn_monolith(prog)),
         ("pipeline", lambda: map_rnn_program(prog)),
-        ("pipeline_no_verify", lambda: map_rnn_program(prog, verify=False)),
+        ("pipeline_no_verify", lambda: PassManager.default(verify=False).run_program(prog)),
     ):
         fn()  # warm-up
         t0 = time.perf_counter()

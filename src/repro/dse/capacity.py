@@ -55,7 +55,7 @@ Example::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -170,23 +170,11 @@ class CapacityPoint:
         return len(set(self.platforms)) > 1
 
     def to_row(self) -> dict:
-        """Flat JSON-serializable record for the frontier artifact."""
-        return {
-            "mix": self.mix,
-            "replicas": self.replicas,
-            "policy": self.policy,
-            "scheduler": self.scheduler,
-            "batcher": self.batcher,
-            "p99_ms": self.p99_ms,
-            "slo_attainment": self.slo_attainment,
-            "meets_slo": self.meets_slo,
-            "throughput_rps": self.throughput_rps,
-            "joules_per_request": self.joules_per_request,
-            "fleet_watt_hours": self.fleet_watt_hours,
-            "cost_usd_per_1m": self.cost_usd_per_1m,
-            "pruned": self.pruned,
-            "simulated_requests": self.simulated_requests,
-        }
+        """Flat JSON-serializable record for the frontier artifact: every
+        field but ``platforms`` (``mix`` names them)."""
+        row = asdict(self)
+        del row["platforms"]
+        return row
 
 
 @dataclass(frozen=True)

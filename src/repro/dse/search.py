@@ -93,9 +93,8 @@ class DSEResult:
 #: the simulator's own identity), so length variants share entries.
 _MEMO = EvalMemo(maxsize=4096)
 
-#: What the memo stores per key; ``fits`` is recomputed from the stored
-#: bits so one entry serves both ``require_capacity`` policies.
-_MemoRecord = tuple  # (cycles_per_step, fits_cb, fits_capacity, pcus, pmus)
+#: What the memo stores per key.
+_MemoRecord = tuple  # (cycles_per_step, fits, pcus, pmus)
 
 
 def _memo_key(
@@ -113,11 +112,8 @@ def _point_from_record(
     params: LoopParams,
     pass_config: PassConfig,
     record: _MemoRecord,
-    *,
-    require_capacity: bool,
 ) -> SearchPoint:
-    cycles_per_step, fits_cb, fits_capacity, pcus, pmus = record
-    fits = fits_cb and (fits_capacity if require_capacity else True)
+    cycles_per_step, fits, pcus, pmus = record
     return SearchPoint(
         params=params,
         cycles_per_step=cycles_per_step,
@@ -140,8 +136,9 @@ def _evaluate_program(
     res = design.resources
     return (
         sim.cycles_per_step + sim.step_overhead,
+        # Not fits_capacity: the paper evaluates its largest tasks even
+        # though their weights exceed the 31.5 MB scratchpad.
         res.fits_compute and res.fits_bandwidth,
-        res.fits_capacity,
         res.pcus_used,
         res.pmus_used,
     )
@@ -155,7 +152,6 @@ class _SearchJob:
     params: LoopParams
     chip: PlasticineConfig
     bits: int
-    require_capacity: bool
     pass_configs: tuple[PassConfig, ...]
 
 
@@ -188,15 +184,7 @@ def _evaluate_params(
                 memo.put(key, record)
         else:
             hits += 1
-        points.append(
-            _point_from_record(
-                job.task,
-                job.params,
-                pass_config,
-                record,
-                require_capacity=job.require_capacity,
-            )
-        )
+        points.append(_point_from_record(job.task, job.params, pass_config, record))
     return points, builds, hits
 
 
@@ -206,7 +194,6 @@ def evaluate(
     chip: PlasticineConfig,
     *,
     bits: int = 8,
-    require_capacity: bool = False,
     pass_config: PassConfig | None = None,
     memoize: bool = True,
 ) -> SearchPoint:
@@ -224,7 +211,6 @@ def evaluate(
         params=params,
         chip=chip,
         bits=bits,
-        require_capacity=require_capacity,
         pass_configs=(pass_config or PassConfig(),),
     )
     (point,), _, _ = _evaluate_params(job, _MEMO if memoize else None)
@@ -237,7 +223,6 @@ def search(
     space: ParameterSpace | None = None,
     *,
     bits: int = 8,
-    require_capacity: bool = False,
     workers: int | None = None,
 ) -> DSEResult:
     """Search the space, returning the latency-optimal feasible point.
@@ -245,9 +230,6 @@ def search(
     Ties break toward fewer PCUs (cheaper design, same speed).
 
     Args:
-        require_capacity: Also require the weights to fit on-chip; off by
-            default because the paper's largest tasks exceed the 31.5 MB
-            scratchpad yet are still evaluated (see EXPERIMENTS.md).
         workers: Fan parameter points onto this many processes
             (:func:`~repro.dse.runner.run_jobs`; default sequential).
             The point list, best point, and every field are
@@ -262,7 +244,6 @@ def search(
             params=params,
             chip=chip,
             bits=bits,
-            require_capacity=require_capacity,
             pass_configs=space.pass_configs,
         )
         for params in space.candidates(task, chip, bits)

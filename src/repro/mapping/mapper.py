@@ -130,20 +130,14 @@ class _Placer:
         return (self.chip.layout.rows - 1, self.chip.layout.cols - 1)
 
     def _take(self, pool: list[Coord], k: int, near: Coord) -> tuple[list[Coord], int]:
-        if k > len(pool):
-            # Out of physical units: synthesize overflow coordinates at the
-            # grid edge so timing stays defined; the resource report flags
-            # the overflow.
-            pool_sorted = sorted(pool, key=lambda p: self.chip.layout.manhattan(near, p))
-            taken = list(pool_sorted)
-            del pool[:]
-            overflow = k - len(taken)
-            taken.extend([self.edge_coord] * overflow)
-            return taken, overflow
         pool.sort(key=lambda p: self.chip.layout.manhattan(near, p))
         taken = pool[:k]
         del pool[:k]
-        return taken, 0
+        # Out of physical units: synthesize the rest at the grid edge so
+        # timing stays defined; the resource report flags the overflow.
+        overflow = k - len(taken)
+        taken.extend([self.edge_coord] * overflow)
+        return taken, overflow
 
     def take_pcus(self, k: int, near: Coord) -> list[Coord]:
         taken, overflow = self._take(self.free_pcus, k, near)
@@ -178,17 +172,17 @@ def _centroid(coords: list[Coord]) -> Coord:
 
 
 def _find_structure(root: LoopRecord):
-    """Locate the time-step loop, cell loop, and gate reduce groups."""
+    """Locate the time-step loop, cell loop, and gate reduce groups;
+    returns ``(steps, cell, gates)``."""
     seq_loops = [c for c in root.children if c.kind is LoopKind.SEQUENTIAL]
     if len(seq_loops) != 1:
         raise MappingError(
             f"expected exactly one Sequential time-step loop, found {len(seq_loops)}"
         )
-    steps_loop = seq_loops[0]
 
     cell_candidates = [
         c
-        for c in steps_loop.children
+        for c in seq_loops[0].children
         if c.kind is LoopKind.FOREACH
         and any(g.kind is LoopKind.REDUCE for g in c.children)
     ]
@@ -212,7 +206,7 @@ def _find_structure(root: LoopRecord):
             key = f"gate{idx}"
         groups.setdefault(key, []).append(dot)
     gates = tuple(GateGroup(name, tuple(rs)) for name, rs in groups.items())
-    return steps_loop, cell, gates
+    return seq_loops[0].extent, cell, gates
 
 
 def _tree_latency(pcu_coords: list[Coord], chip: PlasticineConfig) -> int:
@@ -256,8 +250,6 @@ def map_rnn_program(
     *,
     bits: int = 8,
     pass_config=None,
-    passes=None,
-    verify: bool = True,
 ) -> MappedDesign:
     """Lower a loop-based RNN program onto a Plasticine configuration.
 
@@ -275,22 +267,16 @@ def map_rnn_program(
             per-PCU dot width via packing.
         pass_config: A :class:`~repro.mapping.passes.PassConfig` enabling
             optimization passes (``fuse_gates``, ``double_buffer``); the
-            default runs the plain pipeline.
-        passes: Explicit pass names (or instances) overriding the
-            pipeline entirely; ``pass_config`` is ignored when given.
-        verify: Run the IR verifier after every pass (cheap; on by
-            default).
+            default runs the plain pipeline.  A custom pass list, a
+            ``trace_hook`` or ``verify=False`` goes through
+            :class:`~repro.mapping.passes.PassManager` directly.
 
     Returns:
         A :class:`MappedDesign` with the placed pipeline graph.
     """
     from repro.mapping.passes import PassManager
 
-    if passes is not None:
-        manager = PassManager(list(passes), verify=verify)
-    else:
-        manager = PassManager.default(pass_config, verify=verify)
-    return manager.run_program(prog, chip=chip, bits=bits).design
+    return PassManager.default(pass_config).run_program(prog, chip, bits=bits).design
 
 
 def _map_rnn_monolith(
@@ -306,7 +292,7 @@ def _map_rnn_monolith(
     """
     chip = chip or PlasticineConfig.rnn_serving()
     root = prog.trace()
-    steps_loop, cell, gates = _find_structure(root)
+    steps, cell, gates = _find_structure(root)
 
     hu = cell.par
     n_iter = cell.issue_count
@@ -316,7 +302,7 @@ def _map_rnn_monolith(
     graph = PipelineGraph(
         name=prog.name,
         n_iterations=n_iter,
-        steps=steps_loop.extent,
+        steps=steps,
         replicas=hu,
         step_overhead=SEQ_SYNC_CYCLES,
     )
@@ -454,6 +440,6 @@ def _map_rnn_monolith(
         gates=gates,
         hu=hu,
         n_iterations=n_iter,
-        steps=steps_loop.extent,
+        steps=steps,
         bits=bits,
     )

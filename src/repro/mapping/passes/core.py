@@ -198,8 +198,6 @@ class MappingState:
     bits: int = 8
 
     # -- recognize_rnn ----------------------------------------------------
-    root: LoopRecord | None = None
-    steps_loop: LoopRecord | None = None
     cell: LoopRecord | None = None
     gates: tuple[GateGroup, ...] = ()
     hu: int = 0
@@ -219,9 +217,7 @@ class MappingState:
     pmus_allocated: int = 0
 
     # -- optimization passes ----------------------------------------------
-    luts_folded: bool = False
     fused_groups: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
-    double_buffered: bool = False
     #: Effective Sequential-step overhead (``double_buffer`` lowers it).
     step_overhead: int = SEQ_SYNC_CYCLES
 
@@ -233,13 +229,8 @@ class MappingState:
     # -- bookkeeping ------------------------------------------------------
     completed: list[str] = field(default_factory=list)
     timings: list[PassTiming] = field(default_factory=list)
-    trace_log: list[str] = field(default_factory=list)
 
     # -- IR manipulation helpers -----------------------------------------
-
-    def log(self, message: str) -> None:
-        """Append a per-pass trace message (observability)."""
-        self.trace_log.append(message)
 
     def stage(self, name: str) -> StageDraft:
         try:

@@ -10,7 +10,6 @@ run it in any legal position after ``plan_gates``.
 
 from __future__ import annotations
 
-from repro.errors import MappingError
 from repro.mapping.passes.core import MappingPass, MappingState, register_pass
 
 __all__ = ["FoldLuts", "LUT_ACCESS_CYCLES"]
@@ -26,12 +25,5 @@ class FoldLuts(MappingPass):
     requires = ("plan_gates",)
 
     def run(self, state: MappingState) -> None:
-        if state.luts_folded:
-            raise MappingError("fold_luts already applied to this state")
         for plan in state.gate_plans:
             state.stage(plan.accum_name).latency += LUT_ACCESS_CYCLES
-        state.luts_folded = True
-        state.log(
-            f"folded {len(state.gate_plans)} gate LUTs "
-            f"(+{LUT_ACCESS_CYCLES} cycles each)"
-        )

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 
-from repro.errors import MappingError
 from repro.mapping.mapper import _centroid
 from repro.mapping.passes.core import (
     MappingPass,
@@ -45,8 +44,6 @@ class FuseGates(MappingPass):
     requires = ("route_edges", "fold_luts")
 
     def run(self, state: MappingState) -> None:
-        if state.fused_groups:
-            raise MappingError("fuse_gates already applied to this state")
         chip = state.chip
         hu = state.hu
         ew = state.stage("ew")
@@ -57,9 +54,6 @@ class FuseGates(MappingPass):
         for plan in state.gate_plans:
             groups.setdefault(state.stage(plan.accum_name).ii, []).append(plan)
         fusable = [plans for plans in groups.values() if len(plans) >= 2]
-        if not fusable:
-            state.log("fuse_gates: no compatible accum stages to fuse")
-            return
 
         hop = chip.hop_latency
         layout = chip.layout
@@ -121,11 +115,6 @@ class FuseGates(MappingPass):
             if new_worst > old_worst:
                 state.placer.free_pcus = pool_snapshot
                 state.placer.overflow_pcus = overflow_snapshot
-                state.log(
-                    f"fuse_gates: skipped {len(plans)} accum stages "
-                    f"(re-placement would lengthen the critical path "
-                    f"{old_worst} -> {new_worst})"
-                )
                 continue
             state.pcus_allocated += len(fused_units) - len(released)
 
@@ -171,10 +160,6 @@ class FuseGates(MappingPass):
             state.edges = rebuilt_edges
 
             state.fused_groups.append((fused.name, old_names))
-            state.log(
-                f"fused {len(plans)} accum stages into {fused.name!r}: "
-                f"{sum(s.n_pcus for s in old)} -> {fused_pcus} PCUs/replica"
-            )
 
 
 @register_pass("double_buffer")
@@ -184,27 +169,17 @@ class DoubleBuffer(MappingPass):
     requires = ("route_edges",)
 
     def run(self, state: MappingState) -> None:
-        if state.double_buffered:
-            raise MappingError("double_buffer already applied to this state")
         hu = state.hu
         writeback = state.stage("writeback")
 
-        added = 0
         for plan in state.gate_plans:
             dot = state.stage(plan.dot_name)
             extra = state.placer.take_pmus(dot.n_pcus * hu, xh_pmus(dot, hu)[0])
-            added += len(extra)
+            state.pmus_allocated += len(extra)
             dot.n_pmus += dot.n_pcus
             dot.units_pmu += tuple(extra)
-        state.pmus_allocated += added
 
         # With a back buffer to write into, the next step's loads no
         # longer wait for the broadcast: only the control handshake that
         # exceeds the (now overlapped) writeback stays exposed.
-        old = state.step_overhead
-        state.step_overhead = max(0, old - writeback.latency)
-        state.double_buffered = True
-        state.log(
-            f"double-buffered [x,h]: step overhead {old} -> "
-            f"{state.step_overhead} cycles, +{added} PMUs"
-        )
+        state.step_overhead = max(0, state.step_overhead - writeback.latency)

@@ -52,7 +52,7 @@ class PlaceUnits(MappingPass):
 
     def run(self, state: MappingState) -> None:
         chip = state.chip
-        placer = state.placer = _Placer(chip)
+        state.placer = _Placer(chip)
         anchor: Coord = (chip.layout.rows // 2, 0)
         state.stage("load_x").coord = anchor
 
@@ -70,7 +70,3 @@ class PlaceUnits(MappingPass):
         _place(state, ew, _centroid(accums))
         ew.coord = ew.units_pcu[0]
         state.stage("writeback").coord = ew.coord
-        state.log(
-            f"placed {state.pcus_allocated} PCUs and {state.pmus_allocated} PMUs "
-            f"(overflow: {placer.overflow_pcus} PCU / {placer.overflow_pmus} PMU)"
-        )

@@ -106,7 +106,3 @@ class PlanGates(MappingPass):
         # added by route_edges; the +1 write cycle is structural.
         state.add_stage(StageDraft("writeback", ii=1, latency=1))
         state.add_edge("ew", "writeback")
-        state.log(
-            f"planned {len(state.stages)} stages, {len(state.edges)} edges, "
-            f"ew_ops={ew_ops}"
-        )

@@ -83,7 +83,7 @@ class ReportResources(MappingPass):
             notes.append(
                 f"fuse_gates: {len(old_names)} accum stages merged into {fused_name}"
             )
-        if state.double_buffered:
+        if "double_buffer" in state.completed:
             notes.append(
                 f"double_buffer: step overhead {SEQ_SYNC_CYCLES} -> "
                 f"{graph.step_overhead} cycles"
@@ -113,8 +113,4 @@ class ReportResources(MappingPass):
             bits=state.bits,
             passes_applied=tuple(state.completed) + (self.name,),
             pass_timings=tuple(state.timings),
-        )
-        state.log(
-            f"design frozen: {state.resources.pcus_used} PCUs, "
-            f"{state.resources.pmus_used} PMUs, {len(notes)} notes"
         )

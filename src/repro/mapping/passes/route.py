@@ -51,4 +51,3 @@ class RouteEdges(MappingPass):
         broadcast = max(layout.route_cycles(ew.coord, pmu, hop) for pmu in xh_copies)
         writeback.latency += broadcast
         state.edge("ew", "writeback").route = 0
-        state.log(f"routed {len(state.edges)} edges, writeback broadcast={broadcast}")

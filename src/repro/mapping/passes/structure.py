@@ -21,16 +21,7 @@ class RecognizeRNN(MappingPass):
     requires: tuple[str, ...] = ()
 
     def run(self, state: MappingState) -> None:
-        root = state.prog.trace()
-        steps_loop, cell, gates = _find_structure(root)
-        state.root = root
-        state.steps_loop = steps_loop
+        state.steps, cell, state.gates = _find_structure(state.prog.trace())
         state.cell = cell
-        state.gates = gates
         state.hu = cell.par
         state.n_iterations = cell.issue_count
-        state.steps = steps_loop.extent
-        state.log(
-            f"recognized {len(gates)} gate groups, hu={state.hu}, "
-            f"steps={state.steps}, n_iterations={state.n_iterations}"
-        )

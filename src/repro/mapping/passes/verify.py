@@ -44,7 +44,7 @@ def _check_acyclic(state: MappingState) -> None:
 
 
 def _verify_structure(state: MappingState) -> None:
-    if state.root is None or state.steps_loop is None or state.cell is None:
+    if state.cell is None:
         _fail(state, "recognized structure is incomplete")
     if not state.gates:
         _fail(state, "no gate groups recognized")

@@ -57,12 +57,6 @@ class SimulationResult:
     total_cycles: int
     activities: dict[str, StageActivity] = field(repr=False)
 
-    def latency_seconds(self, clock_ghz: float) -> float:
-        return self.total_cycles / (clock_ghz * 1e9)
-
-    def latency_ms(self, clock_ghz: float) -> float:
-        return self.latency_seconds(clock_ghz) * 1e3
-
     def busy_unit_cycles(self, graph: PipelineGraph, kind: str) -> float:
         """Total busy unit-cycles per step for ``kind`` ("pcu"/"pmu").
 

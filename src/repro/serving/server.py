@@ -56,7 +56,7 @@ from repro.serving.events import _batch_exec_task
 from repro.serving.request import ServeRequest, ServeResponse, _check_budget_ms
 from repro.serving.scheduler import QueuedRequest, Scheduler, make_scheduler
 from repro.serving.stats import StreamSummary
-from repro.serving.traffic import request_from_json
+from repro.serving.traffic import _parse_request_line
 from repro.workloads.deepbench import RNNTask
 
 __all__ = [
@@ -547,21 +547,9 @@ class ServingServer:
         write_lock = asyncio.Lock()
         pending: "set[asyncio.Task]" = set()
 
-        async def answer(line: str, lineno: int) -> None:
+        async def answer(line: bytes, lineno: int) -> None:
             try:
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ServingError(
-                        f"bad socket request line {lineno}: {exc}"
-                    ) from exc
-                if not isinstance(rec, dict):
-                    raise ServingError(
-                        f"bad socket request line {lineno}: expected an object"
-                    )
-                req = request_from_json(
-                    rec, where=f"socket request line {lineno}"
-                )
+                req = _parse_request_line(line, f"socket request line {lineno}")
                 out = response_to_json(await self.submit(req))
             except ServingError as exc:
                 out = {"ok": False, "error": str(exc)}
@@ -577,7 +565,7 @@ class ServingServer:
             if not line.strip():
                 continue
             lineno += 1
-            task = asyncio.create_task(answer(line.decode(), lineno))
+            task = asyncio.create_task(answer(line, lineno))
             pending.add(task)
             task.add_done_callback(pending.discard)
         if pending:

@@ -782,6 +782,22 @@ def mix(
 #: rejected — per-request batching was never representable).
 _TRACE_VERSION = 2
 
+# What each trace-schema field may hold, checked by exact type so a JSON
+# ``true`` is neither an integer nor a number.  A null ``arrival_s``
+# means 0 and a null ``slo_ms`` means no own SLO.
+_INT = ((int,), "an integer")
+_REAL = ((int, float, type(None)), "a number or null")
+_FIELD_TYPES = {
+    "kind": ((str,), "a string"),
+    **dict.fromkeys(("hidden", "timesteps", "layers", "decoder_timesteps"), _INT),
+    "in_table6": ((bool,), "true or false"),
+    "arrival_s": _REAL,
+    "request_id": _INT,
+    "tenant": ((str,), "a string"),
+    "priority": _INT,
+    "slo_ms": _REAL,
+}
+
 
 def request_to_json(req: ServeRequest) -> dict:
     """One request as a trace-schema dict (the JSONL wire format).
@@ -822,10 +838,11 @@ def request_from_json(rec: dict, *, where: str = "request record") -> ServeReque
     the live server.  ``where`` names the source in error messages
     (trace line, socket peer).  Raises
     :class:`~repro.errors.ServingError` on malformed records — *every*
-    malformed record: non-dict JSON values and records whose fields
-    fail task validation (an unknown kind, a non-positive size) land
-    here too, so a trace replayer or socket handler catching
-    ``ServingError`` really does survive arbitrary input.
+    malformed record: non-dict JSON values, fields of the wrong type
+    (named in the message) and records whose fields fail task
+    validation (an unknown kind, a non-positive size) land here too, so
+    a trace replayer or socket handler catching ``ServingError`` really
+    does survive arbitrary input.
 
     Example::
 
@@ -852,6 +869,12 @@ object, got list
             f"batch sizes were never supported — batching is a "
             f"serving policy, not a task attribute"
         )
+    for name, (types, what) in _FIELD_TYPES.items():
+        if name in rec and type(rec[name]) not in types:
+            raise ServingError(
+                f"bad {where}: {name} must be {what}, got {type(rec[name]).__name__}"
+            )
+    arrival_s, slo_ms = rec.get("arrival_s"), rec.get("slo_ms")
     try:
         return ServeRequest(
             task=RNNTask(
@@ -862,17 +885,18 @@ object, got list
                 decoder_timesteps=rec.get("decoder_timesteps", 0),
                 in_table6=rec.get("in_table6", True),
             ),
-            arrival_s=rec["arrival_s"] if rec.get("arrival_s") is not None else 0.0,
+            arrival_s=0.0 if arrival_s is None else float(arrival_s),
             request_id=rec.get("request_id", 0),
             tenant=rec.get("tenant", "default"),
             priority=rec.get("priority", 0),
-            slo_ms=rec.get("slo_ms"),
+            slo_ms=None if slo_ms is None else float(slo_ms),
         )
-    except (ServingError, KeyError, TypeError, ValueError, WorkloadError) as exc:
+    except (ServingError, KeyError, OverflowError, WorkloadError) as exc:
         # WorkloadError: RNNTask validation (unknown kind, bad sizes)
         # must not escape as a non-serving exception past a handler
         # that promised ServingError for malformed records; the
-        # request's own checks (arrival, SLO) get the source named too.
+        # request's own checks (arrival, SLO) get the source named too,
+        # and so does an integer too large for a float.
         raise ServingError(f"bad {where}: {exc}") from exc
 
 
@@ -917,22 +941,25 @@ def record_trace(requests: Iterable[ServeRequest], path: str | Path) -> Path:
     return path
 
 
-def _parse_trace_line(line: str, lineno: int, path: Path) -> ServeRequest:
-    where = f"trace line {lineno} in {path}"
+def _parse_request_line(line: bytes, where: str) -> ServeRequest:
+    """One raw JSONL request line, from a trace file or a socket;
+    ``where`` names the line in errors."""
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as exc:
+    # ValueError: bad JSON or bytes that are not UTF-8 (JSON decodes
+    # them itself); RecursionError: arrays nested too deep to decode.
+    except (ValueError, RecursionError) as exc:
         raise ServingError(f"bad {where}: {exc}") from exc
     return request_from_json(rec, where=where)
 
 
 def _iter_trace(path: Path) -> Iterator[ServeRequest]:
     n = 0
-    with path.open() as handle:
+    with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            yield _parse_trace_line(line, lineno, path)
+            yield _parse_request_line(line, f"trace line {lineno} in {path}")
             n += 1
     if not n:
         raise ServingError(f"trace {path} holds no requests")

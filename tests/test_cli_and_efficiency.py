@@ -1,5 +1,7 @@
 """Tests for the CLI and the abstract-claims efficiency analysis."""
 
+import json
+
 import pytest
 
 from repro.analysis.efficiency import (
@@ -8,6 +10,8 @@ from repro.analysis.efficiency import (
     energy_per_inference_j,
 )
 from repro.harness.cli import build_parser, main
+from repro.serving import ServeRequest, request_to_json
+from repro.workloads.deepbench import task
 
 
 class TestClaimCheck:
@@ -157,6 +161,31 @@ class TestCLI:
         second = capsys.readouterr().out
         # Replay reproduces the generated stream's table verbatim.
         assert first.splitlines()[1:4] == second.splitlines()[1:4]
+
+    @pytest.mark.parametrize(
+        "field,value,flags",
+        [
+            ("tenant", [1], []),
+            ("priority", "12", ["--scheduler", "priority"]),
+            ("hidden", 512.5, []),
+            ("request_id", float("nan"), []),
+            ("priority", True, []),
+        ],
+    )
+    def test_serve_trace_mistyped_field_is_one_error_line(
+        self, capsys, tmp_path, field, value, flags
+    ):
+        # Regression: these used to die with a TypeError traceback (list
+        # tenant, string priority) or be served as they were.
+        rec = request_to_json(ServeRequest(task=task("lstm", 512, 25)))
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text(json.dumps({**rec, field: value}) + "\n")
+        assert main(
+            ["serve", "--platform", "gpu", "--stream", "--trace", str(trace), *flags]
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "trace line 1" in err[0] and field in err[0], err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

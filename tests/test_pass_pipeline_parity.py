@@ -20,6 +20,7 @@ from repro.mapping.mapper import _map_rnn_monolith, map_rnn_program
 from repro.mapping.passes import (
     DEFAULT_PIPELINE,
     PassConfig,
+    PassManager,
     design_fingerprint,
     diff_designs,
 )
@@ -129,7 +130,7 @@ class TestParityDetails:
     def test_explicit_pass_list_matches_default(self):
         prog = _program("gru", 512)
         by_default = map_rnn_program(prog)
-        by_list = map_rnn_program(prog, passes=list(DEFAULT_PIPELINE))
+        by_list = PassManager(list(DEFAULT_PIPELINE)).run_program(prog).design
         assert diff_designs(by_default, by_list) == []
 
     def test_fingerprint_is_json_compatible(self):

@@ -385,6 +385,48 @@ class TestSockets:
         assert good["ok"] is True and good["request_id"] == 9
         assert server.served == 1
 
+    @pytest.mark.parametrize(
+        "bad_line,named",
+        [
+            (
+                json.dumps(
+                    {**request_to_json(ServeRequest(task=T)), "tenant": [1]}
+                ).encode(),
+                "tenant",
+            ),
+            (b"\x80 not utf-8", "utf-8"),
+        ],
+        ids=["list-tenant", "not-utf8"],
+    )
+    def test_bad_record_gets_error_reply_and_server_survives(self, bad_line, named):
+        """Regression: a record with a list ``tenant`` used to parse, then
+        kill the replica worker, so neither it nor the next valid record
+        got a reply and the drain raised TypeError; a line that is not
+        UTF-8 killed the connection's handler.  Every wait is bounded,
+        so a regression fails instead of hanging."""
+
+        async def main():
+            server = await ServingServer("gpu").start()
+            host, port = await server.listen()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(bad_line + b"\n")
+            await writer.drain()
+            bad = json.loads(await asyncio.wait_for(reader.readline(), 30))
+            good = await asyncio.wait_for(
+                self.roundtrip(reader, writer, ServeRequest(task=T, request_id=2)),
+                30,
+            )
+            writer.close()
+            await writer.wait_closed()
+            summary = await asyncio.wait_for(server.drain(), 30)
+            return bad, good, summary
+
+        bad, good, summary = run(main())
+        assert bad["ok"] is False, bad
+        assert "line 1" in bad["error"] and named in bad["error"], bad
+        assert good["ok"] is True and good["request_id"] == 2
+        assert summary.n_requests == 1
+
     def test_pipelined_requests_one_connection(self):
         async def main():
             server = await ServingServer("gpu", replicas=2).start()

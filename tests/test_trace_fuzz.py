@@ -4,9 +4,9 @@ Valid :func:`request_to_json` records are mutated 2,000 times — a value
 replaced by a wrong type, NaN, an infinity, a negative or a huge number;
 a key dropped; an extra key added; the line truncated — and each
 mutation is written as a one-line trace and read back through
-:func:`iter_trace`.  Every line must either parse into one request or
-raise :class:`~repro.errors.ServingError` naming ``trace line 1``; any
-other exception escaping the reader is a failure.
+:func:`iter_trace`.  Every line must either parse into one well-typed
+request or raise :class:`~repro.errors.ServingError` naming ``trace
+line 1``; any other exception escaping the reader is a failure.
 """
 
 import json
@@ -39,6 +39,21 @@ _BAD_VALUES = (
     float("nan"), float("inf"), float("-inf"),
     0, -1, -2.5, 2.5, 10**30, -(10**30), 1e308,
 )
+
+
+def _well_typed(req: ServeRequest) -> bool:
+    """Every field holds its schema type; a bool is not a number here."""
+    t = req.task
+    ints = (t.hidden, t.timesteps, t.layers, t.decoder_timesteps,
+            req.request_id, req.priority)
+    return (
+        all(type(v) is int for v in ints)
+        and type(t.kind) is str
+        and type(req.tenant) is str
+        and type(t.in_table6) is bool
+        and type(req.arrival_s) in (int, float)
+        and type(req.slo_ms) in (int, float, type(None))
+    )
 
 
 def _mutate(rng: random.Random) -> str:
@@ -74,6 +89,7 @@ def test_mutated_trace_lines_parse_or_raise_serving_error(tmp_path):
             pytest.fail(f"trace line {line!r} raised {exc!r}")
         else:
             assert len(requests) == 1 and isinstance(requests[0], ServeRequest), line
+            assert _well_typed(requests[0]), (line, requests[0])
             outcomes["parsed"] += 1
     # Both outcomes occur, so the draw is neither all valid nor all junk.
     assert outcomes["parsed"] and outcomes["rejected"], outcomes

@@ -269,6 +269,18 @@ class TestTrace:
         with pytest.raises(ServingError, match="bad trace line 1.*arrival_s"):
             replay_trace(path)
 
+    @pytest.mark.parametrize(
+        "line", [b"\x80 not utf-8\n", b"[" * 100_000 + b"\n"],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_undecodable_line_raises(self, tmp_path, line):
+        # Regression: these escaped as UnicodeDecodeError and
+        # RecursionError tracebacks instead of naming the line.
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(line)
+        with pytest.raises(ServingError, match="bad trace line 1"):
+            replay_trace(path)
+
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ServingError, match="empty"):
             record_trace([], tmp_path / "empty.jsonl")
@@ -326,6 +338,14 @@ class TestRequestFromJson:
         ):
             with pytest.raises(ServingError, match="bad request record"):
                 request_from_json({**base, **corrupt})
+
+    def test_integer_too_large_for_a_float_is_a_serving_error(self):
+        # Regression: a 400-digit arrival_s parsed as an int and later
+        # crashed the event loop with OverflowError.
+        base = request_to_json(ServeRequest(task=T, request_id=0))
+        for name in ("arrival_s", "slo_ms"):
+            with pytest.raises(ServingError, match="bad request record"):
+                request_from_json({**base, name: 10**400})
 
     def test_missing_fields_raise_serving_error(self):
         with pytest.raises(ServingError, match="bad request record"):
