@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the paper's design choices.
 
 Not figures from the paper, but the quantified versions of its design
 arguments: what each micro-architectural choice (precision packing,

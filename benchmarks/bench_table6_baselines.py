@@ -2,8 +2,8 @@
 
 Each benchmark sweeps the ten DeepBench points through one platform model
 and checks the shape against the paper: per-row tolerance bands reflect
-each model's documented fidelity (CPU ±25%, Brainwave ±25%, GPU ±70% —
-see EXPERIMENTS.md for the per-row discussion).
+each model's documented fidelity (CPU ±25%, Brainwave ±25%, GPU ±70%;
+each run writes its per-row ratios to ``benchmarks/out/table6_*.txt``).
 """
 
 import pytest

@@ -2,7 +2,7 @@
 
 Each model is an analytic/instruction-level simulator calibrated against
 the paper's own published measurements; calibration constants are
-documented in the module docstrings and EXPERIMENTS.md.
+documented in the module docstrings.
 
 * :mod:`repro.baselines.machine` — memory-hierarchy machine descriptions.
 * :mod:`repro.baselines.cpu` — TensorFlow ``LSTMBlockFusedCell`` /

@@ -5,9 +5,9 @@ Three parameter sources, in increasing order of automation:
 * :func:`paper_params` — the parameters we reconstructed from the paper.
   Table 7's Plasticine column did not survive PDF text extraction intact,
   so these are fit against Table 6's published latencies (they reproduce
-  the LSTM 1024/1536/2048 rows to within a few cycles; see
-  EXPERIMENTS.md).  ``rv = 64`` (16 lanes x 4-packed fp8) and ``hv = 1``
-  throughout, exactly as the paper states.
+  the LSTM 1024/1536/2048 rows to within a few cycles).  ``rv = 64``
+  (16 lanes x 4-packed fp8) and ``hv = 1`` throughout, exactly as the
+  paper states.
 * :func:`tune` — run the DSE and take its optimum.
 * A fixed :class:`~repro.rnn.lstm_loop.LoopParams` the caller supplies.
 

@@ -54,8 +54,8 @@ __all__ = ["MappedDesign", "map_rnn_program", "SEQ_SYNC_CYCLES"]
 
 #: Control overhead of one Sequential time-step boundary: the outer
 #: controller's done/enable token exchange through the fabric.  This is
-#: the model's single calibrated timing constant (see EXPERIMENTS.md);
-#: every other latency derives from structure and placement.
+#: the model's single calibrated timing constant; every other latency
+#: derives from structure and placement.
 SEQ_SYNC_CYCLES = 16
 
 

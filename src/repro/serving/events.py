@@ -48,7 +48,10 @@ a scheduler queue on any number of replicas: with per-replica FIFO
 queues, batch 1 and dispatch on arrival, each request's start is fixed
 the moment it is dispatched, reducing it to a handful of float ops.  A
 single replica with any other scheduler and a non-holding batcher still
-needs no event heap (completions and arrivals merge in order).  Every
+needs no event heap (completions and arrivals merge in order).  Into a
+plain summary, the one-replica FIFO loop folds a long run of one class
+at once past its first requests (:meth:`StreamSummary.observe_run
+<repro.serving.stats.StreamSummary.observe_run>`), not one call each.  Every
 path evaluates ``start = max(arrival, replica_free_at)`` with the same
 floats in the same order, and folds summaries in the general loop's
 launch order, so the FIFO + ``"none"`` timeline stays bit-for-bit
@@ -61,7 +64,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import ServingError
 from repro.serving.autoscaler import Autoscaler, ScaleEvent
@@ -70,11 +76,11 @@ from repro.serving.faults import FaultPolicy, NoFaults
 from repro.serving.request import ServeRequest, ServeResponse, _check_budget_ms
 from repro.serving.result import FaultStats
 from repro.serving.scheduler import FIFOScheduler, QueuedRequest, Scheduler
+from repro.serving.stats import StreamSummary
 from repro.workloads.deepbench import RNNTask
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serving.engine import ServingEngine
-    from repro.serving.stats import StreamSummary
 
 __all__ = [
     "normalize_arrivals",
@@ -93,6 +99,17 @@ __all__ = [
 _FREE, _RECOVER, _ARRIVAL, _LAUNCH, _CRASH, _TIMEOUT, _HEDGE = range(7)
 
 _INF = float("inf")
+
+#: Requests the single-replica FIFO loop buffers before it folds them
+#: into a summary as one run (:meth:`StreamSummary.observe_run`).
+_RUN_BUFFER = 1024
+
+#: Requests the single-replica FIFO loop folds one call each between
+#: its checks for a run: a run is buffered once a whole such chunk and
+#: the request before it fell in one class, so after 33 to 64 single
+#: folds.  One :meth:`StreamSummary.observe_run` costs about what 40
+#: single folds do.
+_RUN_CHUNK = 32
 
 #: Factory building the replica at one index slot:
 #: (index) -> (engine, scheduler, batcher).  The index lets a mixed
@@ -512,11 +529,21 @@ def _run_fifo_unbatched(
     ``dispatch=None`` (one replica, what :meth:`ServingEngine.serve_stream
     <repro.serving.engine.ServingEngine.serve_stream>` passes) keeps a
     separate tight body, so the paper's scenario pays per request for
-    no dispatcher call, buffer or per-replica list: one float recursion
-    and the fold.  It folds on arrival, which is launch order for one
-    FIFO replica.
+    no dispatcher call or per-replica list: one float recursion and the
+    fold.  It folds in arrival order, which is launch order for one
+    FIFO replica.  A sink whose ``observe_served`` is
+    :class:`StreamSummary`'s own takes :func:`_run_fifo_runs`, which
+    folds a long run of one class with numpy once a chunk of
+    :data:`_RUN_CHUNK` requests has shown it; a sink that overrides it (a
+    pruning summary) gets one call per request, on arrival.
     """
     collect = summary is None
+    if (
+        dispatch is None
+        and not collect
+        and type(summary).observe_served is StreamSummary.observe_served
+    ):
+        return _run_fifo_runs(stream, engines[0], summary)
     responses: list[ServeResponse] = []
     append = responses.append
     observe = None if collect else summary.observe_served
@@ -655,6 +682,127 @@ def _run_fifo_unbatched(
         n_replicas=k,
         active_replicas=k,
     )
+
+
+def _run_fifo_runs(
+    stream: Iterable[ServeRequest],
+    engine: "ServingEngine",
+    summary: StreamSummary,
+) -> StreamOutcome:
+    """One FIFO batch-1 replica into a summary, folded run by run.
+
+    A run is consecutive requests of one class (equal tasks, tenants,
+    priorities and SLO tags), so of one executed result.  The loop runs
+    the per-request body, one :meth:`StreamSummary.observe_served` call
+    per request, on chunks of :data:`_RUN_CHUNK` requests, and adds no
+    work per request there: after each chunk it asks the summary's
+    back-to-back class cache whether the whole chunk, and the request
+    before it, landed in one class accumulator.  So a stream of short
+    runs (mixed classes, sampled lengths) costs what the per-request body
+    does.
+
+    Once a chunk says so, the rest of the run computes each finish the
+    same way and writes arrivals and finishes into two fixed-size float
+    arrays, reused run after run (no float object outlives its request);
+    starts need no buffer, since each is ``max(arrival, previous
+    finish)``.  Each request's class fields are checked against the
+    run's; a task equal to the run's (a trace builds a new one per line)
+    continues the run and needs no lookup, which :class:`CacheStats
+    <repro.serving.engine.CacheStats>` counts as a hit, as it counts a
+    repeated task object.  The buffer goes to
+    :meth:`StreamSummary.observe_run
+    <repro.serving.stats.StreamSummary.observe_run>` when a request of
+    another class arrives (which then starts the next chunk), when it
+    holds :data:`_RUN_BUFFER` requests, and when the loop exits, normally
+    or by an exception (a presorted stream found out of order), so the
+    summary always ends as the per-request fold leaves it.
+    """
+    result_for = engine.result_for
+    observe = summary.observe_served
+    observe_run = summary.observe_run
+    size = _RUN_BUFFER
+    per_chunk = _RUN_CHUNK
+    arrivals = np.empty(size)
+    finishes = np.empty(size)
+    fill = 0
+    folded = 0  # requests folded so far, by either path
+    lookups = 0
+    free_at = 0.0
+    task: RNNTask | None = None
+    result = None
+    latency = 0.0
+    # The buffered part of the run: its first request and the replica's
+    # free time before it.
+    head: ServeRequest | None = None
+    head_free = 0.0
+    requests = iter(stream)
+    chunk = islice(requests, per_chunk)
+    try:
+        while True:
+            last = summary._last_acc
+            last_n = -1 if last is None else last.n
+            before = folded
+            for req in chunk:
+                t = req.task
+                if t is not task:
+                    result = result_for(t)
+                    task = t
+                    latency = result.latency_s
+                    lookups += 1
+                arrival = req.arrival_s
+                start = arrival if arrival > free_at else free_at
+                free_at = start + latency
+                folded += 1
+                observe(req, result, start, free_at, 1)
+            if folded - before < per_chunk:
+                break  # the stream ended
+            acc = summary._last_acc
+            if acc is not last or acc.n - last_n != per_chunk:
+                chunk = islice(requests, per_chunk)
+                continue
+            steps = task.timesteps
+            tenant = acc.tenant
+            priority = acc.priority
+            slo = acc.slo_key
+            for req in requests:
+                t = req.task
+                if not (
+                    (t is task or (t.timesteps == steps and t == task))
+                    and req.tenant == tenant
+                    and req.priority == priority
+                    and req.slo_ms == slo
+                ):
+                    break
+                arrival = req.arrival_s
+                if not fill:
+                    head = req
+                    head_free = free_at
+                free_at = (arrival if arrival > free_at else free_at) + latency
+                arrivals[fill] = arrival
+                finishes[fill] = free_at
+                fill += 1
+                if fill == size:
+                    folded += size
+                    fill = 0
+                    observe_run(head, result, head_free, arrivals, finishes)
+            else:
+                break  # the stream ended
+            if fill:
+                folded += fill
+                count, fill = fill, 0
+                observe_run(
+                    head, result, head_free, arrivals[:count], finishes[:count]
+                )
+            chunk = chain((req,), islice(requests, per_chunk - 1))
+    finally:
+        n = folded + fill
+        engine.cache_stats.hits += n - lookups
+        summary.note_assignment(0, n)
+        if fill:
+            observe_run(head, result, head_free, arrivals[:fill], finishes[:fill])
+    if n == 0:
+        raise ServingError("serve_stream needs at least one request")
+    return StreamOutcome(responses=[], assignments=[])
 
 
 def _run_single_replica(

@@ -69,6 +69,31 @@ __all__ = [
 
 _INF = float("inf")
 
+#: Longest socket request line, in bytes before its newline (asyncio's
+#: default stream limit).  A longer line gets an error reply and is
+#: skipped; the connection reads on.
+_LINE_LIMIT = 2**16
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> "bytes | None":
+    """The next line from a socket client, ``b""`` at the end of the
+    stream, or ``None`` for a line longer than :data:`_LINE_LIMIT`,
+    which is read through its newline and dropped, never held whole."""
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # a last line without a newline, or b"" at the end
+    except asyncio.LimitOverrunError:
+        pass
+    while True:
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+        except asyncio.IncompleteReadError:
+            return None
+
 
 class Clock:
     """Pluggable time source for the live server.
@@ -523,10 +548,13 @@ class ServingServer:
         (:func:`~repro.serving.traffic.request_to_json`); one response
         per request in :func:`response_to_json` form, matched by
         ``request_id`` (responses may interleave — clients may pipeline).
-        A malformed line gets an ``{"ok": false, "error": ...}`` reply
-        and the connection stays up.
+        A malformed line, or one longer than 64 KiB, gets an
+        ``{"ok": false, "error": ...}`` reply and the connection stays
+        up.
         """
-        listener = await asyncio.start_server(self._handle_client, host, port)
+        listener = await asyncio.start_server(
+            self._handle_client, host, port, limit=_LINE_LIMIT
+        )
         self._listeners.append(listener)
         bound = listener.sockets[0].getsockname()
         return bound[0], bound[1]
@@ -536,7 +564,9 @@ class ServingServer:
 
         The socket file is removed when the server drains.
         """
-        listener = await asyncio.start_unix_server(self._handle_client, path)
+        listener = await asyncio.start_unix_server(
+            self._handle_client, path, limit=_LINE_LIMIT
+        )
         self._listeners.append(listener)
         self._unix_paths.append(path)
         return path
@@ -547,9 +577,14 @@ class ServingServer:
         write_lock = asyncio.Lock()
         pending: "set[asyncio.Task]" = set()
 
-        async def answer(line: bytes, lineno: int) -> None:
+        async def answer(line: "bytes | None", lineno: int) -> None:
+            where = f"socket request line {lineno}"
             try:
-                req = _parse_request_line(line, f"socket request line {lineno}")
+                if line is None:
+                    raise ServingError(
+                        f"{where} is longer than {_LINE_LIMIT} bytes; skipped"
+                    )
+                req = _parse_request_line(line, where)
                 out = response_to_json(await self.submit(req))
             except ServingError as exc:
                 out = {"ok": False, "error": str(exc)}
@@ -559,10 +594,10 @@ class ServingServer:
 
         lineno = 0
         while True:
-            line = await reader.readline()
-            if not line:
+            line = await _read_request_line(reader)
+            if line == b"":
                 break
-            if not line.strip():
+            if line is not None and not line.strip():
                 continue
             lineno += 1
             task = asyncio.create_task(answer(line, lineno))

@@ -24,6 +24,18 @@ Design:
   *exactly*; float means agree to reordering (summation order differs).
   The root summary and every slice are rollups over class accumulators,
   so one update per request feeds all breakdowns at once.
+* **A run folds as one update.**  Batch-1 requests of one class that
+  executed back to back on one replica all land in one accumulator, so
+  :meth:`StreamSummary.observe_run` folds such a run with numpy rather
+  than one :meth:`~StreamSummary.observe_served` call per request, and
+  ends in the same state bit for bit: its sums add in the same
+  left-to-right order (``np.add.accumulate`` seeded with the running
+  total, where ``np.sum`` would add pairwise), and a sojourn whose
+  vector ``log10`` lies within a hair of a bucket edge is re-binned with
+  :func:`math.log10`.  The one-replica FIFO loop of
+  :func:`repro.serving.events.run_stream` feeds it each run past the
+  run's first 33 to 64 requests, which it folds one by one: a shorter
+  run costs less that way.
 * **Fixed-bucket log histogram for quantiles** (the mergeable
   alternative to the P² estimator, whose markers cannot be combined
   across slices).  Sojourns land in geometric buckets of ratio
@@ -50,11 +62,13 @@ Example::
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import ServingError
 from repro.platforms import ELECTRICITY_USD_PER_KWH, device_usd_per_hour, tdp_of
-from repro.serving.request import ServeRequest
+from repro.serving.request import ServeRequest, _trusted_request
 from repro.serving.result import FaultStats, ServingResult
 from repro.serving.traffic import length_band
 
@@ -78,15 +92,57 @@ _HIST_RATIO = 10.0 ** (1.0 / _HIST_PER_DECADE)
 
 _log10 = math.log10
 
+#: How close, in buckets, a vector-computed scaled log may come to a
+#: bucket edge before the run fold re-bins it with :func:`math.log10`
+#: (``np.log10`` may differ from it in the last ulp: under 1e-12 once
+#: scaled).
+_EDGE_TOL = 1e-9
+
 
 def _bucket_index(value_ms: float) -> int:
-    """Histogram bucket for a positive sojourn (clamped at both ends)."""
+    """Histogram bucket for a sojourn (clamped at both ends: a zero
+    sojourn, which has no log, lands in bucket 0)."""
+    if not value_ms > 0.0:
+        return 0
     idx = int((_log10(value_ms) - _HIST_LO_EXP) * _HIST_PER_DECADE)
     if idx < 0:
         return 0
     if idx >= _HIST_BUCKETS:
         return _HIST_BUCKETS - 1
     return idx
+
+
+def _running_sum(total: float, values: np.ndarray) -> float:
+    """``total + values[0] + values[1] + ...``, added left to right as
+    the per-request fold adds them (``np.sum`` adds pairwise, which
+    rounds differently).  Overwrites ``values`` with the running sums."""
+    values[0] += total
+    return float(np.add.accumulate(values, out=values)[-1])
+
+
+def _add_to_buckets(counts: "list[int]", sojourn_ms: np.ndarray) -> None:
+    """Count each sojourn in its :func:`_bucket_index` bucket, by numpy.
+
+    ``np.log10`` may differ from :func:`math.log10` in the last ulp, which
+    moves a value right at a bucket edge, so each value whose scaled log
+    lies within :data:`_EDGE_TOL` of an integer is binned by
+    :func:`_bucket_index` itself.
+    """
+    # A zero sojourn has no log: it lands below the range, in bucket 0.
+    scaled = np.full(len(sojourn_ms), _HIST_LO_EXP - 1.0)
+    np.log10(sojourn_ms, out=scaled, where=sojourn_ms > 0.0)
+    scaled -= _HIST_LO_EXP
+    scaled *= _HIST_PER_DECADE
+    off_edge = np.rint(scaled)
+    off_edge -= scaled
+    near_edge = np.flatnonzero(np.abs(off_edge, out=off_edge) < _EDGE_TOL)
+    idx = np.clip(scaled, 0, _HIST_BUCKETS - 1, out=scaled).astype(np.intp)
+    for i in near_edge.tolist():
+        idx[i] = _bucket_index(float(sojourn_ms[i]))
+    hist = np.bincount(idx)
+    filled = np.flatnonzero(hist)
+    for i, c in zip(filled.tolist(), hist[filled].tolist()):
+        counts[i] += c
 
 
 def percentile(sorted_values: "list[float] | tuple[float, ...]", q: float) -> float:
@@ -558,8 +614,9 @@ class StreamSummary(_StreamFigures):
     """O(1)-memory mirror of :class:`~repro.serving.engine.StreamReport`.
 
     Produced by ``serve_stream(..., mode="summary")``: the event loop
-    feeds every completed request through :meth:`observe_served` and
-    drops it, so memory is bounded by the number of distinct request
+    feeds every completed request through :meth:`observe_served` (or a
+    whole run of them through :meth:`observe_run`) and drops it, so
+    memory is bounded by the number of distinct request
     *classes* (task x tenant x priority x SLO tag), not by the stream
     length.  Counts and sums (``n_requests``, ``slo_attainment``,
     ``mean_batch_size``, ``padding_waste_frac``, per-slice request
@@ -616,7 +673,9 @@ class StreamSummary(_StreamFigures):
         #: property walks the task shape, far too slow per request.
         self._flops: dict["RNNTask", int] = {}
         # Identity fast path: streams overwhelmingly repeat the same
-        # (task, tenant, priority, slo, outcome) class back to back.
+        # (task, tenant, priority, slo, outcome) class back to back.  The
+        # one-replica FIFO loop reads _last_acc between chunks of folds to
+        # find runs of one class (repro.serving.events._run_fifo_runs).
         self._last_task: "RNNTask | None" = None
         self._last_acc: _ClassAcc | None = None
 
@@ -712,12 +771,107 @@ class StreamSummary(_StreamFigures):
             acc.add_sojourn(sojourn_ms)
         else:
             # _bucket_index, inlined for the spilled (large-class) case.
-            idx = int((_log10(sojourn_ms) - _HIST_LO_EXP) * _HIST_PER_DECADE)
+            try:
+                idx = int((_log10(sojourn_ms) - _HIST_LO_EXP) * _HIST_PER_DECADE)
+            except ValueError:  # a zero sojourn has no log: bucket 0
+                idx = 0
             if idx < 0:
                 idx = 0
             elif idx >= _HIST_BUCKETS:
                 idx = _HIST_BUCKETS - 1
             counts[idx] += 1
+
+    def observe_run(
+        self,
+        request: ServeRequest,
+        result: ServingResult,
+        free_at: float,
+        arrivals: Sequence[float],
+        finishes: Sequence[float],
+    ) -> None:
+        """Fold a run of batch-1 requests that executed back to back.
+
+        The run's requests share ``request``'s class (an equal task,
+        tenant, priority and SLO tag), and executed in order as
+        ``result`` on one replica that was free from ``free_at``:
+        ``arrivals`` and ``finishes`` hold their times, so request ``i``
+        started at ``max(arrivals[i], finishes[i - 1])`` (``free_at``
+        for the first).  The summary ends in exactly the state
+        :meth:`observe_served` leaves it in when called on each request
+        in turn, bit for bit.
+
+        Requests that still fill the class's exact reservoir, and every
+        request of a class served by more than one platform, go through
+        :meth:`observe_served` itself, each rebuilt from ``request``'s
+        task and class fields with its own arrival time (as a float)
+        and ``request``'s ``request_id``, which the fold does not read;
+        numpy folds the rest at once.
+        """
+        m = len(arrivals)
+        if not m:
+            return
+        task = request.task
+        acc = self._class_for(request, "ok")
+        platform = result.platform
+        observe = self.observe_served
+        prev = free_at
+        head = 0
+        while acc.platform != platform or (
+            acc.samples is not None and len(acc.samples) < EXACT_SAMPLE_CAP
+        ):
+            if head == m:
+                return
+            arrival = float(arrivals[head])
+            finish = float(finishes[head])
+            observe(
+                _trusted_request(
+                    task, arrival, request.request_id, request.tenant,
+                    request.priority, request.slo_ms,
+                ),
+                result,
+                arrival if arrival > prev else prev,
+                finish,
+                1,
+            )
+            prev = finish
+            head += 1
+        if head == m:
+            return
+        if acc.samples is not None:
+            # The next request would spill the full reservoir.
+            acc._promote()
+        arrival_s = np.asarray(arrivals, dtype=np.float64)[head:]
+        finish_s = np.asarray(finishes, dtype=np.float64)[head:]
+        n = len(finish_s)
+        sojourn_ms = finish_s - arrival_s
+        sojourn_ms *= 1e3
+        queue_s = np.empty(n)
+        queue_s[0] = prev
+        queue_s[1:] = finish_s[:-1]
+        np.maximum(queue_s, arrival_s, out=queue_s)  # the starts
+        queue_s -= arrival_s
+        acc.n += n
+        acc.batch_sum += n
+        acc.batch_max = max(acc.batch_max, 1)
+        if result.task is not task:
+            acc.pad_flops += n * (self._flops_of(result.task) - acc.useful_flops)
+        eff = acc.eff_slo_ms
+        if type(eff) is float:
+            acc.miss += int(np.count_nonzero(sojourn_ms > eff))
+        elif eff is not None:  # compared one by one, exactly, like the fold
+            acc.miss += sum(1 for value in sojourn_ms.tolist() if value > eff)
+        # max() and min() keep the first of equal values, as the fold does.
+        acc.max_arrival_s = max(acc.max_arrival_s, float(arrival_s.max()))
+        acc.max_finish_s = max(acc.max_finish_s, float(finish_s.max()))
+        acc.min_sojourn_ms = min(acc.min_sojourn_ms, float(sojourn_ms.min()))
+        acc.max_sojourn_ms = max(acc.max_sojourn_ms, float(sojourn_ms.max()))
+        _add_to_buckets(acc.counts, sojourn_ms)  # type: ignore[arg-type]
+        # Last, as they overwrite their arrays.
+        acc.sojourn_sum_ms = _running_sum(acc.sojourn_sum_ms, sojourn_ms)
+        acc.queue_sum_s = _running_sum(acc.queue_sum_s, queue_s)
+        acc.service_sum_s = _running_sum(
+            acc.service_sum_s, np.full(n, float(result.latency_s))
+        )
 
     def note_assignment(self, replica: int, count: int = 1) -> None:
         """Count ``count`` requests dispatched to ``replica``.

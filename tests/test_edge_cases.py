@@ -141,7 +141,7 @@ class TestLargestTask:
 
     def test_gru2816_overflows_capacity_on_both(self):
         # 47.6M weights: > 31.5 MB at fp8 on Plasticine, > 30.5 MB in BFP
-        # on Stratix 10 — neither chip truly holds it (EXPERIMENTS.md).
+        # on Stratix 10 — neither chip truly holds it.
         from repro.baselines import BrainwaveServingModel
         from repro.serving import ServingEngine
         from repro.workloads.deepbench import task

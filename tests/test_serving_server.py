@@ -427,6 +427,58 @@ class TestSockets:
         assert good["ok"] is True and good["request_id"] == 2
         assert summary.n_requests == 1
 
+    def test_over_long_line_gets_error_reply_and_connection_reads_on(self):
+        """Regression: a line past the stream reader's 64 KiB limit made
+        ``readline`` raise, which ended the connection's handler, so
+        neither that line nor any later one got a reply.  Every wait is
+        bounded, so a regression fails instead of hanging."""
+
+        async def main():
+            server = await ServingServer("gpu").start()
+            host, port = await server.listen()
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b"{" + b" " * 100_000 + b"}\n")
+            await writer.drain()
+            bad = json.loads(await asyncio.wait_for(reader.readline(), 30))
+            good = await asyncio.wait_for(
+                self.roundtrip(reader, writer, ServeRequest(task=T, request_id=3)),
+                30,
+            )
+            writer.close()
+            await writer.wait_closed()
+            summary = await asyncio.wait_for(server.drain(), 30)
+            return bad, good, summary
+
+        bad, good, summary = run(main())
+        assert bad["ok"] is False, bad
+        assert "line 1" in bad["error"] and "65536 bytes" in bad["error"], bad
+        assert good["ok"] is True and good["request_id"] == 3
+        assert summary.n_requests == 1
+
+    @pytest.mark.parametrize("chunks", [1, 7], ids=["whole", "in-pieces"])
+    def test_read_request_line_skips_only_the_over_long_line(self, chunks):
+        """The newline past the limit may arrive with the long line or
+        after several reads; either way the next line is read whole."""
+        from repro.serving.server import _read_request_line
+
+        async def main():
+            reader = asyncio.StreamReader(limit=16)
+            data = b"x" * 50 + b"\nshort\n" + b"y" * 40
+            step = -(-len(data) // chunks)
+
+            async def feed():
+                for start in range(0, len(data), step):
+                    reader.feed_data(data[start:start + step])
+                    await asyncio.sleep(0)
+                reader.feed_eof()
+
+            feeding = asyncio.create_task(feed())
+            lines = [await _read_request_line(reader) for _ in range(4)]
+            await feeding
+            return lines
+
+        assert run(main()) == [None, b"short\n", None, b""]
+
     def test_pipelined_requests_one_connection(self):
         async def main():
             server = await ServingServer("gpu", replicas=2).start()

@@ -290,8 +290,35 @@ class TestHistogramEdges:
         from repro.serving.stats import _HIST_BUCKETS, _bucket_index
 
         assert _bucket_index(1e-9) == 0
+        assert _bucket_index(0.0) == 0
         assert _bucket_index(1e12) == _HIST_BUCKETS - 1
         assert 0 < _bucket_index(1.0) < _HIST_BUCKETS - 1
+
+    def test_zero_sojourns_spill_into_bucket_zero(self):
+        """Regression: a 0.45 us service is below half an ulp of an
+        arrival at 1e12 s, so every finish equals its arrival.  Once the
+        class spilled past its reservoir, summary mode raised ``math
+        domain error`` from ``log10(0)``; full mode reported the stream."""
+        gru = task("gru", 512, 1)
+        arrivals = [
+            ServeRequest(task=gru, arrival_s=1e12 + i, request_id=i)
+            for i in range(100)
+        ]
+        assert len(arrivals) > EXACT_SAMPLE_CAP
+        full = ServingEngine("plasticine").serve_stream(arrivals)
+        assert full.p99_ms == 0.0
+        summary = ServingEngine("plasticine").serve_stream(arrivals, mode="summary")
+        assert summary.n_requests == full.n_requests == 100
+        assert summary.p99_ms == full.p99_ms
+        # The per-request fold (a sink overriding observe_served) agrees.
+        sink = _OrderSink("plasticine")
+        run_stream(
+            arrivals,
+            engines=[ServingEngine("plasticine")],
+            schedulers=[make_scheduler("fifo")],
+            summary=sink,
+        )
+        assert (sink.n_requests, sink.p99_ms) == (100, 0.0)
 
     def test_out_of_range_sojourns_still_bounded_by_min_max(self):
         # Values beyond the histogram range clamp into the edge buckets;

@@ -16,8 +16,11 @@ and flag checks (run without serving), so an example cannot combine
 flags the CLI rejects.  Every ``src/repro/...`` path in README.md
 and docs/*.md must exist, and every dotted ``repro.x.y`` name there
 must resolve, so a deleted module or function cannot leave a stale
-reference behind.  Also sanity-checks that the docs/ suite and the
-README cross-link each other.
+reference behind.  Every ``*.md`` file that a ``.py`` file under
+``src/``, ``tests/`` or ``benchmarks/`` names must exist (from the repo
+root or beside the citing file), so code cannot cite a document that is
+not there.  Also sanity-checks that the docs/ suite and the README
+cross-link each other.
 
 Run from the repo root (CI does):
 
@@ -74,6 +77,11 @@ REFERENCE_DOCS = (*REPO.glob("README.md"), *sorted((REPO / "docs").glob("*.md"))
 SRC_PATH = re.compile(r"src/repro(?:/[\w.]+)*")
 #: A dotted name such as ``repro.serving.traffic.mix``.
 DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
+
+#: Code whose citations of markdown files must resolve.
+CITING_DIRS = ("src", "tests", "benchmarks")
+#: A markdown file name such as ``docs/CLI.md``.
+MD_NAME = re.compile(r"(?<![\w./-])[\w./-]*\w\.md\b")
 
 
 def _long_options(parser: argparse.ArgumentParser) -> set[str]:
@@ -177,6 +185,22 @@ def resolves(name: str) -> bool:
     return False
 
 
+def missing_md_citations() -> tuple[int, list[str]]:
+    """``*.md`` names in the citing code that exist neither from the
+    repo root nor beside the file naming them, with the count checked."""
+    failures = []
+    n_cited = 0
+    for folder in CITING_DIRS:
+        for path in sorted((REPO / folder).rglob("*.py")):
+            for name in sorted(set(MD_NAME.findall(path.read_text()))):
+                n_cited += 1
+                if not ((REPO / name).exists() or (path.parent / name).exists()):
+                    failures.append(
+                        f"{path.relative_to(REPO)} names {name}, which does not exist"
+                    )
+    return n_cited, failures
+
+
 def main() -> int:
     failures: list[str] = []
 
@@ -251,6 +275,9 @@ def main() -> int:
             if not resolves(name):
                 failures.append(f"{rel} names {name}, which does not resolve")
 
+    n_cited, md_failures = missing_md_citations()
+    failures.extend(md_failures)
+
     passes = mapping_passes()
     for name in passes:
         if name not in architecture:
@@ -271,6 +298,7 @@ def main() -> int:
         f"{n_examples} serve examples pass the flag checks, "
         f"{len(passes)} mapping passes documented, "
         f"{len(paths)} source paths and {len(names)} repro names resolve, "
+        f"{n_cited} markdown citations in code exist, "
         f"{len(REQUIRED_LINKS)} docs cross-linked"
     )
     return 0
