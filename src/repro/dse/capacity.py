@@ -64,6 +64,7 @@ from repro.dse.runner import (
     DSEStats,
     PruneAbort,
     PruningSummary,
+    _check_budget,
     prune_threshold,
     run_jobs,
 )
@@ -425,14 +426,10 @@ def plan_capacity(
     :class:`~repro.errors.DSEError` when nothing in the space holds the
     SLO, exactly like the chip DSE's no-feasible-design error.
     """
-    if not slo_ms > 0:
-        raise DSEError(f"slo_ms must be positive, got {slo_ms!r}")
+    _check_budget("slo_ms", slo_ms)
     if n_requests < 1:
         raise DSEError("n_requests must be >= 1")
-    if not peak_rate_per_s > 0:
-        raise DSEError(
-            f"peak_rate_per_s must be positive, got {peak_rate_per_s!r}"
-        )
+    _check_budget("peak_rate_per_s", peak_rate_per_s)
     if base_rate_per_s is None:
         base_rate_per_s = peak_rate_per_s / 4.0
     if period_s is None:

@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 from repro.errors import DSEError
 from repro.serving.parallel import pool_map
+from repro.serving.request import _budget_error
 from repro.serving.stats import _HIST_RATIO, StreamSummary
 
 __all__ = [
@@ -41,6 +42,15 @@ __all__ = [
     "prune_threshold",
     "run_jobs",
 ]
+
+
+def _check_budget(name: str, value: float) -> None:
+    """Raise :class:`DSEError` unless ``value`` is a legal budget: a
+    positive real number that a float holds (see
+    :func:`repro.serving.request._budget_error`)."""
+    error = _budget_error(name, value)
+    if error is not None:
+        raise DSEError(error)
 
 
 @dataclass
@@ -148,10 +158,7 @@ class PruningSummary(StreamSummary):
 
     def __init__(self, *args, prune_slo_ms: float, threshold: int, **kwargs):
         super().__init__(*args, **kwargs)
-        if not prune_slo_ms > 0:
-            raise DSEError(
-                f"prune_slo_ms must be positive, got {prune_slo_ms!r}"
-            )
+        _check_budget("prune_slo_ms", prune_slo_ms)
         if threshold < 0:
             raise DSEError("prune threshold must be >= 0")
         self.prune_slo_ms = prune_slo_ms

@@ -41,22 +41,24 @@ million-request point — **O(1) in memory** along three axes:
 * with a :class:`~repro.serving.stats.StreamSummary` sink, responses
   are folded into O(1) online accumulators instead of being collected.
 
-Two specialized loops peel off the hot common cases before the general
-heap.  The FIFO/unbatched configuration — the paper's serving scenario,
-and every capacity-planner candidate — needs neither an event heap nor
-a scheduler queue on any number of replicas: with per-replica FIFO
-queues, batch 1 and dispatch on arrival, each request's start is fixed
-the moment it is dispatched, reducing it to a handful of float ops.  A
-single replica with any other scheduler and a non-holding batcher still
-needs no event heap (completions and arrivals merge in order).  Into a
-plain summary, the one-replica FIFO loop folds a long run of one class
-at once past its first requests (:meth:`StreamSummary.observe_run
-<repro.serving.stats.StreamSummary.observe_run>`), not one call each.  Every
-path evaluates ``start = max(arrival, replica_free_at)`` with the same
-floats in the same order, and folds summaries in the general loop's
-launch order, so the FIFO + ``"none"`` timeline stays bit-for-bit
-identical to the pre-refactor sequential simulations (pinned by the
-golden and forced-heap parity tests).
+Three specialized loops peel off the hot common cases before the
+general heap.  The FIFO/unbatched configuration needs neither an event
+heap nor a scheduler queue on any number of replicas: with per-replica
+FIFO queues, batch 1 and dispatch on arrival, each request's start is
+fixed the moment it is dispatched, reducing it to a handful of float
+ops.  One such replica without a dispatcher (``dispatch=None``, the
+paper's serving scenario) has a loop of its own, which folds a long run
+of one class into a plain summary at once (:meth:`StreamSummary.observe_run
+<repro.serving.stats.StreamSummary.observe_run>`), not one call each;
+behind a dispatcher (a fleet, every capacity-planner candidate) k such
+replicas fold in launch order.  A single replica with any other
+scheduler and a non-holding batcher still needs no event heap
+(completions and arrivals merge in order).  Every path evaluates
+``start = max(arrival, replica_free_at)`` with the same floats in the
+same order, and folds summaries in the general loop's launch order, so
+the FIFO + ``"none"`` timeline stays bit-for-bit identical to the
+pre-refactor sequential simulations (pinned by the golden and
+forced-heap parity tests).
 """
 
 from __future__ import annotations
@@ -106,9 +108,9 @@ _RUN_BUFFER = 1024
 
 #: Requests the single-replica FIFO loop folds one call each between
 #: its checks for a run: a run is buffered once a whole such chunk and
-#: the request before it fell in one class, so after 33 to 64 single
-#: folds.  One :meth:`StreamSummary.observe_run` costs about what 40
-#: single folds do.
+#: the request before it fell in one class that has spilled its exact
+#: reservoir.  One :meth:`StreamSummary.observe_run` costs about what
+#: 40 single folds do.
 _RUN_CHUNK = 32
 
 #: Factory building the replica at one index slot:
@@ -454,11 +456,13 @@ def run_stream(
     # replicas and under any dispatcher: no event heap, no scheduler.
     # Exact types, so a subclass (e.g. one overriding ``hold_until``)
     # keeps the general loop.  This covers the paper's serving scenario
-    # and every capacity-planner candidate.
+    # (one replica, no dispatcher) and every capacity-planner candidate.
     if autoscaler is None:
         if all(type(s) is FIFOScheduler for s in scheduler_list) and all(
             type(b) is NoneBatcher for b in batcher_list
         ):
+            if dispatch is None:
+                return _run_fifo_runs(stream, engine_list[0], summary)
             return _run_fifo_unbatched(stream, engine_list, dispatch, summary)
         # A single replica whose batcher never holds (the base
         # ``hold_until`` is un-overridden) needs no event heap either:
@@ -494,10 +498,10 @@ def run_stream(
 def _run_fifo_unbatched(
     stream: Iterable[ServeRequest],
     engines: "list[ServingEngine]",
-    dispatch: StreamDispatcher | None,
+    dispatch: StreamDispatcher,
     summary: "StreamSummary | None",
 ) -> StreamOutcome:
-    """The hottest path: k replicas, each FIFO and batch 1, no autoscaler.
+    """k replicas behind a dispatcher, each FIFO and batch 1, no autoscaler.
 
     Each replica serves its requests in dispatch order, so a request's
     start is fixed the moment it is dispatched — ``start =
@@ -505,7 +509,9 @@ def _run_fifo_unbatched(
     projection — and no heap, scheduler queue or per-request
     :class:`QueuedRequest` is needed.  The floats are those of
     :func:`_run_heap`, computed in the same order, and each replica
-    looks a task up only when its task changes.
+    looks a task up only when its task changes.  Every fleet stream and
+    capacity-planner candidate on this configuration runs here; one
+    replica without a dispatcher runs :func:`_run_fifo_runs`.
 
     A summary sink folds requests in the general loop's launch order,
     because its float sums and an early :class:`PruneAbort
@@ -525,72 +531,11 @@ def _run_fifo_unbatched(
     :class:`~repro.serving.engine.CacheStats`) are settled when the
     loop exits, normally or by an abort, so a pruned stream reports the
     counts the general loop noted arrival by arrival.
-
-    ``dispatch=None`` (one replica, what :meth:`ServingEngine.serve_stream
-    <repro.serving.engine.ServingEngine.serve_stream>` passes) keeps a
-    separate tight body, so the paper's scenario pays per request for
-    no dispatcher call or per-replica list: one float recursion and the
-    fold.  It folds in arrival order, which is launch order for one
-    FIFO replica.  A sink whose ``observe_served`` is
-    :class:`StreamSummary`'s own takes :func:`_run_fifo_runs`, which
-    folds a long run of one class with numpy once a chunk of
-    :data:`_RUN_CHUNK` requests has shown it; a sink that overrides it (a
-    pruning summary) gets one call per request, on arrival.
     """
     collect = summary is None
-    if (
-        dispatch is None
-        and not collect
-        and type(summary).observe_served is StreamSummary.observe_served
-    ):
-        return _run_fifo_runs(stream, engines[0], summary)
     responses: list[ServeResponse] = []
     append = responses.append
     observe = None if collect else summary.observe_served
-    if dispatch is None:
-        engine = engines[0]
-        result_for = engine.result_for
-        free_at = 0.0
-        n = 0
-        lookups = 0
-        last_task: RNNTask | None = None
-        last_result = None
-        try:
-            for req in stream:
-                task = req.task
-                if task is not last_task:
-                    last_result = result_for(task)
-                    last_task = task
-                    lookups += 1
-                result = last_result
-                arrival = req.arrival_s
-                start = arrival if arrival > free_at else free_at
-                finish = start + result.latency_s
-                free_at = finish
-                n += 1
-                if collect:
-                    append(
-                        ServeResponse(
-                            request=req,
-                            result=result,
-                            queue_delay_s=start - arrival,
-                            start_s=start,
-                            finish_s=finish,
-                        )
-                    )
-                else:
-                    observe(req, result, start, finish, 1)
-        finally:
-            engine.cache_stats.hits += n - lookups
-            if not collect:
-                summary.note_assignment(0, n)
-        if n == 0:
-            raise ServingError("serve_stream needs at least one request")
-        return StreamOutcome(
-            responses=responses,
-            assignments=[0] * n if collect else [],
-        )
-
     k = len(engines)
     assignments: list[int] = []
     work = [0.0] * k
@@ -687,19 +632,29 @@ def _run_fifo_unbatched(
 def _run_fifo_runs(
     stream: Iterable[ServeRequest],
     engine: "ServingEngine",
-    summary: StreamSummary,
+    summary: "StreamSummary | None",
 ) -> StreamOutcome:
-    """One FIFO batch-1 replica into a summary, folded run by run.
+    """One FIFO batch-1 replica without a dispatcher: the paper's scenario.
 
-    A run is consecutive requests of one class (equal tasks, tenants,
-    priorities and SLO tags), so of one executed result.  The loop runs
-    the per-request body, one :meth:`StreamSummary.observe_served` call
-    per request, on chunks of :data:`_RUN_CHUNK` requests, and adds no
-    work per request there: after each chunk it asks the summary's
-    back-to-back class cache whether the whole chunk, and the request
-    before it, landed in one class accumulator.  So a stream of short
-    runs (mixed classes, sampled lengths) costs what the per-request body
-    does.
+    Each request costs one float recursion, ``start = max(arrival,
+    previous finish)``, and one call to a local ``observe``, in arrival
+    order, which is launch order for one FIFO replica: ``observe``
+    appends a collected stream's :class:`ServeResponse`, and is the
+    sink's ``observe_served`` otherwise.  A sink that overrides that
+    method (a pruning summary) thus aborts at the general loop's request.
+
+    Into :class:`StreamSummary`'s own ``observe_served`` (a class-level
+    wrap of it, as a tracer installs, counts as its own), the loop folds
+    a long run at once.  A run is consecutive requests of one class
+    (equal tasks, tenants, priorities and SLO tags), so of one executed
+    result.  The per-request body runs on chunks of :data:`_RUN_CHUNK`
+    requests and adds no work per request there: after each chunk the
+    loop asks the summary's back-to-back class cache whether the whole
+    chunk, and the request before it, landed in one class accumulator
+    that has spilled its exact reservoir on this result's platform
+    (:meth:`~repro.serving.stats._ClassAcc.takes_runs`).  So a stream of
+    short runs (mixed classes, sampled lengths) costs what the
+    per-request body does.
 
     Once a chunk says so, the rest of the run computes each finish the
     same way and writes arrivals and finishes into two fixed-size float
@@ -717,15 +672,35 @@ def _run_fifo_runs(
     or by an exception (a presorted stream found out of order), so the
     summary always ends as the per-request fold leaves it.
     """
+    collect = summary is None
+    responses: list[ServeResponse] = []
+    if collect:
+        append = responses.append
+
+        def observe(req, result, start, finish, _batch_size):
+            append(
+                ServeResponse(
+                    request=req,
+                    result=result,
+                    queue_delay_s=start - req.arrival_s,
+                    start_s=start,
+                    finish_s=finish,
+                )
+            )
+
+    else:
+        observe = summary.observe_served
+    runs = (
+        not collect
+        and type(summary).observe_served is StreamSummary.observe_served
+    )
     result_for = engine.result_for
-    observe = summary.observe_served
-    observe_run = summary.observe_run
     size = _RUN_BUFFER
     per_chunk = _RUN_CHUNK
     arrivals = np.empty(size)
     finishes = np.empty(size)
     fill = 0
-    folded = 0  # requests folded so far, by either path
+    served = 0  # requests observed or folded so far
     lookups = 0
     free_at = 0.0
     task: RNNTask | None = None
@@ -736,12 +711,13 @@ def _run_fifo_runs(
     head: ServeRequest | None = None
     head_free = 0.0
     requests = iter(stream)
-    chunk = islice(requests, per_chunk)
+    # Without a run fold the whole stream is one chunk.
+    chunk = islice(requests, per_chunk) if runs else requests
     try:
         while True:
-            last = summary._last_acc
+            last = summary._last_acc if runs else None
             last_n = -1 if last is None else last.n
-            before = folded
+            before = served
             for req in chunk:
                 t = req.task
                 if t is not task:
@@ -752,12 +728,16 @@ def _run_fifo_runs(
                 arrival = req.arrival_s
                 start = arrival if arrival > free_at else free_at
                 free_at = start + latency
-                folded += 1
+                served += 1
                 observe(req, result, start, free_at, 1)
-            if folded - before < per_chunk:
+            if not runs or served - before < per_chunk:
                 break  # the stream ended
             acc = summary._last_acc
-            if acc is not last or acc.n - last_n != per_chunk:
+            if (
+                acc is not last
+                or acc.n - last_n != per_chunk
+                or not acc.takes_runs(result.platform)
+            ):
                 chunk = islice(requests, per_chunk)
                 continue
             steps = task.timesteps
@@ -782,27 +762,32 @@ def _run_fifo_runs(
                 finishes[fill] = free_at
                 fill += 1
                 if fill == size:
-                    folded += size
+                    served += size
                     fill = 0
-                    observe_run(head, result, head_free, arrivals, finishes)
+                    summary.observe_run(head, result, head_free, arrivals, finishes)
             else:
                 break  # the stream ended
             if fill:
-                folded += fill
+                served += fill
                 count, fill = fill, 0
-                observe_run(
+                summary.observe_run(
                     head, result, head_free, arrivals[:count], finishes[:count]
                 )
             chunk = chain((req,), islice(requests, per_chunk - 1))
     finally:
-        n = folded + fill
-        engine.cache_stats.hits += n - lookups
-        summary.note_assignment(0, n)
+        served += fill
+        engine.cache_stats.hits += served - lookups
+        if not collect:
+            summary.note_assignment(0, served)
         if fill:
-            observe_run(head, result, head_free, arrivals[:fill], finishes[:fill])
-    if n == 0:
+            summary.observe_run(
+                head, result, head_free, arrivals[:fill], finishes[:fill]
+            )
+    if served == 0:
         raise ServingError("serve_stream needs at least one request")
-    return StreamOutcome(responses=[], assignments=[])
+    return StreamOutcome(
+        responses=responses, assignments=[0] * served if collect else []
+    )
 
 
 def _run_single_replica(

@@ -20,6 +20,7 @@ yields the same frozen, hashable record.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from repro.errors import ServingError
@@ -92,12 +93,29 @@ def _arrival_error(arrival_s: float) -> ServingError:
     return ServingError(f"arrival_s must be finite, got {arrival_s!r}")
 
 
+def _budget_error(name: str, value: object) -> str | None:
+    """Why ``value`` cannot be the budget ``name`` (an SLO, timeout,
+    hedge delay or rate), or ``None`` if it can: a real number, not a
+    bool, that a float holds, and positive.  ``not float(value) > 0``
+    fails NaN as it fails zero and negatives; ``inf`` stays legal.  Each
+    caller raises its own error class."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"{name} must be a number, got {type(value).__name__}"
+    try:
+        if float(value) > 0:
+            return None
+    except OverflowError:
+        return f"{name} must fit in a float, got a larger {type(value).__name__}"
+    return f"{name} must be positive, got {value!r}"
+
+
 def _check_budget_ms(name: str, value: float | None) -> None:
-    """Reject a time budget in ms (an SLO, timeout or hedge delay) that
-    is set but not positive.  Written ``not value > 0`` so NaN fails as
-    zero and negatives do; an infinite budget stays legal."""
-    if value is not None and not value > 0:
-        raise ServingError(f"{name} must be positive when set, got {value!r}")
+    """Reject a time budget in ms that is set but not a legal budget
+    (see :func:`_budget_error`)."""
+    if value is not None:
+        error = _budget_error(name, value)
+        if error is not None:
+            raise ServingError(error)
 
 
 _new_request = object.__new__

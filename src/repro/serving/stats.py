@@ -32,10 +32,12 @@ Design:
   left-to-right order (``np.add.accumulate`` seeded with the running
   total, where ``np.sum`` would add pairwise), and a sojourn whose
   vector ``log10`` lies within a hair of a bucket edge is re-binned with
-  :func:`math.log10`.  The one-replica FIFO loop of
-  :func:`repro.serving.events.run_stream` feeds it each run past the
-  run's first 33 to 64 requests, which it folds one by one: a shorter
-  run costs less that way.
+  :func:`math.log10`.  It takes only a class that has spilled its exact
+  reservoir on one platform, so it never touches the reservoir or the
+  per-platform sums.  The one-replica FIFO loop of
+  :func:`repro.serving.events.run_stream` folds requests one by one in
+  chunks of 32 and hands it the rest of a run once such a class has
+  filled a whole chunk: a shorter run costs less that way.
 * **Fixed-bucket log histogram for quantiles** (the mergeable
   alternative to the P² estimator, whose markers cannot be combined
   across slices).  Sojourns land in geometric buckets of ratio
@@ -68,7 +70,7 @@ import numpy as np
 
 from repro.errors import ServingError
 from repro.platforms import ELECTRICITY_USD_PER_KWH, device_usd_per_hour, tdp_of
-from repro.serving.request import ServeRequest, _trusted_request
+from repro.serving.request import ServeRequest
 from repro.serving.result import FaultStats, ServingResult
 from repro.serving.traffic import length_band
 
@@ -284,6 +286,14 @@ class _ClassAcc:
         if self.plat is None:
             return {self.platform: [self.service_sum_s, self.n]}
         return {name: list(entry) for name, entry in self.plat.items()}
+
+    def takes_runs(self, platform: str) -> bool:
+        """Whether a run of this class on ``platform`` may fold at once
+        (:meth:`StreamSummary.observe_run`): the exact reservoir has
+        spilled, so each sojourn only counts in a bucket, and
+        ``platform`` alone has served the class, so the run adds to the
+        class's own sums."""
+        return self.samples is None and self.platform == platform
 
     def _per_platform(self) -> "dict[str, list]":
         """The per-platform dict, built from the class's own sums if this
@@ -792,68 +802,42 @@ class StreamSummary(_StreamFigures):
         """Fold a run of batch-1 requests that executed back to back.
 
         The run's requests share ``request``'s class (an equal task,
-        tenant, priority and SLO tag), and executed in order as
-        ``result`` on one replica that was free from ``free_at``:
-        ``arrivals`` and ``finishes`` hold their times, so request ``i``
-        started at ``max(arrivals[i], finishes[i - 1])`` (``free_at``
-        for the first).  The summary ends in exactly the state
-        :meth:`observe_served` leaves it in when called on each request
-        in turn, bit for bit.
+        tenant, priority and SLO tag; its arrival and id are not read),
+        and executed in order as ``result`` on one replica that was free
+        from ``free_at``: ``arrivals`` and ``finishes`` hold their
+        times, so request ``i`` started at ``max(arrivals[i],
+        finishes[i - 1])`` (``free_at`` for the first).  The summary
+        ends in exactly the state :meth:`observe_served` leaves it in
+        when called on each request in turn, bit for bit.
 
-        Requests that still fill the class's exact reservoir, and every
-        request of a class served by more than one platform, go through
-        :meth:`observe_served` itself, each rebuilt from ``request``'s
-        task and class fields with its own arrival time (as a float)
-        and ``request``'s ``request_id``, which the fold does not read;
-        numpy folds the rest at once.
+        The class must have spilled its exact reservoir, all of it
+        served by ``result``'s platform (:meth:`_ClassAcc.takes_runs`):
+        a run of any other class raises :class:`ServingError` and
+        changes nothing, so fold such requests with
+        :meth:`observe_served`.
         """
-        m = len(arrivals)
-        if not m:
-            return
-        task = request.task
-        acc = self._class_for(request, "ok")
-        platform = result.platform
-        observe = self.observe_served
-        prev = free_at
-        head = 0
-        while acc.platform != platform or (
-            acc.samples is not None and len(acc.samples) < EXACT_SAMPLE_CAP
-        ):
-            if head == m:
-                return
-            arrival = float(arrivals[head])
-            finish = float(finishes[head])
-            observe(
-                _trusted_request(
-                    task, arrival, request.request_id, request.tenant,
-                    request.priority, request.slo_ms,
-                ),
-                result,
-                arrival if arrival > prev else prev,
-                finish,
-                1,
+        key = (request.task, request.tenant, request.priority, request.slo_ms, "ok")
+        acc = self._classes.get(key)
+        if acc is None or not acc.takes_runs(result.platform):
+            raise ServingError(
+                "observe_run needs a class that has spilled its exact "
+                f"reservoir, served by {result.platform!r} alone"
             )
-            prev = finish
-            head += 1
-        if head == m:
-            return
-        if acc.samples is not None:
-            # The next request would spill the full reservoir.
-            acc._promote()
-        arrival_s = np.asarray(arrivals, dtype=np.float64)[head:]
-        finish_s = np.asarray(finishes, dtype=np.float64)[head:]
+        arrival_s = np.asarray(arrivals, dtype=np.float64)
+        finish_s = np.asarray(finishes, dtype=np.float64)
         n = len(finish_s)
+        if not n:
+            return
         sojourn_ms = finish_s - arrival_s
         sojourn_ms *= 1e3
         queue_s = np.empty(n)
-        queue_s[0] = prev
+        queue_s[0] = free_at
         queue_s[1:] = finish_s[:-1]
         np.maximum(queue_s, arrival_s, out=queue_s)  # the starts
         queue_s -= arrival_s
         acc.n += n
         acc.batch_sum += n
-        acc.batch_max = max(acc.batch_max, 1)
-        if result.task is not task:
+        if result.task is not request.task:
             acc.pad_flops += n * (self._flops_of(result.task) - acc.useful_flops)
         eff = acc.eff_slo_ms
         if type(eff) is float:

@@ -8,6 +8,11 @@ the same stream both ways and compares every class accumulator field
 exactly: floats through ``float.hex`` (a numpy scalar leaking into an
 accumulator fails too), everything else through ``repr``.
 
+A run starts only once its class has spilled the 64-sample reservoir on
+one platform and a whole chunk of ``_RUN_CHUNK`` requests has shown the
+run; ``observe_run`` folds nothing else and raises when called outside
+that contract.
+
 Cases: runs around the 64-sample reservoir, the run buffer's size and
 the run lengths at which the loop starts to buffer; short runs (which
 never reach the run fold); equal tasks built anew per request, as a
@@ -15,11 +20,13 @@ trace builds them (one run); class switches from mixed tenants,
 priorities and SLO tags; sojourns at
 every histogram bucket edge (where ``np.log10`` and ``math.log10``
 disagree on about one value in 200), exactly at the SLO, zero, below
-the histogram's range and above it; a second platform and a padded
-result; a presorted stream that turns out of order mid-way; and a
-class-level wrap of ``observe_served`` (a tracer's), which keeps the run
-path.  All of it runs with warnings as errors, so a numpy
-``RuntimeWarning`` (a ``log10`` of zero) fails.
+the histogram's range and above it; a summary reused across a GPU and a
+CPU stream (a second platform, folded one request at a time) and a
+padded result; direct run folds outside the contract; a presorted
+stream that turns out of order mid-way; and a class-level wrap of
+``observe_served`` (a tracer's), which keeps the run path.  All of it
+runs with warnings as errors, so a numpy ``RuntimeWarning`` (a
+``log10`` of zero) fails.
 """
 
 import dataclasses
@@ -45,6 +52,7 @@ from repro.serving.stats import (
     _HIST_BUCKETS,
     _HIST_LO_EXP,
     _HIST_PER_DECADE,
+    EXACT_SAMPLE_CAP,
 )
 from repro.workloads.deepbench import task
 
@@ -52,6 +60,11 @@ T = task("lstm", 512, 25)
 LONG = task("lstm", 512, 50)
 GPU_T = ServingEngine("gpu").result_for(T)
 LATENCY = GPU_T.latency_s
+CPU_T = ServingEngine("cpu").result_for(T)
+
+#: Requests a new class folds one by one before its first run: whole
+#: chunks, until one ends past the reservoir's spill.
+HEAD = (EXACT_SAMPLE_CAP // _RUN_CHUNK + 1) * _RUN_CHUNK
 
 FIELDS = (
     "n",
@@ -128,9 +141,9 @@ def _state(summary):
     return classes, summary._replica_counts
 
 
-def _serve(arrivals, sink):
+def _serve(arrivals, sink, platform="gpu"):
     """One replica, FIFO and batch 1: the loop that folds by runs."""
-    engine = ServingEngine("gpu")
+    engine = ServingEngine(platform)
     try:
         run_stream(
             arrivals,
@@ -176,13 +189,18 @@ def _loaded_times(n, seed, load=0.9):
         2 * _RUN_CHUNK + _RUN_BUFFER - 1,
         2 * _RUN_CHUNK + _RUN_BUFFER,
         2 * _RUN_CHUNK + _RUN_BUFFER + 1,
+        HEAD + _RUN_BUFFER - 1,
+        HEAD + _RUN_BUFFER,
+        HEAD + _RUN_BUFFER + 1,
     ],
 )
 def test_runs_around_the_reservoir_and_the_buffer(run):
     """Two tenants in alternating runs of ``run`` requests, then one run
     of a third: a class's reservoir fills and spills across runs or ends
     just short of, at or just past its size, and runs fill the buffer
-    or end just short of, at or just past it."""
+    or end just short of, at or just past it (a new class's first run
+    buffers after ``HEAD`` requests, a spilled class's after two
+    chunks)."""
     times = _loaded_times(5 * run, seed=run)
     arrivals = [
         ServeRequest(task=T, arrival_s=t, request_id=i,
@@ -193,13 +211,14 @@ def test_runs_around_the_reservoir_and_the_buffer(run):
     assert reference.calls == folded.n_requests == 5 * run
     slices = folded.per_tenant()
     assert [slices[name].n_requests for name in "abc"] == [2 * run, 2 * run, run]
-    # A run reaches the run fold after its first 33 to 64 requests, in
-    # full buffers and one partial one.
+    # A run reaches the run fold once its class has spilled and a whole
+    # chunk in it has shown the run, so after at most HEAD single folds,
+    # in full buffers and one partial one.
     assert max(folded.runs, default=0) <= _RUN_BUFFER
     if run <= _RUN_CHUNK:
         assert folded.runs == []
-    if run > 2 * _RUN_CHUNK:
-        assert 5 * run - sum(folded.runs) <= 5 * 2 * _RUN_CHUNK
+    if run > HEAD:
+        assert 5 * run - sum(folded.runs) <= 5 * HEAD
 
 
 def test_short_runs_fold_one_request_at_a_time():
@@ -220,7 +239,7 @@ def test_equal_tasks_built_per_request_make_one_run():
     """A trace builds a new, equal task for every line: the requests
     stay one run and one lookup, with the cache counts of the
     per-request body, which looks up every new task object."""
-    times = _loaded_times(2 * _RUN_CHUNK + 500, seed=5)
+    times = _loaded_times(HEAD + 500, seed=5)
     arrivals = [
         ServeRequest(task=dataclasses.replace(T), arrival_s=t, request_id=i)
         for i, t in enumerate(times)
@@ -271,7 +290,7 @@ def test_mixed_tasks_tenants_priorities_and_slo_tags():
 def test_a_run_ends_at_any_class_field():
     """Runs long enough to reach the buffer, each followed by one of a
     class one field apart: every field change ends the buffered run."""
-    run = 3 * _RUN_CHUNK
+    run = HEAD + _RUN_CHUNK
     base, *others = ONE_FIELD_APART
     order = [tag for other in others for tag in (base, other)] + [base]
     tags = [tag for tag in order for _ in range(run)]
@@ -305,35 +324,43 @@ def test_out_of_order_stream_leaves_the_per_request_state():
     assert (error, stats) == _serve(arrivals, reference)
     assert _state(folded) == _state(reference)
     assert folded.n_requests == _RUN_BUFFER + 200
-    assert folded.runs == [_RUN_BUFFER, 200 - 2 * _RUN_CHUNK]
+    assert folded.runs == [_RUN_BUFFER, 200 - HEAD]
 
 
-def _fold_both(runs, slo_ms):
-    """Feed ``(request, result, free_at, arrivals, finishes)`` runs to
-    ``observe_run`` and, one request at a time, to the reference."""
-    folded = StreamSummary("gpu", slo_ms=slo_ms)
-    reference = _PerRequest("gpu", slo_ms=slo_ms)
-    for request, result, free_at, arrivals, finishes in runs:
-        folded.observe_run(request, result, free_at, arrivals, finishes)
-        prev = free_at
-        for arrival, finish in zip(arrivals, finishes):
-            reference.observe_served(
-                ServeRequest(task=request.task, arrival_s=arrival,
-                             tenant=request.tenant),
-                result,
-                arrival if arrival > prev else prev,
-                finish,
-                1,
-            )
-            prev = finish
-    assert _state(folded) == _state(reference)
-    return folded
+def _observe_each(sink, request, result, free_at, arrivals, finishes):
+    """Fold a run through ``observe_served``, one request at a time."""
+    prev = free_at
+    for arrival, finish in zip(arrivals, finishes):
+        sink.observe_served(
+            ServeRequest(task=request.task, arrival_s=arrival,
+                         tenant=request.tenant),
+            result,
+            arrival if arrival > prev else prev,
+            finish,
+            1,
+        )
+        prev = finish
 
 
 def _spill(request, n=80):
     """A run that takes ``request``'s class past its reservoir."""
     arrivals = [i * 2 * LATENCY for i in range(n)]
     return request, GPU_T, 0.0, arrivals, [a + LATENCY for a in arrivals]
+
+
+def _fold_both(request, runs, slo_ms):
+    """Spill ``request``'s class through ``observe_served`` on both sides,
+    then feed ``(result, free_at, arrivals, finishes)`` runs of it to
+    ``observe_run`` and, one request at a time, to the reference."""
+    folded = StreamSummary("gpu", slo_ms=slo_ms)
+    reference = _PerRequest("gpu", slo_ms=slo_ms)
+    for sink in (folded, reference):
+        _observe_each(sink, *_spill(request))
+    for run in runs:
+        folded.observe_run(request, *run)
+        _observe_each(reference, request, *run)
+    assert _state(folded) == _state(reference)
+    return folded
 
 
 def test_sojourns_at_every_bucket_edge():
@@ -363,8 +390,7 @@ def test_sojourns_at_every_bucket_edge():
     assert (vector != np.array(exact)).any()
     request = ServeRequest(task=T, tenant="edges")
     _fold_both(
-        [_spill(request), (request, GPU_T, 0.0, [0.0] * len(finishes), finishes)],
-        slo_ms=1.0,
+        request, [(GPU_T, 0.0, [0.0] * len(finishes), finishes)], slo_ms=1.0
     )
 
 
@@ -386,41 +412,87 @@ def test_sojourns_at_the_slo_zero_and_out_of_range():
         1e9,
     ]
     request = ServeRequest(task=T)
-    folded = _fold_both(
-        [_spill(request), (request, GPU_T, 0.0, arrivals, finishes)],
-        slo_ms=slo,
-    )
+    folded = _fold_both(request, [(GPU_T, 0.0, arrivals, finishes)], slo_ms=slo)
     (acc,) = folded._classes.values()
     assert acc.min_sojourn_ms == 0.0 and acc.max_sojourn_ms == 1e12
     assert acc.counts[0] >= 4 and acc.counts[-1] == 2
 
 
 def test_second_platform_and_padding_fold_per_request():
-    """A run on a class's second platform goes through observe_served;
-    a padded result (a longer executed task) charges padding FLOPs."""
+    """One summary reused across a GPU stream and a CPU stream: the CPU
+    requests join the class the GPU stream spilled, so the loop folds
+    them one by one and never calls the run fold, and a direct run fold
+    raises.  A padded result (a longer executed task) folds by run and
+    charges padding FLOPs."""
+    folded = _Runs("gpu", slo_ms=1.0)
+    reference = _PerRequest("gpu", slo_ms=1.0)
+    for platform, seed in (("gpu", 10), ("cpu", 11)):
+        arrivals = [
+            ServeRequest(task=T, arrival_s=t, request_id=i)
+            for i, t in enumerate(_loaded_times(400, seed=seed))
+        ]
+        assert _serve(arrivals, folded, platform) == _serve(
+            arrivals, reference, platform
+        )
+        assert _state(folded) == _state(reference)
+        if platform == "gpu":
+            gpu_runs = list(folded.runs)
+    assert gpu_runs == [400 - HEAD] and folded.runs == gpu_runs
+    assert reference.calls == folded.n_requests == 800
+    (acc,) = folded._classes.values()
+    assert set(acc.platform_service()) == {"cpu", "gpu"}
+    _assert_rejected(folded, ServeRequest(task=T), CPU_T)
+
     request = ServeRequest(task=T)
-    cpu_t = ServingEngine("cpu").result_for(T)
     padded = ServingEngine("gpu").result_for(LONG)
     arrivals = [5.0 + i * 0.01 for i in range(40)]
     finishes = [a + 0.001 for a in arrivals]
-    folded = _fold_both(
-        [
-            _spill(request),
-            (request, padded, 0.0, arrivals, finishes),
-            (request, cpu_t, 0.0, arrivals, finishes),
-            (request, GPU_T, 0.0, arrivals, finishes),
-        ],
-        slo_ms=1.0,
-    )
+    folded = _fold_both(request, [(padded, 0.0, arrivals, finishes)], slo_ms=1.0)
     (acc,) = folded._classes.values()
-    assert acc.pad_flops > 0 and set(acc.platform_service()) == {"cpu", "gpu"}
+    assert acc.pad_flops > 0
+
+
+def _assert_rejected(summary, request, result):
+    """A direct ``observe_run`` outside its contract raises and leaves
+    every class accumulator field, and the set of classes, as it was."""
+    before = _state(summary)
+    with pytest.raises(ServingError, match="observe_run needs a class"):
+        summary.observe_run(request, result, 0.0, [1.0, 2.0], [1.5, 2.5])
+    assert _state(summary) == before
+
+
+def test_a_run_outside_the_contract_raises_and_changes_nothing():
+    """``observe_run`` on a class it has not seen, on one still filling
+    its reservoir, on one just full but not yet spilled, and on a
+    spilled class that another platform has served (or for a run on
+    another platform) raises ``ServingError`` and folds nothing."""
+    summary = StreamSummary("gpu", slo_ms=1.0)
+    request = ServeRequest(task=T)
+    _assert_rejected(summary, request, GPU_T)
+    _, result, free_at, arrivals, finishes = _spill(request)
+    done = 0
+    for count in (1, EXACT_SAMPLE_CAP):
+        _observe_each(summary, request, result, free_at, arrivals[done:count],
+                      finishes[done:count])
+        done = count
+        (acc,) = summary._classes.values()
+        assert len(acc.samples) == count
+        _assert_rejected(summary, request, GPU_T)
+    _observe_each(summary, request, result, free_at, arrivals[done:],
+                  finishes[done:])
+    assert acc.samples is None
+    _assert_rejected(summary, request, CPU_T)
+    _observe_each(summary, request, CPU_T, 100.0, [100.0], [101.0])
+    for result in (GPU_T, CPU_T):
+        _assert_rejected(summary, request, result)
 
 
 def test_a_class_level_wrap_keeps_the_run_path(monkeypatch):
     """Wrapping ``StreamSummary.observe_served`` on the class, as a
     tracer does, keeps the identity check true and so the run path:
-    ``observe_served`` sees only the two chunks that start each run,
-    each request its own."""
+    ``observe_served`` sees only the ``HEAD`` requests that start each
+    run (its class spills, then a whole chunk shows the run), each
+    request its own."""
     calls = []
     wrapped = StreamSummary.observe_served
 
@@ -437,4 +509,4 @@ def test_a_class_level_wrap_keeps_the_run_path(monkeypatch):
     folded = StreamSummary("gpu", slo_ms=1.0)
     _serve(arrivals, folded)
     assert folded.n_requests == 600
-    assert calls == [*range(2 * _RUN_CHUNK), *range(300, 300 + 2 * _RUN_CHUNK)]
+    assert calls == [*range(HEAD), *range(300, 300 + HEAD)]
