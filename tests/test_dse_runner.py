@@ -90,13 +90,25 @@ class TestRunnerPrimitives:
 
 class TestCapacityParity:
     def test_pruning_never_changes_best_or_feasible_set(self):
-        full = plan_capacity(SMALL, prune=False, **PLAN_KWARGS)
-        pruned = plan_capacity(SMALL, prune=True, **PLAN_KWARGS)
-        assert pruned.best == full.best
-        assert pruned.feasible_points() == full.feasible_points()
-        assert set(pruned.to_json()) == set(full.to_json())
-        assert full.n_pruned == 0
-        assert full.simulated_requests == len(full.points) * 200
+        # The batched space sends candidates through batched executions,
+        # so the pruning sink also folds batch members.
+        batched = FleetSpace(
+            platforms=("cpu", "gpu"), max_replicas=2, batchers=("none", "size-cap")
+        )
+        for space in (SMALL_SPACE, batched):
+            kwargs = dict(PLAN_KWARGS, space=space)
+            full = plan_capacity(SMALL, prune=False, **kwargs)
+            pruned = plan_capacity(SMALL, prune=True, **kwargs)
+            assert pruned.best == full.best
+            assert pruned.feasible_points() == full.feasible_points()
+            assert set(pruned.to_json()) == set(full.to_json())
+            assert full.n_pruned == 0
+            assert pruned.n_pruned > 0
+            assert full.simulated_requests == len(full.points) * 200
+        # In the batched space a batched candidate wins, and batched
+        # candidates are pruned.
+        assert full.best.batcher == "size-cap"
+        assert any(p.pruned and p.batcher == "size-cap" for p in pruned.points)
 
     def test_pruning_actually_saves_work(self):
         stats = DSEStats()

@@ -1064,6 +1064,119 @@ class TestCachedPricingPins:
         )
 
 
+def _index_gaps(report):
+    """Batched executions whose recorded members skip a ``batch_index``
+    (a copy superseded by a retry or beaten by a hedge leaves a hole)."""
+    batches = {}
+    for r, replica in zip(report.responses, report.assignments):
+        if r.batch_size > 1:
+            key = (replica, r.start_s, r.finish_s, r.batch_size)
+            batches.setdefault(key, []).append(r.batch_index)
+    return sum(sorted(v) != list(range(len(v))) for v in batches.values())
+
+
+_PIN_ARRIVALS = dict(n_requests=600, seed=5, lengths=UniformLength(10, 40))
+
+
+def _two_tenants():
+    tagged = dict(rate_per_s=6000.0, n_requests=300, lengths=UniformLength(10, 40))
+    return mix(
+        poisson_arrivals(GRU, seed=5, tenant="chat", slo_ms=2.0, **tagged),
+        poisson_arrivals(GRU, seed=6, tenant="batch", slo_ms=20.0, **tagged),
+    )
+
+
+def _chaos():
+    from repro.serving import get_fault_policy
+
+    return get_fault_policy("chaos", mtbf_s=0.05, mttr_s=0.002)
+
+
+#: (event loop, full-mode report on it, digest taken before the loops
+#: shared one response log).
+_LOOP_PINS = [
+    (
+        "_run_fifo_runs",
+        lambda: ServingEngine("gpu").serve_stream(
+            poisson_arrivals(GRU, rate_per_s=9000.0, **_PIN_ARRIVALS),
+            slo_ms=5.0,
+        ),
+        "aee63dcf25e0d251e0f30e0e8e853614159f3aab48f3af9f1894634b0f39eb90",
+    ),
+    (
+        "_run_fifo_unbatched",
+        lambda: Fleet("gpu", replicas=3, policy="round-robin").serve_stream(
+            poisson_arrivals(GRU, rate_per_s=27000.0, **_PIN_ARRIVALS),
+            slo_ms=5.0,
+        ),
+        "f601bc16f2fbc510324e7528fb74ba553c4aaaf9920f433a3578835e7530d147",
+    ),
+    (
+        "_run_single_replica",
+        lambda: ServingEngine("brainwave").serve_stream(
+            _two_tenants(), scheduler="edf", batcher="bucket", max_batch=8
+        ),
+        "ad5d68f154d61825c6c609c70ba01c1eae5156a7d88657ebca0c954af0529d70",
+    ),
+    (
+        "_run_heap",
+        lambda: ServingEngine("gpu").serve_stream(
+            poisson_arrivals(GRU, rate_per_s=9000.0, **_PIN_ARRIVALS),
+            slo_ms=5.0,
+            batcher="time-window",
+            max_batch=8,
+        ),
+        "a76e1dd7185f4b60e42006a606156a2ad04f4c1663fdbeb82f0dc9aa3c89a5d1",
+    ),
+    (
+        "_run_faulty",
+        lambda: Fleet("gpu", replicas=2, policy="least-loaded").serve_stream(
+            poisson_arrivals(GRU, rate_per_s=2000.0, **_PIN_ARRIVALS),
+            slo_ms=5.0,
+            batcher="size-cap",
+            max_batch=4,
+            faults=_chaos,
+            fault_seed=7,
+            timeout_ms=20,
+            retries=1,
+            hedge_ms=1,
+        ),
+        "9d603d45c4b565d1b6f32f7fc3b4458b5ce29c0eeb06f3797f31fbec04d287a2",
+    ),
+]
+
+
+class TestFullReportPins:
+    """A full-mode report through each of the five event loops, pinned
+    to a digest of every response field and assignment.  The loop-vs-
+    loop parity tests cannot see a fault that every loop shares; these
+    pins can."""
+
+    @pytest.mark.parametrize(
+        "loop, build, expected", _LOOP_PINS, ids=[p[0] for p in _LOOP_PINS]
+    )
+    def test_full_report_digest(self, monkeypatch, loop, build, expected):
+        from repro.serving import events
+
+        entered = []
+        inner = getattr(events, loop)
+
+        def spy(*args, **kwargs):
+            entered.append(loop)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(events, loop, spy)
+        report = build()
+        assert entered == [loop]
+        assert len(report.responses) == len(report.assignments) == 600
+        if loop in ("_run_single_replica", "_run_heap", "_run_faulty"):
+            assert report.max_batch_size > 1
+        if loop == "_run_faulty":
+            assert set(report.outcomes) == {"ok", "retried", "hedged", "timeout"}
+            assert _index_gaps(report) > 0
+        assert _responses_digest(report) == expected
+
+
 class TestCacheHitsPerRequest:
     """Every fault-free loop credits one hit per request served from an
     already-prepared model, whatever it looked up."""
