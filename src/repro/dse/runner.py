@@ -177,6 +177,9 @@ class PruningSummary(StreamSummary):
         finish_s: float,
         batch_size: int,
         outcome: str = "ok",
+        *,
+        batch_index: int = 0,
+        attempts: int = 1,
     ) -> None:
         super().observe_served(
             request, result, start_s, finish_s, batch_size, outcome

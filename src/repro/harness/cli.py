@@ -168,8 +168,10 @@ def _serve_frontend(
     read but the simulated stream does picks the stream.  A given flag
     the chosen frontend does not read is an error naming every such
     flag.  So are ``--max-batch`` under ``--batcher none``,
-    ``--affinity-by`` without ``--policy affinity``, and a given
-    positional task under ``--listen`` alone.
+    ``--affinity-by`` without ``--policy affinity``, ``--policy`` on a
+    simulated stream that runs no dispatcher (one replica without
+    ``--fleet-mix`` or ``--autoscale``), and a given positional task
+    under ``--listen`` alone.
     """
     from repro.errors import ServingError
 
@@ -218,6 +220,12 @@ def _serve_frontend(
             f"--policy {args.policy} does not read --affinity-by; "
             "add --policy affinity"
         )
+    if frontend in _SIMULATED and "policy" in given and not _dispatches(args):
+        named = "--policy, --affinity-by" if "affinity_by" in given else "--policy"
+        raise ServingError(
+            f"one replica runs no dispatcher and does not read {named}; "
+            "add --replicas N (N > 1), --fleet-mix or --autoscale"
+        )
     if frontend == "listen":
         positional = [
             str(getattr(args, d)) for d in ("kind", "hidden", "timesteps")
@@ -235,6 +243,14 @@ def _serve_frontend(
                 "platform; pass --platform NAME"
             )
     return frontend
+
+
+def _dispatches(args: argparse.Namespace) -> bool:
+    """Whether a simulated stream runs a dispatcher, as
+    :func:`repro.serving.fleet._serve_stream_on` builds it: a fleet for
+    ``--fleet-mix``, ``--replicas`` > 1 or ``--autoscale``, and one
+    engine otherwise."""
+    return bool(args.fleet_mix) or args.replicas > 1 or bool(args.autoscale)
 
 
 def _check_serve_values(args: argparse.Namespace) -> None:
@@ -702,9 +718,10 @@ def _serve_stream_table(args: argparse.Namespace, t, names: list[str]) -> str:
                 f"retries {s.retries}, timeouts {s.timeouts}, "
                 f"hedges {s.hedges} ({s.hedge_wins} won)]"
             )
+    policy = f"{args.policy}, " if _dispatches(args) else ""
     title = (
         f"Streaming {desc} "
-        f"({n_requests} requests, {n_replicas} replica(s), {args.policy}, "
+        f"({n_requests} requests, {n_replicas} replica(s), {policy}"
         f"{args.scheduler}"
     )
     if batched:

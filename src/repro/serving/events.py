@@ -38,8 +38,9 @@ million-request point — **O(1) in memory** along three axes:
   lazily that arrivals are time-ordered with strictly increasing
   ``request_id`` (what :func:`repro.serving.traffic.mix` and every
   built-in generator emit);
-* with a :class:`~repro.serving.stats.StreamSummary` sink, responses
-  are folded into O(1) online accumulators instead of being collected.
+* every loop hands each completed request to one sink: a
+  :class:`~repro.serving.stats.StreamSummary` folds it into O(1) online
+  accumulators, and only a full report's response log keeps it.
 
 Three specialized loops peel off the hot common cases before the
 general heap.  The FIFO/unbatched configuration needs neither an event
@@ -55,18 +56,19 @@ replicas fold in launch order.  A single replica with any other
 scheduler and a non-holding batcher still needs no event heap
 (completions and arrivals merge in order).  Every path evaluates
 ``start = max(arrival, replica_free_at)`` with the same floats in the
-same order, and folds summaries in the general loop's launch order, so
+same order, and feeds its sink in the general loop's launch order, so
 the FIFO + ``"none"`` timeline stays bit-for-bit identical to the
 pre-refactor sequential simulations (pinned by the golden and
-forced-heap parity tests).
+forced-heap parity tests, and by one full report per loop).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -167,16 +169,70 @@ class _OnlyReplica(StreamDispatcher):
         return 0
 
 
+class _ResponseLog:
+    """A full report's sink: one :class:`ServeResponse` per completed
+    request and one replica index per noted arrival.
+
+    The loops call it as they call a
+    :class:`~repro.serving.stats.StreamSummary`, in launch or completion
+    order; :func:`run_stream` sorts the responses into arrival order
+    once the stream drains.  Not a summary subclass, so nothing that
+    wraps the summary's methods sees it.
+    """
+
+    __slots__ = ("responses", "assignments")
+
+    def __init__(self) -> None:
+        self.responses: list[ServeResponse] = []
+        self.assignments: list[int] = []
+
+    def observe_served(
+        self,
+        request: ServeRequest,
+        result,
+        start_s: float,
+        finish_s: float,
+        batch_size: int,
+        outcome: str = "ok",
+        *,
+        batch_index: int = 0,
+        attempts: int = 1,
+    ) -> None:
+        self.responses.append(
+            ServeResponse(
+                request=request,
+                result=result,
+                queue_delay_s=start_s - request.arrival_s,
+                start_s=start_s,
+                finish_s=finish_s,
+                batch_size=batch_size,
+                batch_index=batch_index,
+                outcome=outcome,
+                attempts=attempts,
+            )
+        )
+
+    def note_assignment(self, replica: int, count: int = 1) -> None:
+        self.assignments.extend([replica] * count)
+
+
+#: Arrival order, whether the stream was sorted or presorted: arrival
+#: times never decrease and ids are unique (see :func:`normalize_arrivals`).
+_ARRIVAL_ORDER = attrgetter("request.arrival_s", "request.request_id")
+
+
 @dataclass(frozen=True)
 class StreamOutcome:
     """Everything one stream simulation produced.
 
     Attributes:
-        responses: One response per request, in arrival order — empty
-            when the stream ran against a summary sink (``mode="summary"``),
-            which folds responses online instead of collecting them.
-        assignments: Replica index per request, in arrival order (empty
-            in summary mode; the summary tracks per-replica counts).
+        responses: One response per request, in arrival order, from the
+            response log :func:`run_stream` feeds when it is given no
+            summary; empty when a summary sink (``mode="summary"``)
+            folded the responses instead.
+        assignments: Replica index per request, in arrival order, from
+            the same log (empty in summary mode; the summary counts
+            requests per replica).
         scale_events: Autoscaler actions applied during the run.
         n_replicas: Total replicas that existed by the end (grown
             replicas included) — the peak capacity the run used.
@@ -200,8 +256,8 @@ class StreamOutcome:
         (3, [0, 0, 0], 1)
     """
 
-    responses: "list[ServeResponse]"
-    assignments: list[int]
+    responses: "list[ServeResponse]" = field(default_factory=list)
+    assignments: list[int] = field(default_factory=list)
     scale_events: tuple[ScaleEvent, ...] = ()
     n_replicas: int = 1
     active_replicas: int = 1
@@ -346,9 +402,12 @@ def run_stream(
             already time-ordered with strictly increasing ids, skipping
             the materialize+sort pass — see :func:`normalize_arrivals`.
         summary: Optional :class:`~repro.serving.stats.StreamSummary`
-            sink.  When given, completed requests are folded into its
-            O(1) accumulators instead of being collected, and the
-            returned outcome carries empty ``responses``/``assignments``.
+            sink.  Every loop hands each completed request to one sink's
+            ``observe_served`` and each dispatch to its
+            ``note_assignment``.  When a summary is given, its O(1)
+            accumulators fold them and the returned outcome carries
+            empty ``responses``/``assignments``; without one, a private
+            response log collects them.
         faults: Optional :class:`~repro.serving.faults.FaultPolicy`
             instance; anything other than ``"none"`` routes the stream
             through the fault-aware loop.  The loop calls
@@ -422,6 +481,7 @@ def run_stream(
     stream = normalize_arrivals(arrivals, presorted=presorted)
     # The heap loops call their dispatcher unconditionally.
     heap_dispatch = _OnlyReplica() if dispatch is None else dispatch
+    sink = _ResponseLog() if summary is None else summary
 
     # Any real fault policy — or a timeout/hedge, which are loop
     # features independent of the policy — routes through the separate
@@ -434,7 +494,7 @@ def run_stream(
     ):
         policy = faults if faults is not None else NoFaults()
         policy.reset(fault_seed)
-        return _run_faulty(
+        outcome = _run_faulty(
             stream,
             engine_list,
             scheduler_list,
@@ -444,54 +504,62 @@ def run_stream(
             slo_ms,
             autoscaler,
             replica_factory,
-            summary,
+            sink,
             policy,
             timeout_ms,
             retries,
             hedge_ms,
         )
-
     # Without an autoscaler, replicas that all queue FIFO and serve
     # batch 1 fix each request's start at dispatch, on any number of
     # replicas and under any dispatcher: no event heap, no scheduler.
     # Exact types, so a subclass (e.g. one overriding ``hold_until``)
     # keeps the general loop.  This covers the paper's serving scenario
     # (one replica, no dispatcher) and every capacity-planner candidate.
-    if autoscaler is None:
-        if all(type(s) is FIFOScheduler for s in scheduler_list) and all(
-            type(b) is NoneBatcher for b in batcher_list
-        ):
-            if dispatch is None:
-                return _run_fifo_runs(stream, engine_list[0], summary)
-            return _run_fifo_unbatched(stream, engine_list, dispatch, summary)
-        # A single replica whose batcher never holds (the base
-        # ``hold_until`` is un-overridden) needs no event heap either:
-        # completions and arrivals merge in time order directly.
-        if (
-            len(engine_list) == 1
-            and type(batcher_list[0]).hold_until is Batcher.hold_until
-        ):
-            return _run_single_replica(
-                stream,
-                engine_list[0],
-                scheduler_list[0],
-                batcher_list[0],
-                dispatch,
-                slo_ms,
-                summary,
-            )
-
-    return _run_heap(
-        stream,
-        engine_list,
-        scheduler_list,
-        batcher_list,
-        bind_cost,
-        heap_dispatch,
-        slo_ms,
-        autoscaler,
-        replica_factory,
-        summary,
+    elif (
+        autoscaler is None
+        and all(type(s) is FIFOScheduler for s in scheduler_list)
+        and all(type(b) is NoneBatcher for b in batcher_list)
+    ):
+        if dispatch is None:
+            outcome = _run_fifo_runs(stream, engine_list[0], sink)
+        else:
+            outcome = _run_fifo_unbatched(stream, engine_list, dispatch, sink)
+    # A single replica whose batcher never holds (the base
+    # ``hold_until`` is un-overridden) needs no event heap either:
+    # completions and arrivals merge in time order directly.
+    elif (
+        autoscaler is None
+        and len(engine_list) == 1
+        and type(batcher_list[0]).hold_until is Batcher.hold_until
+    ):
+        outcome = _run_single_replica(
+            stream,
+            engine_list[0],
+            scheduler_list[0],
+            batcher_list[0],
+            dispatch,
+            slo_ms,
+            sink,
+        )
+    else:
+        outcome = _run_heap(
+            stream,
+            engine_list,
+            scheduler_list,
+            batcher_list,
+            bind_cost,
+            heap_dispatch,
+            slo_ms,
+            autoscaler,
+            replica_factory,
+            sink,
+        )
+    if sink is summary:
+        return outcome
+    sink.responses.sort(key=_ARRIVAL_ORDER)
+    return replace(
+        outcome, responses=sink.responses, assignments=sink.assignments
     )
 
 
@@ -499,7 +567,7 @@ def _run_fifo_unbatched(
     stream: Iterable[ServeRequest],
     engines: "list[ServingEngine]",
     dispatch: StreamDispatcher,
-    summary: "StreamSummary | None",
+    sink: "StreamSummary | _ResponseLog",
 ) -> StreamOutcome:
     """k replicas behind a dispatcher, each FIFO and batch 1, no autoscaler.
 
@@ -513,8 +581,8 @@ def _run_fifo_unbatched(
     capacity-planner candidate on this configuration runs here; one
     replica without a dispatcher runs :func:`_run_fifo_runs`.
 
-    A summary sink folds requests in the general loop's launch order,
-    because its float sums and an early :class:`PruneAbort
+    The sink observes requests in the general loop's launch order,
+    because a summary's float sums and an early :class:`PruneAbort
     <repro.dse.runner.PruneAbort>` depend on it:
 
     * by start time;
@@ -524,20 +592,18 @@ def _run_fifo_unbatched(
     * FREE-launched ties by replica index, arrival-launched ties in
       arrival order.
 
-    An arrival at an idle replica folds at once; one that queues waits
-    in its replica's FIFO buffer, and the buffers merge through a heap
-    of at most k ``(start, replica)`` heads, flushed up to each arrival.
-    Per-replica request counts and the bulk cache-hit credit (see
-    :class:`~repro.serving.engine.CacheStats`) are settled when the
-    loop exits, normally or by an abort, so a pruned stream reports the
-    counts the general loop noted arrival by arrival.
+    An arrival at an idle replica is observed at once; one that queues
+    waits in its replica's FIFO buffer, and the buffers merge through a
+    heap of at most k ``(start, replica)`` heads, flushed up to each
+    arrival.  Each arrival's replica is noted once it is chosen and
+    before an idle replica observes it, where the general loop notes
+    it, so a pruned stream reports the same per-replica counts.  The
+    bulk cache-hit credit (see :class:`~repro.serving.engine.CacheStats`)
+    is settled when the loop exits, normally or by an abort.
     """
-    collect = summary is None
-    responses: list[ServeResponse] = []
-    append = responses.append
-    observe = None if collect else summary.observe_served
+    observe = sink.observe_served
+    note = sink.note_assignment
     k = len(engines)
-    assignments: list[int] = []
     work = [0.0] * k
     dispatch.bind(engines)
     dispatch.resize(k, work)
@@ -547,8 +613,8 @@ def _run_fifo_unbatched(
     lookups_by = [0] * k
     last_tasks: list[RNNTask | None] = [None] * k
     last_results: list = [None] * k
-    #: Summary mode: per-replica (request, result, start, finish) not yet
-    #: launched, and a heap of each non-empty buffer's (start, replica).
+    #: Per-replica (request, result, start, finish) not yet launched,
+    #: and a heap of each non-empty buffer's (start, replica).
     pending = [deque() for _ in range(k)]
     heads: list[tuple[float, int]] = []
     next_launch = _INF  # heads[0][0], or inf while no buffer is pending
@@ -589,20 +655,10 @@ def _run_fifo_unbatched(
             finish = start + result.latency_s
             work[replica] = finish
             assign(replica, finish)
+            note(replica)
             dispatched[replica] += 1
             seq += 1
-            if collect:
-                append(
-                    ServeResponse(
-                        request=req,
-                        result=result,
-                        queue_delay_s=start - arrival,
-                        start_s=start,
-                        finish_s=finish,
-                    )
-                )
-                assignments.append(replica)
-            elif free_at <= arrival:
+            if free_at <= arrival:
                 # Idle replica: the request launches on arrival.
                 observe(req, result, start, finish, 1)
             else:
@@ -617,31 +673,24 @@ def _run_fifo_unbatched(
     finally:
         for replica, count in enumerate(dispatched):
             engines[replica].cache_stats.hits += count - lookups_by[replica]
-            if count and not collect:
-                summary.note_assignment(replica, count)
     if seq == 0:
         raise ServingError("serve_stream needs at least one request")
-    return StreamOutcome(
-        responses=responses,
-        assignments=assignments,
-        n_replicas=k,
-        active_replicas=k,
-    )
+    return StreamOutcome(n_replicas=k, active_replicas=k)
 
 
 def _run_fifo_runs(
     stream: Iterable[ServeRequest],
     engine: "ServingEngine",
-    summary: "StreamSummary | None",
+    sink: "StreamSummary | _ResponseLog",
 ) -> StreamOutcome:
     """One FIFO batch-1 replica without a dispatcher: the paper's scenario.
 
     Each request costs one float recursion, ``start = max(arrival,
-    previous finish)``, and one call to a local ``observe``, in arrival
-    order, which is launch order for one FIFO replica: ``observe``
-    appends a collected stream's :class:`ServeResponse`, and is the
-    sink's ``observe_served`` otherwise.  A sink that overrides that
-    method (a pruning summary) thus aborts at the general loop's request.
+    previous finish)``, and one call to the sink's ``observe_served``,
+    in arrival order, which is launch order for one FIFO replica.  A
+    sink with a method of its own (the response log, a pruning summary)
+    gets exactly these calls, so a pruning summary aborts at the general
+    loop's request.
 
     Into :class:`StreamSummary`'s own ``observe_served`` (a class-level
     wrap of it, as a tracer installs, counts as its own), the loop folds
@@ -672,28 +721,8 @@ def _run_fifo_runs(
     or by an exception (a presorted stream found out of order), so the
     summary always ends as the per-request fold leaves it.
     """
-    collect = summary is None
-    responses: list[ServeResponse] = []
-    if collect:
-        append = responses.append
-
-        def observe(req, result, start, finish, _batch_size):
-            append(
-                ServeResponse(
-                    request=req,
-                    result=result,
-                    queue_delay_s=start - req.arrival_s,
-                    start_s=start,
-                    finish_s=finish,
-                )
-            )
-
-    else:
-        observe = summary.observe_served
-    runs = (
-        not collect
-        and type(summary).observe_served is StreamSummary.observe_served
-    )
+    observe = sink.observe_served
+    runs = type(sink).observe_served is StreamSummary.observe_served
     result_for = engine.result_for
     size = _RUN_BUFFER
     per_chunk = _RUN_CHUNK
@@ -715,7 +744,7 @@ def _run_fifo_runs(
     chunk = islice(requests, per_chunk) if runs else requests
     try:
         while True:
-            last = summary._last_acc if runs else None
+            last = sink._last_acc if runs else None
             last_n = -1 if last is None else last.n
             before = served
             for req in chunk:
@@ -732,7 +761,7 @@ def _run_fifo_runs(
                 observe(req, result, start, free_at, 1)
             if not runs or served - before < per_chunk:
                 break  # the stream ended
-            acc = summary._last_acc
+            acc = sink._last_acc
             if (
                 acc is not last
                 or acc.n - last_n != per_chunk
@@ -764,30 +793,27 @@ def _run_fifo_runs(
                 if fill == size:
                     served += size
                     fill = 0
-                    summary.observe_run(head, result, head_free, arrivals, finishes)
+                    sink.observe_run(head, result, head_free, arrivals, finishes)
             else:
                 break  # the stream ended
             if fill:
                 served += fill
                 count, fill = fill, 0
-                summary.observe_run(
+                sink.observe_run(
                     head, result, head_free, arrivals[:count], finishes[:count]
                 )
             chunk = chain((req,), islice(requests, per_chunk - 1))
     finally:
         served += fill
         engine.cache_stats.hits += served - lookups
-        if not collect:
-            summary.note_assignment(0, served)
+        sink.note_assignment(0, served)
         if fill:
-            summary.observe_run(
+            sink.observe_run(
                 head, result, head_free, arrivals[:fill], finishes[:fill]
             )
     if served == 0:
         raise ServingError("serve_stream needs at least one request")
-    return StreamOutcome(
-        responses=responses, assignments=[0] * served if collect else []
-    )
+    return StreamOutcome()
 
 
 def _run_single_replica(
@@ -797,7 +823,7 @@ def _run_single_replica(
     batcher: Batcher,
     dispatch: StreamDispatcher | None,
     slo_ms: float | None,
-    summary: "StreamSummary | None",
+    sink: "StreamSummary | _ResponseLog",
 ) -> StreamOutcome:
     """One replica, any scheduler, any non-holding batcher: merge
     completions and arrivals in time order without an event heap.
@@ -807,9 +833,7 @@ def _run_single_replica(
     that precede the next arrival need replaying before it queues.
     """
     trivial = dispatch is None
-    collect = summary is None
-    responses: list[ServeResponse | None] = []
-    observe = None if collect else summary.observe_served
+    observe = sink.observe_served
     result_for = engine.result_for
     none_batcher = type(batcher) is NoneBatcher
     push = scheduler.push
@@ -837,7 +861,7 @@ def _run_single_replica(
                 raise ServingError(
                     f"batcher {batcher.name!r} returned an empty batch"
                 )
-        free_at = _start_batch(entries, now, engine, batcher, responses, observe)
+        free_at = _start_batch(entries, now, engine, batcher, observe)
         busy = True
 
     try:
@@ -874,8 +898,6 @@ def _run_single_replica(
                     deadline_s=_INF if slo is None else t + slo / 1e3,
                 )
             )
-            if collect:
-                responses.append(None)
             seq += 1
             if not busy:
                 launch(t)
@@ -889,14 +911,10 @@ def _run_single_replica(
         # planner candidate): ``seq`` counts exactly the arrivals the
         # general loop would have noted by then.
         engine.cache_stats.hits += seq - lookups
-        if not collect:
-            summary.note_assignment(0, seq)
+        sink.note_assignment(0, seq)
     if seq == 0:
         raise ServingError("serve_stream needs at least one request")
-    return StreamOutcome(
-        responses=responses,  # type: ignore[arg-type]
-        assignments=[0] * seq if collect else [],
-    )
+    return StreamOutcome()
 
 
 def _start_batch(
@@ -904,45 +922,23 @@ def _start_batch(
     now: float,
     engine: "ServingEngine",
     batcher: Batcher,
-    responses: "list[ServeResponse | None]",
-    observe: "Callable[..., None] | None",
+    observe: "Callable[..., None]",
 ) -> float:
-    """Start a batch taken at ``now`` on ``engine`` and record each
-    member's response: by arrival index into ``responses``, or through
-    a summary sink's ``observe``.  Returns the batch's finish time."""
+    """Start a batch taken at ``now`` on ``engine`` and pass each member
+    to the sink's ``observe``.  Returns the batch's finish time."""
     head = entries[0]
     arrival = head.request.arrival_s
     start = now if now > arrival else arrival  # max(arrival, now) exactly
     if len(entries) == 1:
         # The exact pre-batching arithmetic: parity for batcher="none".
         finish = start + head.service_s
-        if observe is None:
-            responses[head.seq] = ServeResponse(
-                request=head.request,
-                result=head.result,
-                queue_delay_s=start - arrival,
-                start_s=start,
-                finish_s=finish,
-            )
-        else:
-            observe(head.request, head.result, start, finish, 1)
+        observe(head.request, head.result, start, finish, 1)
         return finish
     size = len(entries)
     result = engine.serve_batched(_batch_exec_task(entries, batcher), size)
     finish = start + result.latency_s
     for index, entry in enumerate(entries):
-        if observe is None:
-            responses[entry.seq] = ServeResponse(
-                request=entry.request,
-                result=result,
-                queue_delay_s=start - entry.request.arrival_s,
-                start_s=start,
-                finish_s=finish,
-                batch_size=size,
-                batch_index=index,
-            )
-        else:
-            observe(entry.request, result, start, finish, size)
+        observe(entry.request, result, start, finish, size, batch_index=index)
     return finish
 
 
@@ -1050,7 +1046,7 @@ def _run_heap(
     slo_ms: float | None,
     autoscaler: Autoscaler | None,
     replica_factory: ReplicaFactory | None,
-    summary: "StreamSummary | None",
+    sink: "StreamSummary | _ResponseLog",
 ) -> StreamOutcome:
     """The general loop: N replicas, holds, autoscaling.
 
@@ -1058,11 +1054,8 @@ def _run_heap(
     one at a time from the (possibly lazy) sorted stream, so the heap
     size is bounded by the replica count, not the stream length.
     """
-    collect = summary is None
-    responses: list[ServeResponse | None] = []
-    assignments: list[int] = []
-    observe = None if collect else summary.observe_served
-    assign_note = None if collect else summary.note_assignment
+    observe = sink.observe_served
+    note = sink.note_assignment
     #: Projected completion of all work assigned to each replica; the
     #: dispatch signal (identical to the pre-refactor ``free_at``).  The
     #: projection assumes unbatched service, so with batching it is an
@@ -1109,9 +1102,7 @@ def _run_heap(
         entries = batcher.take(queue, now)
         if not entries:
             raise ServingError(f"batcher {batcher.name!r} returned an empty batch")
-        finish = _start_batch(
-            entries, now, engine_list[replica], batcher, responses, observe
-        )
+        finish = _start_batch(entries, now, engine_list[replica], batcher, observe)
         busy[replica] = True
         heapq.heappush(events, (finish, _FREE, replica))
 
@@ -1154,11 +1145,7 @@ def _run_heap(
                 max(req.arrival_s, work_until[replica]) + result.latency_s
             )
             dispatch.assign(replica, work_until[replica])
-            if collect:
-                responses.append(None)
-                assignments.append(replica)
-            else:
-                assign_note(replica)
+            note(replica)
             scheduler_list[replica].push(entry)
             if not busy[replica]:
                 launch(replica, now)
@@ -1183,8 +1170,6 @@ def _run_heap(
     if seq == 0:
         raise ServingError("serve_stream needs at least one request")
     return StreamOutcome(
-        responses=responses,  # type: ignore[arg-type]
-        assignments=assignments,
         scale_events=tuple(scale_events),
         n_replicas=len(engine_list),
         active_replicas=active,
@@ -1203,7 +1188,6 @@ class _Flight:
     """
 
     __slots__ = (
-        "index",
         "request",
         "result",
         "factor",
@@ -1214,9 +1198,8 @@ class _Flight:
     )
 
     def __init__(
-        self, index: int, request: ServeRequest, factor: float, deadline_s: float
+        self, request: ServeRequest, factor: float, deadline_s: float
     ) -> None:
-        self.index = index
         self.request = request
         self.result = None  # batch-1 result, filled at first dispatch
         self.factor = factor
@@ -1236,7 +1219,7 @@ def _run_faulty(
     slo_ms: float | None,
     autoscaler: Autoscaler | None,
     replica_factory: ReplicaFactory | None,
-    summary: "StreamSummary | None",
+    sink: "StreamSummary | _ResponseLog",
     policy: FaultPolicy,
     timeout_ms: float | None,
     retries: int,
@@ -1256,19 +1239,17 @@ def _run_faulty(
     * replicas carry a ``dead`` flag and a generation counter — bumping
       the generation invalidates the scheduled FREE of an aborted
       (crashed or preempted) execution, whose live members requeue;
-    * responses are recorded at completion (not launch), because only
-      then is it known which copy won.
+    * requests reach the sink at completion (not launch), because only
+      then is it known which copy won; each carries its position in the
+      batch and its attempt count.
 
     Determinism: every policy draw hashes ``(seed, replica)`` or
     ``(seed, request_id)``; the loop itself is a deterministic function
     of the stream, so a seed reproduces the identical timeline across
     runs and shard layouts.
     """
-    collect = summary is None
-    responses: list[ServeResponse | None] = []
-    assignments: list[int] = []
-    observe = None if collect else summary.observe_served
-    assign_note = None if collect else summary.note_assignment
+    observe = sink.observe_served
+    note = sink.note_assignment
     n_start = len(engine_list)
     work_until = [0.0] * n_start
     busy = [False] * n_start
@@ -1329,31 +1310,6 @@ def _run_faulty(
             autoscaler, now, active, slo_ms, scheduler_list, work_until,
             add_replica, dispatch, scale_events,
         )
-
-    def record(
-        flight: _Flight,
-        result,
-        start: float,
-        finish: float,
-        size: int,
-        index: int,
-        outcome: str,
-    ) -> None:
-        req = flight.request
-        if collect:
-            responses[flight.index] = ServeResponse(
-                request=req,
-                result=result,
-                queue_delay_s=start - req.arrival_s,
-                start_s=start,
-                finish_s=finish,
-                batch_size=size,
-                batch_index=index,
-                outcome=outcome,
-                attempts=flight.attempts,
-            )
-        else:
-            observe(req, result, start, finish, size, outcome=outcome)
 
     def push_copy(
         flight: _Flight, now: float, is_hedge: bool
@@ -1483,18 +1439,13 @@ def _run_faulty(
             if factor > 1.0:
                 n_stragglers += 1
             flight = _Flight(
-                index=seq,
                 request=req,
                 factor=factor,
                 deadline_s=req.deadline_s(slo_ms),
             )
             pending[req.request_id] = flight
             replica, entry = push_copy(flight, now, is_hedge=False)
-            if collect:
-                responses.append(None)
-                assignments.append(replica)
-            else:
-                assign_note(replica)
+            note(replica)
             if timeout_s is not None:
                 heapq.heappush(
                     events, (now + timeout_s, _TIMEOUT, req.request_id, 1.0)
@@ -1549,7 +1500,11 @@ def _run_faulty(
                     outcome = "retried"
                 else:
                     outcome = "ok"
-                record(flight, result, start, finish, size, position, outcome)
+                observe(
+                    flight.request, result, start, finish, size,
+                    outcome=outcome, batch_index=position,
+                    attempts=flight.attempts,
+                )
             if autoscaler is not None:
                 active = autoscale(now)
             launch(replica, now)
@@ -1609,7 +1564,10 @@ def _run_faulty(
                 n_timeouts += 1
                 flight.done = True
                 del pending[index]
-                record(flight, flight.result, now, now, 1, 0, "timeout")
+                observe(
+                    flight.request, flight.result, now, now, 1,
+                    outcome="timeout", attempts=flight.attempts,
+                )
 
         else:  # _HEDGE
             flight = pending.get(index)
@@ -1623,8 +1581,6 @@ def _run_faulty(
     if seq == 0:
         raise ServingError("serve_stream needs at least one request")
     return StreamOutcome(
-        responses=responses,  # type: ignore[arg-type]
-        assignments=assignments,
         scale_events=tuple(scale_events),
         n_replicas=len(engine_list),
         active_replicas=active,

@@ -727,14 +727,23 @@ class StreamSummary(_StreamFigures):
         finish_s: float,
         batch_size: int,
         outcome: str = "ok",
+        *,
+        batch_index: int = 0,
+        attempts: int = 1,
     ) -> None:
         """Fold one completed request into the summary.
 
-        Called by the event loop (in any completion order) with the same
-        fields a :class:`~repro.serving.request.ServeResponse` would
-        carry; ``result`` is the executed (possibly padded, possibly
-        batched) platform result, ``outcome`` how the request left the
-        system (always ``"ok"`` outside fault-injected runs).
+        This is the sink call of every event loop (in launch or
+        completion order), with the fields of a
+        :class:`~repro.serving.request.ServeResponse`: ``result`` is the
+        executed (possibly padded, possibly batched) platform result,
+        ``outcome`` how the request left the system (always ``"ok"``
+        outside fault-injected runs).  The fold ignores the two
+        keyword-only fields, ``batch_index`` (the request's position in
+        its batch) and ``attempts`` (dispatches it consumed); a full
+        report's response log keeps them.  Only a batched execution or
+        the fault-aware loop passes them, so a subclass that overrides
+        this method must accept them to serve batched or faulty streams.
         """
         task = request.task
         acc = self._last_acc
@@ -860,9 +869,9 @@ class StreamSummary(_StreamFigures):
     def note_assignment(self, replica: int, count: int = 1) -> None:
         """Count ``count`` requests dispatched to ``replica``.
 
-        The general event loops call this per arrival; the no-heap
-        fast paths call it once per replica when the stream ends (or
-        aborts) with that replica's total.
+        The event loops call this once per arrival, except the two
+        one-replica loops, which call it once with their total when the
+        stream ends (or aborts).
         """
         counts = self._replica_counts
         if replica >= len(counts):

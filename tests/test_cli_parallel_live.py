@@ -94,6 +94,12 @@ class TestFlagValidation:
              "--batcher none serves batch-1 and does not read --max-batch"),
             (("--stream", "--affinity-by", "tenant"),
              "--policy least-loaded does not read --affinity-by"),
+            (("--stream", "--policy", "round-robin"),
+             "one replica runs no dispatcher and does not read --policy; "
+             "add --replicas N (N > 1), --fleet-mix or --autoscale"),
+            (("--shards", "2", "--workers", "1", "--policy", "affinity",
+              "--affinity-by", "tenant"),
+             "does not read --policy, --affinity-by; add --replicas"),
         ],
     )
     def test_rejected_combinations(self, capsys, extra, message):
@@ -231,6 +237,12 @@ _FUZZ_BAD = {
 }
 
 
+#: The fuzz flags that make a simulated stream run a dispatcher (the
+#: pool's --replicas value is 2), and the policies a title may name.
+_DISPATCHED = ("--fleet-mix", "--replicas", "--autoscale")
+_POLICIES = ("round-robin", "least-loaded", "affinity")
+
+
 #: Flags the fuzz mostly draws together with the flag they need.
 #: --shards and --listen always get theirs: one pool worker, and no
 #: server that runs until interrupted.
@@ -250,7 +262,8 @@ class TestFlagMatrixFuzz:
         """Random serve-flag combinations at toy sizes either run (exit 0)
         or fail with exactly one ``error:`` line (exit 1); argparse
         rejects bad choices with exit 2.  Nothing escapes as a
-        traceback, and an accepted --record-trace writes its file."""
+        traceback, an accepted --record-trace writes its file, and a
+        stream title names a dispatch policy only where one runs."""
         from repro.serving import record_trace, uniform_arrivals
 
         trace = str(tmp_path / "replay.jsonl")
@@ -262,6 +275,7 @@ class TestFlagMatrixFuzz:
         pool = _fuzz_pool(trace, str(record))
         rng = random.Random(20)
         outcomes = Counter()
+        dispatch_runs = Counter()
         for _ in range(250):
             drawn = rng.sample(sorted(pool), rng.randint(1, 4))
             for flag, partner in _FUZZ_PARTNERS:
@@ -290,13 +304,23 @@ class TestFlagMatrixFuzz:
                 assert out.strip(), argv
                 if "--record-trace" in drawn:
                     assert record.exists(), argv
+                title = out.splitlines()[0]
+                if title.startswith("Streaming ") and not any(
+                    flag in drawn for flag in _DISPATCHED
+                ):
+                    dispatch_runs[False] += 1
+                    assert not any(p in title for p in _POLICIES), argv
+                elif title.startswith("Streaming "):
+                    dispatch_runs[True] += 1
             elif code == 1:
                 assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
             else:
                 assert code == 2, (argv, code)
             record.unlink(missing_ok=True)
-        # Every outcome occurs, so the draw is not all rejections.
+        # Every outcome occurs, so the draw is not all rejections, and
+        # streams ran both with and without a dispatcher.
         assert set(outcomes) == {0, 1, 2}
+        assert set(dispatch_runs) == {False, True}
 
 
 class TestFaultyCLI:
