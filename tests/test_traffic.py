@@ -1,10 +1,13 @@
 """Traffic generation: determinism, tenant tags, mixes, and traces."""
 
+import copy
 import dataclasses
 import hashlib
 import json
 import math
 import pickle
+import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from repro.serving import (
     request_to_json,
     uniform_arrivals,
 )
+from repro.serving.request import _trusted_request
 from repro.serving.traffic import _CHUNK
 from repro.workloads.deepbench import task
 
@@ -566,6 +570,36 @@ class TestTrustedRecords:
                 req.arrival_s = 0.0
         assert len(set(merged)) == len(merged)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (T, 0.0, 0, "default", 0, None),
+            (G.with_timesteps(7), 1e6 + 0.1, 41, "asr", -3, 5.0),
+            (T, 2.5, 2**70, "", 9, math.inf),
+        ],
+        ids=["defaults", "tagged", "edges"],
+    )
+    def test_builder_matches_public_record(self, fields):
+        names = [f.name for f in dataclasses.fields(ServeRequest)]
+        built = _trusted_request(*fields)
+        public = ServeRequest(**dict(zip(names, fields, strict=True)))
+        assert type(built) is ServeRequest
+        # Every field is set: a slot the builder misses raises here.
+        assert [getattr(built, name) for name in names] == list(fields)
+        assert built == public and hash(built) == hash(public)
+        assert repr(built) == repr(public)
+        clone = pickle.loads(pickle.dumps(built))
+        assert type(clone) is ServeRequest and clone == public
+        assert type(copy.copy(built)) is ServeRequest and copy.copy(built) == public
+        assert dataclasses.replace(built, priority=1) == dataclasses.replace(
+            public, priority=1
+        )
+        assert dataclasses.asdict(built) == dataclasses.asdict(public)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.arrival_s = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del built.tenant
+
 
 #: Pinned SHA-256 digests of request_to_json over the traffic matrices
 #: below, recorded before generators and mix built requests through the
@@ -627,3 +661,151 @@ class TestTrafficDigest:
             )
             h.update(_sha256(stream).encode())
         assert h.hexdigest() == _LONG_SHA256
+
+
+def _fold(h, requests) -> None:
+    """Fold every request into ``h``: the exact bits of its arrival (the
+    binary64 that ``float.hex`` spells out, hashed as bytes because the
+    hex strings would double the pins' cost), its id, priority, task
+    name, timesteps, tenant, SLO and record type.  Column by column, so
+    a 4k-request stream costs a few milliseconds."""
+    reqs = tuple(requests)
+    tasks = [r.task for r in reqs]
+    distinct = dict(zip(map(id, tasks), tasks))
+    names = {key: f"{t.name}/{t.timesteps}" for key, t in distinct.items()}
+    h.update(array("d", [r.arrival_s for r in reqs]).tobytes())
+    h.update(array("q", [r.request_id for r in reqs]).tobytes())
+    h.update(array("q", [r.priority for r in reqs]).tobytes())
+    for column in (
+        map(names.__getitem__, map(id, tasks)),
+        [r.tenant for r in reqs],
+        map(repr, [r.slo_ms for r in reqs]),
+        [type(r).__name__ for r in reqs],
+    ):
+        h.update("\0".join(column).encode())
+
+
+#: Stream counts on both sides of one and two 2,048-draw chunks.
+_PIN_COUNTS = (1, 2047, 2049, 4097)
+#: The length sampler each seed's cases also run with, so every rate,
+#: offset and count meets both.
+_PIN_LENGTHS = {0: ZipfLength(5, 100), 1: UniformLength(10, 300), 7: ZipfLength(5, 100)}
+
+
+def _open_loop_streams(generator):
+    for seed, lengths in _PIN_LENGTHS.items():
+        for rate in (1.0, 937.0, 123456.7):
+            for start_s in (0.0, 3, 1e6 + 0.1):  # 3: an int offset
+                for n in _PIN_COUNTS:
+                    for sampler in (None, lengths):
+                        yield generator(
+                            T, rate_per_s=rate, n_requests=n, seed=seed,
+                            start_s=start_s, lengths=sampler, tenant=f"s{seed}",
+                            priority=seed, slo_ms=5.0 if seed == 1 else None,
+                            materialize=False,
+                        )
+
+
+def _mmpp_streams():
+    for seed in (0, 7):
+        for start_s, lengths in ((0.0, None), (3, ZipfLength(5, 100))):
+            for n in (1, 2049, 4097):
+                yield mmpp_arrivals(
+                    T, quiet_rate_per_s=200.0, burst_rate_per_s=5000.0,
+                    n_requests=n, seed=seed, start_s=start_s, lengths=lengths,
+                    tenant="m", materialize=False,
+                )
+
+
+def _diurnal_streams():
+    for seed in (0, 7):
+        for start_s, lengths in ((0.0, None), (1e6 + 0.1, UniformLength(10, 300))):
+            for n in (1, 2049, 4097):
+                yield diurnal_arrivals(
+                    G, base_rate_per_s=50.0, peak_rate_per_s=3000.0,
+                    period_s=1.0, n_requests=n, seed=seed, start_s=start_s,
+                    lengths=lengths, slo_ms=20.0, materialize=False,
+                )
+
+
+def _mix_streams():
+    yield mix(
+        poisson_arrivals(
+            T, rate_per_s=900.0, n_requests=3000, seed=1, tenant="a",
+            slo_ms=5.0, lengths=ZipfLength(5, 100), materialize=False,
+        ),
+        uniform_arrivals(
+            G, rate_per_s=700.0, n_requests=3000, tenant="b", priority=2,
+            materialize=False,
+        ),
+        mmpp_arrivals(
+            T, quiet_rate_per_s=100.0, burst_rate_per_s=2000.0, n_requests=3000,
+            seed=3, start_s=0.25, tenant="c", materialize=False,
+        ),
+        presorted=True,
+    )
+
+
+#: (streams, SHA-256 of every request in them) per generator family,
+#: taken before the generators built arrivals per numpy chunk and
+#: records as retyped drafts.  Any change to a generated stream (an
+#: arrival's last bit, an id, a length, a tag, the record type) changes
+#: its family's digest.
+_STREAM_PINS = {
+    "poisson": (
+        lambda: _open_loop_streams(poisson_arrivals),
+        "b2d37d60251eb64cddc33f2c3187264491d2712360b785917eeb9adbd53bcf0a",
+    ),
+    "uniform": (
+        lambda: _open_loop_streams(uniform_arrivals),
+        "812d5d9992b03134218a1ece70c346fdb9cac10ad70df344cd9d42ec8ce8f572",
+    ),
+    "mmpp": (
+        _mmpp_streams,
+        "a03c0e501eae3ae763966dfc158e28ce92aff4d5743d7179130bc233ac27ed4b",
+    ),
+    "diurnal": (
+        _diurnal_streams,
+        "6f6c8c09b97ed7244ef1ff2f8e8c83b457f2926a4d6ed14d8a0361a91fd1da7c",
+    ),
+    "mix": (
+        _mix_streams,
+        "08b5e1b7588ac4514d1b76f79ce5eed1fff3bb454ef7b159d0b0934d623bad6e",
+    ),
+}
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("family", list(_STREAM_PINS))
+    def test_stream_digest(self, family):
+        streams, expected = _STREAM_PINS[family]
+        h = hashlib.sha256()
+        for stream in streams():
+            _fold(h, stream)
+        assert h.hexdigest() == expected
+
+    @pytest.mark.parametrize(
+        "generator, kwargs, n_before",
+        [
+            # The offset overflows the sum, not the running total.
+            (poisson_arrivals, dict(rate_per_s=1e-306, start_s=1.7e308), 9),
+            # The running total itself overflows.
+            (poisson_arrivals, dict(rate_per_s=1e-308, seed=3), 2),
+            (uniform_arrivals, dict(rate_per_s=1e-308), 1),
+        ],
+        ids=["poisson-offset", "poisson-total", "uniform"],
+    )
+    def test_overflow_fails_at_the_first_infinite_arrival(
+        self, generator, kwargs, n_before
+    ):
+        built = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ServingError, match="arrival_s must be finite, got inf"):
+                for req in generator(T, n_requests=20, materialize=False, **kwargs):
+                    built.append(req)
+            with pytest.raises(ServingError, match="arrival_s must be finite, got inf"):
+                generator(T, n_requests=20, **kwargs)
+        assert len(built) == n_before
+        assert [r.request_id for r in built] == list(range(n_before))
+        assert all(r.arrival_s < math.inf for r in built)
