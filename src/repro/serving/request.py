@@ -13,8 +13,8 @@ them without cycles.
 The public constructor validates every request.  The traffic generators
 and :func:`~repro.serving.traffic.mix` build millions of requests from
 arguments they have already checked once per stream, so they use the
-private :func:`_trusted_request` instead, which skips the checks but
-yields the same frozen, hashable record.
+private :func:`_trusted_request` instead, which skips the checks (it
+retypes a plain slotted draft) but yields the same frozen, hashable record.
 """
 
 from __future__ import annotations
@@ -118,13 +118,10 @@ def _check_budget_ms(name: str, value: float | None) -> None:
             raise ServingError(error)
 
 
-_new_request = object.__new__
-_set_task = ServeRequest.task.__set__
-_set_arrival_s = ServeRequest.arrival_s.__set__
-_set_request_id = ServeRequest.request_id.__set__
-_set_tenant = ServeRequest.tenant.__set__
-_set_priority = ServeRequest.priority.__set__
-_set_slo_ms = ServeRequest.slo_ms.__set__
+class _Draft:
+    """A :class:`ServeRequest` under construction: its slots, unfrozen."""
+
+    __slots__ = ServeRequest.__slots__
 
 
 def _trusted_request(
@@ -137,21 +134,24 @@ def _trusted_request(
 ) -> ServeRequest:
     """A :class:`ServeRequest` built without ``__init__``'s checks.
 
-    Fills the six slots directly, which costs well under half the public
-    constructor.  The record is indistinguishable from a publicly built
-    one: equal, hash-equal, picklable, and still frozen.  Only callers
-    that validated the fields already may use it: the traffic generators
-    (after their once-per-stream argument checks, keeping a per-request
-    arrival check) and :func:`~repro.serving.traffic.mix` (which
+    Fills a :class:`_Draft` with plain stores, then retypes it: CPython
+    allows ``__class__`` assignment between classes with identical slots
+    and layout.  That costs well under half the public constructor, and
+    the record is indistinguishable from a publicly built one: a
+    ``ServeRequest``, equal, hash-equal, picklable, and still frozen.
+    Only callers that validated the fields already may use it: the
+    traffic generators (after their once-per-stream argument checks,
+    keeping a per-request arrival check) and ``traffic.mix`` (which
     renumbers requests that were valid on the way in).
     """
-    req = _new_request(ServeRequest)
-    _set_task(req, task)
-    _set_arrival_s(req, arrival_s)
-    _set_request_id(req, request_id)
-    _set_tenant(req, tenant)
-    _set_priority(req, priority)
-    _set_slo_ms(req, slo_ms)
+    req = _Draft()
+    req.task = task
+    req.arrival_s = arrival_s
+    req.request_id = request_id
+    req.tenant = tenant
+    req.priority = priority
+    req.slo_ms = slo_ms
+    req.__class__ = ServeRequest
     return req
 
 

@@ -40,7 +40,8 @@ import math
 import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -74,9 +75,9 @@ __all__ = [
     "request_from_json",
 ]
 
-#: Chunk size for vectorized lazy RNG draws (arrival gaps and lengths):
-#: big enough to amortize the numpy call, small enough that a lazy
-#: stream's working set stays tiny.  Draws are bit-identical at any size.
+#: Most arrival times (and length draws) a lazy stream computes at once:
+#: enough to amortize a numpy call, few enough to keep its working set
+#: tiny.  Every arrival-time source yields chunks of at most this size.
 _CHUNK = 2048
 
 _INF = math.inf
@@ -386,8 +387,7 @@ def lengths_from_trace(path: str | Path) -> EmpiricalLength:
 
 
 def _request_stream(
-    times: Iterator[float],
-    n_requests: int,
+    chunks: Iterator[list],
     task: RNNTask,
     start_s: float,
     tenant: str,
@@ -396,47 +396,39 @@ def _request_stream(
     lengths: LengthSampler | None,
     seed: int,
 ) -> Iterator[ServeRequest]:
-    """Wrap a lazy stream of ``n_requests`` arrival times into tagged requests.
+    """Wrap chunks of arrival times into tagged requests, one at a time.
 
-    Requests are built by the unchecked ``_trusted_request``: the caller
-    has run :func:`_check_stream_args`, and each arrival is range-checked
-    here, so a bad stream still fails with the public constructor's error.
+    Each request is built by the unchecked ``_trusted_request`` and
+    yielded at once: the caller has run :func:`_check_stream_args`, and
+    each arrival is range-checked here, so a bad one still fails with the
+    public constructor's error, at its own position.
 
     Length sampling draws from its own seeded RNG stream
     (``(seed, _LENGTH_STREAM)``), so attaching a distribution never
-    perturbs the arrival times.  Lengths come from
-    :meth:`LengthSampler.sample_chunk` in chunks of at most
-    :data:`_CHUNK`, never more than the stream still needs, and equal the
+    perturbs the arrival times.  Lengths come from one
+    :meth:`LengthSampler.sample_chunk` call per chunk and equal the
     historical one-``sample``-per-request sequence.  Each distinct length
     derives its task variant once per stream.
     """
-    if lengths is None:
-        for i, t in enumerate(times):
-            arrival = start_s + t
-            if not 0.0 <= arrival < _INF:
-                raise _arrival_error(arrival)
-            yield _trusted_request(task, arrival, i, tenant, priority, slo_ms)
-        return
-    import numpy as np
+    if lengths is not None:
+        import numpy as np
 
-    rng = np.random.default_rng((seed, _LENGTH_STREAM))
-    variants: dict[int, RNNTask] = {}
-    times = iter(times)
+        rng = np.random.default_rng((seed, _LENGTH_STREAM))
+        variant_of = cache(task.with_timesteps)
     i = 0
-    remaining = n_requests
-    while remaining:
-        n = min(_CHUNK, remaining)
-        chunk = lengths.sample_chunk(rng, n)
-        if len(chunk) != n:
-            raise ServingError(
-                f"{type(lengths).__name__}.sample_chunk returned "
-                f"{len(chunk)} lengths, {n} were asked for"
-            )
-        remaining -= n
-        for timesteps, t in zip(chunk, times):
-            variant = variants.get(timesteps)
-            if variant is None:
-                variant = variants[timesteps] = task.with_timesteps(timesteps)
+    for times in chunks:
+        n = len(times)
+        if lengths is None:
+            tasks = repeat(task, n)
+        else:
+            steps = lengths.sample_chunk(rng, n)
+            if len(steps) != n:
+                raise ServingError(
+                    f"{type(lengths).__name__}.sample_chunk returned "
+                    f"{len(steps)} lengths, {n} were asked for"
+                )
+            tasks = map(variant_of, steps)
+        for variant, t in zip(tasks, times):
             arrival = start_s + t
             if not 0.0 <= arrival < _INF:
                 raise _arrival_error(arrival)
@@ -444,26 +436,33 @@ def _request_stream(
             i += 1
 
 
-def _poisson_times(rate_per_s: float, n_requests: int, seed: int) -> Iterator[float]:
-    """Exponential inter-arrival times, drawn lazily in chunks.
+def _in_chunks(times: Iterator[float]) -> Iterator[list]:
+    """A scalar loop's arrival times, handed over :data:`_CHUNK` at a time."""
+    while chunk := list(islice(times, _CHUNK)):
+        yield chunk
+
+
+def _poisson_times(rate_per_s: float, n_requests: int, seed: int) -> Iterator[list]:
+    """Exponential inter-arrival times, summed per chunk of :data:`_CHUNK`.
 
     Chunked ``Generator.exponential`` draws are bit-identical to one
-    ``size=n`` draw, and the Python running sum is the same sequential
-    IEEE-754 addition ``np.cumsum`` performs — so the lazy stream equals
-    the historical materialized one float for float.
+    ``size=n`` draw.  Adding the running total to a chunk's first gap and
+    accumulating in place is the same sequential IEEE-754 addition as a
+    per-draw ``t += gap``, so the stream equals the historical one float
+    for float; an overflowing total turns ``inf`` silently, as ``+=`` does.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
     scale = 1.0 / rate_per_s
     t = 0.0
-    remaining = n_requests
-    while remaining:
-        draw = rng.exponential(scale, size=min(_CHUNK, remaining))
-        remaining -= len(draw)
-        for gap in draw.tolist():
-            t += gap
-            yield t
+    for lo in range(0, n_requests, _CHUNK):
+        times = rng.exponential(scale, size=min(_CHUNK, n_requests - lo))
+        with np.errstate(over="ignore"):
+            times[0] += t
+            np.add.accumulate(times, out=times)
+        t = times[-1]
+        yield times.tolist()
 
 
 def poisson_arrivals(
@@ -508,16 +507,17 @@ def poisson_arrivals(
     """
     _check_stream_args(n_requests, start_s, slo_ms, rate_per_s=rate_per_s)
     stream = _request_stream(
-        _poisson_times(rate_per_s, n_requests, seed), n_requests,
+        _poisson_times(rate_per_s, n_requests, seed),
         task, start_s, tenant, priority, slo_ms, lengths, seed,
     )
     return tuple(stream) if materialize else stream
 
 
-def _uniform_times(rate_per_s: float, n_requests: int) -> Iterator[float]:
+def _uniform_times(rate_per_s: float, n_requests: int) -> Iterator[list]:
+    """Arrival ``i`` at ``(i + 1) * period``, per chunk of :data:`_CHUNK`."""
     period = 1.0 / rate_per_s
-    for i in range(n_requests):
-        yield (i + 1) * period
+    for lo in range(0, n_requests, _CHUNK):
+        yield [(i + 1) * period for i in range(lo, min(lo + _CHUNK, n_requests))]
 
 
 def uniform_arrivals(
@@ -550,7 +550,7 @@ def uniform_arrivals(
     """
     _check_stream_args(n_requests, start_s, slo_ms, rate_per_s=rate_per_s)
     stream = _request_stream(
-        _uniform_times(rate_per_s, n_requests), n_requests,
+        _uniform_times(rate_per_s, n_requests),
         task, start_s, tenant, priority, slo_ms, lengths, seed,
     )
     return tuple(stream) if materialize else stream
@@ -624,7 +624,7 @@ def mmpp_arrivals(
                 state_end = t + float(rng.exponential(dwells[state]))
 
     stream = _request_stream(
-        times(), n_requests, task, start_s, tenant, priority, slo_ms, lengths, seed
+        _in_chunks(times()), task, start_s, tenant, priority, slo_ms, lengths, seed
     )
     return tuple(stream) if materialize else stream
 
@@ -687,7 +687,7 @@ def diurnal_arrivals(
                 yield t
 
     stream = _request_stream(
-        times(), n_requests, task, start_s, tenant, priority, slo_ms, lengths, seed
+        _in_chunks(times()), task, start_s, tenant, priority, slo_ms, lengths, seed
     )
     return tuple(stream) if materialize else stream
 
