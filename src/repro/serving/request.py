@@ -93,20 +93,28 @@ def _arrival_error(arrival_s: float) -> ServingError:
     return ServingError(f"arrival_s must be finite, got {arrival_s!r}")
 
 
-def _budget_error(name: str, value: object) -> str | None:
-    """Why ``value`` cannot be the budget ``name`` (an SLO, timeout,
-    hedge delay or rate), or ``None`` if it can: a real number, not a
-    bool, that a float holds, and positive.  ``not float(value) > 0``
-    fails NaN as it fails zero and negatives; ``inf`` stays legal.  Each
-    caller raises its own error class."""
+def _number_error(name: str, value: object) -> str | None:
+    """Why ``value`` cannot be the number ``name`` (a real, not a bool,
+    that a float holds), or ``None`` if it can."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return f"{name} must be a number, got {type(value).__name__}"
     try:
-        if float(value) > 0:
-            return None
+        float(value)
     except OverflowError:
         return f"{name} must fit in a float, got a larger {type(value).__name__}"
-    return f"{name} must be positive, got {value!r}"
+    return None
+
+
+def _budget_error(name: str, value: object) -> str | None:
+    """Why ``value`` cannot be the budget ``name`` (an SLO, timeout,
+    hedge delay or rate), or ``None`` if it can: a number by
+    :func:`_number_error`'s rule, and positive.  ``not float(value) > 0``
+    fails NaN as it fails zero and negatives; ``inf`` stays legal.  Each
+    caller raises its own error class."""
+    error = _number_error(name, value)
+    if error is None and not float(value) > 0:
+        error = f"{name} must be positive, got {value!r}"
+    return error
 
 
 def _check_budget_ms(name: str, value: float | None) -> None:

@@ -50,6 +50,7 @@ from repro.serving.request import (
     ServeRequest,
     _arrival_error,
     _check_budget_ms,
+    _number_error,
     _trusted_request,
 )
 from repro.workloads.deepbench import RNNTask
@@ -84,31 +85,40 @@ _INF = math.inf
 
 
 def _check_stream_args(
-    n_requests: int, start_s: float, slo_ms: float | None, **positive: float
+    n_requests: int, start_s: float, tenant: str, priority: int, slo_ms: float | None,
+    **positive: float,
 ) -> None:
     """A generator's once-per-stream argument checks.
 
     They stand in for the checks the public :class:`ServeRequest`
     constructor would run on every generated request (``start_s``
-    offsets each arrival, ``slo_ms`` is copied to each), so
+    offsets each arrival, the tags are copied to each), so
     :func:`_request_stream` can build its requests through the unchecked
-    ``_trusted_request``.  ``positive`` names the rates, dwells and
-    periods, each of which must be finite and positive; the negated
-    range tests also reject NaN.
+    ``_trusted_request``.  The rates, dwells and periods (``positive``)
+    and ``start_s`` are numbers by ``_number_error``'s rule (a real, not
+    a bool, that a float holds): the first finite and positive,
+    ``start_s`` finite and >= 0; the negated range tests also reject NaN.
+    ``n_requests`` and ``priority`` are ints and not bools, and
+    ``tenant`` a str, as :func:`request_from_json` requires of a record.
     """
     for name, value in positive.items():
-        if not 0.0 < value < math.inf:
-            raise ServingError(f"{name} must be finite and positive, got {value!r}")
-    try:
-        operator.index(n_requests)  # it sizes the RNG draws
-    except TypeError:
-        raise ServingError(
-            f"n_requests must be an integer, got {n_requests!r}"
-        ) from None
+        error = _number_error(name, value)
+        if error is None and not 0.0 < float(value) < _INF:
+            error = f"{name} must be finite and positive, got {value!r}"
+        if error is not None:
+            raise ServingError(error)
+    error = _number_error("start_s", start_s)
+    if error is None and not 0.0 <= float(start_s) < _INF:
+        error = f"start_s must be finite and >= 0, got {start_s!r}"
+    if error is not None:
+        raise ServingError(error)
+    for name, value in (("n_requests", n_requests), ("priority", priority)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ServingError(f"{name} must be an integer, got {value!r}")
     if n_requests < 1:
         raise ServingError("n_requests must be >= 1")
-    if not 0.0 <= start_s < math.inf:
-        raise ServingError(f"start_s must be finite and >= 0, got {start_s!r}")
+    if not isinstance(tenant, str):
+        raise ServingError(f"tenant must be a string, got {tenant!r}")
     _check_budget_ms("slo_ms", slo_ms)
 
 
@@ -505,7 +515,9 @@ def poisson_arrivals(
         >>> tuple(lazy) == reqs
         True
     """
-    _check_stream_args(n_requests, start_s, slo_ms, rate_per_s=rate_per_s)
+    _check_stream_args(
+        n_requests, start_s, tenant, priority, slo_ms, rate_per_s=rate_per_s
+    )
     stream = _request_stream(
         _poisson_times(rate_per_s, n_requests, seed),
         task, start_s, tenant, priority, slo_ms, lengths, seed,
@@ -548,7 +560,9 @@ def uniform_arrivals(
         >>> [round(r.arrival_s, 3) for r in reqs]
         [0.1, 0.2, 0.3]
     """
-    _check_stream_args(n_requests, start_s, slo_ms, rate_per_s=rate_per_s)
+    _check_stream_args(
+        n_requests, start_s, tenant, priority, slo_ms, rate_per_s=rate_per_s
+    )
     stream = _request_stream(
         _uniform_times(rate_per_s, n_requests),
         task, start_s, tenant, priority, slo_ms, lengths, seed,
@@ -594,7 +608,7 @@ def mmpp_arrivals(
         True
     """
     _check_stream_args(
-        n_requests, start_s, slo_ms,
+        n_requests, start_s, tenant, priority, slo_ms,
         quiet_rate_per_s=quiet_rate_per_s,
         burst_rate_per_s=burst_rate_per_s,
         quiet_dwell_s=quiet_dwell_s,
@@ -662,7 +676,7 @@ def diurnal_arrivals(
         (30, True)
     """
     _check_stream_args(
-        n_requests, start_s, slo_ms,
+        n_requests, start_s, tenant, priority, slo_ms,
         base_rate_per_s=base_rate_per_s,
         peak_rate_per_s=peak_rate_per_s,
         period_s=period_s,

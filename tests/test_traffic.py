@@ -404,9 +404,48 @@ _BAD_ARGS = [
 ]
 
 
+#: Arguments of the wrong type, each of which a generator once took or
+#: failed on with a bare TypeError or OverflowError: a bool where a
+#: number or count belongs (taken as 1), a string, an int no float
+#: holds, and tags that a replayed trace refuses.  (id, field, value,
+#: the error's text after the field name)
+_BAD_TYPES = [
+    (f"{name}-{field}-{label}", name, field, value, message)
+    for name, (_fn, valid) in _GENERATORS.items()
+    for field, label, value, message in [
+        *(
+            (f, label, bad, message)
+            for f in (*valid, "start_s")
+            for label, bad, message in (
+                ("bool", True, "must be a number, got bool"),
+                ("str", "5", "must be a number, got str"),
+                ("huge", 10**400, "must fit in a float, got a larger int"),
+            )
+        ),
+        ("n_requests", "bool", True, "must be an integer, got True"),
+        ("priority", "str", "x", "must be an integer, got 'x'"),
+        ("priority", "bool", True, "must be an integer, got True"),
+        ("tenant", "none", None, "must be a string, got None"),
+    ]
+]
+
+
 class TestUpFrontValidation:
     """Every generator checks its arguments once, before the first
     request, because it builds requests through the unchecked fast path."""
+
+    @pytest.mark.parametrize(
+        "name,field,value,message",
+        [case[1:] for case in _BAD_TYPES],
+        ids=[case[0] for case in _BAD_TYPES],
+    )
+    def test_bad_argument_type_names_the_field(self, name, field, value, message):
+        fn, valid = _GENERATORS[name]
+        kwargs = {"n_requests": 5, **valid, field: value}
+        for materialize in (True, False):
+            with pytest.raises(ServingError) as caught:
+                fn(T, materialize=materialize, **kwargs)
+            assert str(caught.value) == f"{field} {message}"
 
     @pytest.mark.parametrize(
         "name,field,value", _BAD_ARGS, ids=[f"{n}-{f}-{v}" for n, f, v in _BAD_ARGS]
