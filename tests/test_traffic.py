@@ -404,11 +404,10 @@ _BAD_ARGS = [
 ]
 
 
-#: Arguments of the wrong type, each of which a generator once took or
-#: failed on with a bare TypeError or OverflowError: a bool where a
-#: number or count belongs (taken as 1), a string, an int no float
-#: holds, and tags that a replayed trace refuses.  (id, field, value,
-#: the error's text after the field name)
+#: Arguments of the wrong type, each rejected up front with a
+#: ServingError: a bool where a number or count belongs (it would act as
+#: 1), a string, an int no float holds, and tags that a replayed trace
+#: refuses.  (id, generator, field, value, the error after the field)
 _BAD_TYPES = [
     (f"{name}-{field}-{label}", name, field, value, message)
     for name, (_fn, valid) in _GENERATORS.items()
