@@ -11,11 +11,15 @@ recognized gates hold the traced loop tree whose parent/child links make
 naive dataclass equality recurse).
 """
 
+import dataclasses
+import hashlib
 import itertools
+import json
 
 import pytest
 
 from repro.dse.search import build_task_program
+from repro.dse.tuner import tune
 from repro.mapping.mapper import _map_rnn_monolith, map_rnn_program
 from repro.mapping.passes import (
     DEFAULT_PIPELINE,
@@ -30,7 +34,7 @@ from repro.plasticine.pcu import PCUConfig
 from repro.plasticine.pmu import PMUConfig
 from repro.plasticine.simulator import simulate_pipeline
 from repro.rnn.lstm_loop import LoopParams
-from repro.workloads.deepbench import RNNTask
+from repro.workloads.deepbench import RNNTask, task
 
 
 def mini_chip() -> PlasticineConfig:
@@ -194,3 +198,89 @@ class TestOptimizationDirections:
             + ("fuse_gates", "double_buffer")
             + DEFAULT_PIPELINE[-1:]
         )
+
+
+def checkerboard_chip() -> PlasticineConfig:
+    """The Table 3 PCU and PMU configs on the ISCA'17 checkerboard grid
+    (16x8, 1:1): another tie structure for the placer, and small enough
+    that most of the pinned designs overflow it.  The ISCA'17 preset
+    itself rejects most of these programs (its 6-stage PCU)."""
+    return dataclasses.replace(
+        PlasticineConfig.rnn_serving(),
+        name="plasticine-checkerboard",
+        layout=GridLayout.checkerboard(16, 8),
+    )
+
+
+PIN_CHIPS = (PlasticineConfig.rnn_serving, checkerboard_chip)
+PIN_PROGRAMS = list(
+    itertools.product(
+        ["lstm", "gru"],
+        [256, 1024, 2816],
+        [(1, 1), (2, 2), (4, 8), (11, 4), (16, 16)],
+    )
+)
+PIN_CONFIGS = (
+    PassConfig(),
+    PassConfig(fuse_gates=True),
+    PassConfig(double_buffer=True),
+    PassConfig(fuse_gates=True, double_buffer=True),
+)
+#: The two small DeepBench tasks whose every tune() point is pinned.
+PIN_TUNE_TASKS = (("lstm", 256), ("gru", 512))
+
+#: SHA-256 over `design_fingerprint` of every pinned design, and over
+#: every tune() point, taken before the placer sorted its pools in
+#: numpy.  The parity tests above cannot catch a placer change: the
+#: monolith and the pipeline share `_Placer`, so both would move
+#: together.  Any change to a stage coord, II, latency, routed edge,
+#: resource count or note of any design changes the digest.
+DESIGN_PIN = "32c7d928eed30ad7a1a9bc357cf737c2bb72785ee894fcf62eacb5e868b92145"
+TUNE_PIN = "5c05625cde1f61fa0c55ce8c814634f7c06496d0b14e8f7695bdd6131bbe88e3"
+
+
+def _fold_design(h, design) -> None:
+    h.update(json.dumps(design_fingerprint(design), sort_keys=True).encode())
+    h.update(b"\n")
+
+
+class TestDesignPins:
+    def test_design_matrix_digest(self):
+        h = hashlib.sha256()
+        overflowed = backed_out = 0
+        for kind, hidden, (hu, ru) in PIN_PROGRAMS:
+            prog = build_task_program(
+                RNNTask(kind, hidden, 4), LoopParams(hu=hu, ru=ru, rv=64)
+            )
+            for make_chip in PIN_CHIPS:
+                chip = make_chip()
+                designs = [_map_rnn_monolith(prog, chip)] + [
+                    map_rnn_program(prog, chip, pass_config=config)
+                    for config in PIN_CONFIGS
+                ]
+                for design in designs:
+                    _fold_design(h, design)
+                    notes = design.resources.notes
+                    overflowed += any("placement overflow" in n for n in notes)
+                    # fuse_gates ran but merged nothing: it backed out.
+                    backed_out += "fuse_gates" in design.passes_applied and not any(
+                        n.startswith("fuse_gates:") for n in notes
+                    )
+        # The pin must keep covering the overflow and back-out paths.
+        assert overflowed >= 1
+        assert backed_out >= 1
+        assert h.hexdigest() == DESIGN_PIN
+
+    def test_tune_points_digest(self):
+        h = hashlib.sha256()
+        for kind, hidden in PIN_TUNE_TASKS:
+            for p in tune(task(kind, hidden)).points:
+                record = [
+                    p.params.hu, p.params.ru, p.params.rv,
+                    p.pass_config.fuse_gates, p.pass_config.double_buffer,
+                    p.cycles_per_step, p.total_cycles, p.fits,
+                    p.pcus_used, p.pmus_used,
+                ]
+                h.update(json.dumps(record).encode())
+                h.update(b"\n")
+        assert h.hexdigest() == TUNE_PIN
