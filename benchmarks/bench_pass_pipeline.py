@@ -97,20 +97,28 @@ def _parity() -> dict:
 
 
 def _overhead(reps: int) -> dict:
-    """Wall-clock mapping time: monolith vs the default pipeline."""
+    """Wall-clock mapping time: monolith vs the default pipeline.
+
+    Each round maps once with every variant, starting one variant later
+    than the round before, so a drift in machine speed moves all three
+    means alike instead of whichever variant held the clock during it.
+    """
     prog = build_task_program(PAYOFF_TASK, PAYOFF_PARAMS)
     prog.trace()  # warm the shared trace cache out of the timed region
-    timed = {}
-    for name, fn in (
+    variants = [
         ("monolith", lambda: _map_rnn_monolith(prog)),
         ("pipeline", lambda: map_rnn_program(prog)),
         ("pipeline_no_verify", lambda: PassManager.default(verify=False).run_program(prog)),
-    ):
+    ]
+    for _, fn in variants:
         fn()  # warm-up
-        t0 = time.perf_counter()
-        for _ in range(reps):
+    timed = {name: 0.0 for name, _ in variants}
+    for rep in range(reps):
+        for name, fn in variants[rep % 3:] + variants[:rep % 3]:
+            t0 = time.perf_counter()
             fn()
-        timed[name] = (time.perf_counter() - t0) / reps
+            timed[name] += time.perf_counter() - t0
+    timed = {name: total / reps for name, total in timed.items()}
     design = map_rnn_program(prog)
     return {
         "reps": reps,
@@ -161,7 +169,7 @@ def run(quick: bool = False) -> dict:
     return {
         "quick": quick,
         "parity": _parity(),
-        "overhead": _overhead(10 if quick else 40),
+        "overhead": _overhead(40 if quick else 100),
         "payoff": _payoff(),
         "ceilings": {"overhead": OVERHEAD_CEILING},
     }

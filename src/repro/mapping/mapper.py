@@ -39,8 +39,12 @@ distances rather than constants.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.errors import MappingError
 from repro.mapping.pipeline import PipelineGraph, Stage
@@ -108,6 +112,37 @@ class MappedDesign:
         return max(g.rv for g in self.gates)
 
 
+class _Pool:
+    """Free grid units in pool order, as parallel row and column arrays."""
+
+    def __init__(self, coords: Iterable[Coord]):
+        flat = np.fromiter(itertools.chain.from_iterable(coords), np.int64)
+        self.rows = flat[0::2]
+        self.cols = flat[1::2]
+
+    def coords(self) -> list[Coord]:
+        return list(zip(self.rows.tolist(), self.cols.tolist()))
+
+    def take(self, k: int, near: Coord) -> list[Coord]:
+        """Hand out the ``k`` units nearest ``near`` (fewer if the pool
+        runs dry).
+
+        Reorders the whole pool by Manhattan distance from ``near`` with
+        a stable sort, the permutation ``list.sort`` with that key gives:
+        ties keep their pool order, and later takes depend on it.
+        """
+        dist = np.abs(self.rows - near[0]) + np.abs(self.cols - near[1])
+        order = np.argsort(dist, kind="stable")
+        rows, cols = self.rows[order], self.cols[order]
+        self.rows, self.cols = rows[k:], cols[k:]
+        return list(zip(rows[:k].tolist(), cols[:k].tolist()))
+
+    def extend(self, coords: Iterable[Coord]) -> None:
+        added = _Pool(coords)
+        self.rows = np.concatenate((self.rows, added.rows))
+        self.cols = np.concatenate((self.cols, added.cols))
+
+
 class _Placer:
     """Greedy nearest-available allocation of grid units.
 
@@ -119,20 +154,29 @@ class _Placer:
 
     def __init__(self, chip: PlasticineConfig):
         self.chip = chip
-        self.free_pcus = list(chip.layout.pcus)
-        self.free_pmus = list(chip.layout.pmus)
+        self._pcus = _Pool(chip.layout.pcus)
+        self._pmus = _Pool(chip.layout.pmus)
         self.overflow_pcus = 0
         self.overflow_pmus = 0
+        #: Where overflowed requests are synthesized.
+        self.edge_coord: Coord = (chip.layout.rows - 1, chip.layout.cols - 1)
 
     @property
-    def edge_coord(self) -> Coord:
-        """Where overflowed requests are synthesized."""
-        return (self.chip.layout.rows - 1, self.chip.layout.cols - 1)
+    def free_pcus(self) -> list[Coord]:
+        """The free PCUs in pool order (assignable, to restore a snapshot)."""
+        return self._pcus.coords()
 
-    def _take(self, pool: list[Coord], k: int, near: Coord) -> tuple[list[Coord], int]:
-        pool.sort(key=lambda p: self.chip.layout.manhattan(near, p))
-        taken = pool[:k]
-        del pool[:k]
+    @free_pcus.setter
+    def free_pcus(self, coords: Iterable[Coord]) -> None:
+        self._pcus = _Pool(coords)
+
+    @property
+    def free_pmus(self) -> list[Coord]:
+        """The free PMUs in pool order."""
+        return self._pmus.coords()
+
+    def _take(self, pool: _Pool, k: int, near: Coord) -> tuple[list[Coord], int]:
+        taken = pool.take(k, near)
         # Out of physical units: synthesize the rest at the grid edge so
         # timing stays defined; the resource report flags the overflow.
         overflow = k - len(taken)
@@ -140,18 +184,18 @@ class _Placer:
         return taken, overflow
 
     def take_pcus(self, k: int, near: Coord) -> list[Coord]:
-        taken, overflow = self._take(self.free_pcus, k, near)
+        taken, overflow = self._take(self._pcus, k, near)
         self.overflow_pcus += overflow
         return taken
 
     def take_pmus(self, k: int, near: Coord) -> list[Coord]:
-        taken, overflow = self._take(self.free_pmus, k, near)
+        taken, overflow = self._take(self._pmus, k, near)
         self.overflow_pmus += overflow
         return taken
 
     def release_pcus(self, coords: list[Coord]) -> None:
         """Return previously taken PCUs to the free pool (pass rewrites)."""
-        self.free_pcus.extend(c for c in coords if c != self.edge_coord)
+        self._pcus.extend(c for c in coords if c != self.edge_coord)
 
 
 def _overflow_note(placer: _Placer) -> str | None:

@@ -229,6 +229,11 @@ class MappingState:
     # -- bookkeeping ------------------------------------------------------
     completed: list[str] = field(default_factory=list)
     timings: list[PassTiming] = field(default_factory=list)
+    #: The verifier's last passing unit check per stage: its unit tuples,
+    #: the layout, the edge coordinate and the two overflow flags.
+    units_verified: dict[str, tuple] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # -- IR manipulation helpers -----------------------------------------
 

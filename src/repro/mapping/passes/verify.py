@@ -25,6 +25,8 @@ Invariants (cumulative, keyed on which passes have completed):
 
 from __future__ import annotations
 
+import operator
+
 from repro.errors import MappingError
 from repro.mapping.passes.core import MappingState
 from repro.mapping.pipeline import kahn_order
@@ -77,12 +79,21 @@ def _verify_skeleton(state: MappingState) -> None:
     _check_acyclic(state)
 
 
+def _check_units(state, name, units, real, edge_coord, overflow_ok, kind) -> None:
+    if real.issuperset(units):
+        return
+    for unit in units:
+        if unit in real:
+            continue
+        if unit == edge_coord and overflow_ok:
+            continue
+        _fail(state, f"stage {name!r} occupies non-{kind} unit {unit}")
+
+
 def _verify_placement(state: MappingState) -> None:
     if state.placer is None:
         _fail(state, "no placer after place_units")
     layout = state.chip.layout
-    pcu_set = set(layout.pcus)
-    pmu_set = set(layout.pmus)
     edge_coord = state.placer.edge_coord
     pcu_overflow_ok = state.placer.overflow_pcus > 0
     pmu_overflow_ok = state.placer.overflow_pmus > 0
@@ -92,18 +103,22 @@ def _verify_placement(state: MappingState) -> None:
         r, c = draft.coord
         if not (0 <= r < layout.rows and 0 <= c < layout.cols):
             _fail(state, f"stage {name!r} placed off-grid at {draft.coord}")
-        for unit in draft.units_pcu:
-            if unit in pcu_set:
-                continue
-            if unit == edge_coord and pcu_overflow_ok:
-                continue
-            _fail(state, f"stage {name!r} occupies non-PCU unit {unit}")
-        for unit in draft.units_pmu:
-            if unit in pmu_set:
-                continue
-            if unit == edge_coord and pmu_overflow_ok:
-                continue
-            _fail(state, f"stage {name!r} occupies non-PMU unit {unit}")
+        # A tuple cannot change, so the same tuple objects under the same
+        # layout, edge and overflow flags pass again: skip them.  A pass
+        # that rewrites a stage's units assigns new ones.
+        checked = (
+            draft.units_pcu, draft.units_pmu, layout, edge_coord,
+            pcu_overflow_ok, pmu_overflow_ok,
+        )
+        last = state.units_verified.get(name)
+        if last is not None and all(map(operator.is_, last, checked)):
+            continue
+        _check_units(state, name, draft.units_pcu, layout.pcu_set,
+                     edge_coord, pcu_overflow_ok, "PCU")
+        _check_units(state, name, draft.units_pmu, layout.pmu_set,
+                     edge_coord, pmu_overflow_ok, "PMU")
+        if type(draft.units_pcu) is tuple and type(draft.units_pmu) is tuple:
+            state.units_verified[name] = checked
     # Ledger conservation: what the placer handed out must exactly cover
     # the per-replica stage counts scaled by the hu replication.
     want_pcus = state.hu * sum(d.n_pcus for d in state.stages.values())

@@ -12,6 +12,7 @@ registered switches with Manhattan distance between unit coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import ConfigError
 
@@ -77,6 +78,16 @@ class GridLayout:
     def pmu_to_pcu_ratio(self) -> float:
         return self.n_pmu / self.n_pcu
 
+    @cached_property
+    def pcu_set(self) -> frozenset[Coord]:
+        """Every PCU coordinate, for membership tests (built once)."""
+        return frozenset(self.pcus)
+
+    @cached_property
+    def pmu_set(self) -> frozenset[Coord]:
+        """Every PMU coordinate, for membership tests (built once)."""
+        return frozenset(self.pmus)
+
     @property
     def n_switches(self) -> int:
         """Switches sit at grid corners: (rows+1) x (cols+1)."""
@@ -107,11 +118,10 @@ class GridLayout:
 
     def ascii_diagram(self, max_rows: int = 6, max_cols: int = 12) -> str:
         """Small ASCII rendering of the layout's upper-left corner."""
-        pcu_set = set(self.pcus)
         lines = []
         for r in range(min(self.rows, max_rows)):
             cells = []
             for c in range(min(self.cols, max_cols)):
-                cells.append("PCU" if (r, c) in pcu_set else "PMU")
+                cells.append("PCU" if (r, c) in self.pcu_set else "PMU")
             lines.append(" ".join(cells))
         return "\n".join(lines)

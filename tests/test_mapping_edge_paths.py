@@ -1,6 +1,8 @@
 """Edge-path coverage for the mapper: placer overflow, structure
 rejection messages, and centroid rounding determinism."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,71 @@ class TestPlacerOverflow:
         )
         design = map_rnn_program(prog)
         assert not any("placement overflow" in n for n in design.resources.notes)
+
+
+def _reference_take(pool: list, k: int, near) -> list:
+    """The list-sorting take the numpy pools replaced, kept as the
+    reference: a stable sort of the whole pool by distance from ``near``."""
+    pool[:] = sorted(pool, key=lambda p: GridLayout.manhattan(near, p))
+    taken = pool[:k]
+    del pool[:k]
+    return taken
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "layout",
+    [GridLayout.checkerboard(5, 7), GridLayout.rnn_variant(6, 9)],
+    ids=["checkerboard-5x7", "rnn_variant-6x9"],
+)
+def test_placer_matches_the_list_sort(layout, seed):
+    """Random takes (k from 0 to past the pool), releases and a
+    fuse_gates-style snapshot and restore: after every step the units
+    handed out, the remaining pool order and the overflow counts equal
+    the list-sorting reference's."""
+    rng = random.Random(seed)
+    placer = _Placer(
+        PlasticineConfig(name="grid", layout=layout, pcu=PCUConfig(),
+                         pmu=PMUConfig(), reserved_pcus=0)
+    )
+    edge = placer.edge_coord
+    ref = {"pcu": list(layout.pcus), "pmu": list(layout.pmus)}
+    overflow = {"pcu": 0, "pmu": 0}
+    held: list = []  # PCUs handed out and not yet released
+    snapshot = None
+    for _ in range(150):
+        op = rng.choice(["take_pcus", "take_pmus", "take_pcus", "take_pmus",
+                         "release", "snapshot", "restore"])
+        if op.startswith("take"):
+            kind = op[5:8]
+            k = rng.choice([0, 1, 2, rng.randint(0, len(ref[kind]) + 3)])
+            near = (rng.randint(-1, layout.rows), rng.randint(-1, layout.cols))
+            taken = getattr(placer, op)(k, near)
+            expect = _reference_take(ref[kind], k, near)
+            overflow[kind] += k - len(expect)
+            expect += [edge] * (k - len(expect))
+            assert taken == expect
+            assert all(type(x) is int for unit in taken for x in unit)
+            if kind == "pcu":
+                held += taken
+        elif op == "release":
+            rng.shuffle(held)
+            n = rng.randint(0, len(held))
+            released, held = held[:n], held[n:]
+            placer.release_pcus(released)
+            ref["pcu"] += [u for u in released if u != edge]
+        elif op == "snapshot":
+            snapshot = (list(placer.free_pcus), placer.overflow_pcus,
+                        list(ref["pcu"]), overflow["pcu"], list(held))
+        elif snapshot is not None:
+            pool, placer.overflow_pcus, ref["pcu"], overflow["pcu"], held = snapshot
+            placer.free_pcus = pool
+            ref["pcu"], held = list(ref["pcu"]), list(held)
+        assert placer.free_pcus == ref["pcu"]
+        assert placer.free_pmus == ref["pmu"]
+        assert (placer.overflow_pcus, placer.overflow_pmus) == (
+            overflow["pcu"], overflow["pmu"]
+        )
 
 
 def _structure_error(prog) -> str:

@@ -8,6 +8,7 @@ corrupts the state — the surviving state still verifies and can be
 finished by a legal continuation to the same design.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -30,6 +31,7 @@ from repro.mapping.passes import (
     verify_state,
 )
 from repro.plasticine.chip import PlasticineConfig
+from repro.plasticine.network import GridLayout
 from repro.rnn.lstm_loop import LoopParams
 from repro.workloads.deepbench import RNNTask
 
@@ -197,6 +199,42 @@ class TestVerifierProperties:
         pmu_coord = state.chip.layout.pmus[0]
         ew.units_pcu = (pmu_coord,) + ew.units_pcu[1:]
         with pytest.raises(MappingError, match="non-PCU"):
+            verify_state(state)
+
+    @pytest.mark.parametrize("units", ["new-tuple", "list-mutated-in-place"])
+    def test_foreign_unit_after_a_passing_verify_is_caught(self, units):
+        prog = _random_program(random.Random(5))
+        state = _fresh_state(prog)
+        PassManager(list(DEFAULT_PIPELINE[:3])).run(state)
+        ew = state.stage("ew")
+        pmu_coord = state.chip.layout.pmus[0]
+        if units == "new-tuple":
+            verify_state(state)  # passes, and remembers ew's unit tuples
+            ew.units_pcu = (pmu_coord,) + ew.units_pcu[1:]
+        else:
+            ew.units_pcu = list(ew.units_pcu)
+            verify_state(state)  # passes; a list can change, so it is not remembered
+            ew.units_pcu[0] = pmu_coord
+        with pytest.raises(MappingError, match="non-PCU"):
+            verify_state(state)
+
+    def test_edge_unit_fails_once_the_pcu_overflow_is_gone(self):
+        # 48 PCUs cannot hold an hu=4, ru=4 LSTM-1152: its overflowed
+        # PCUs sit at the edge coordinate, which is a PMU on this grid.
+        chip = dataclasses.replace(
+            PlasticineConfig.rnn_serving(), layout=GridLayout.rnn_variant(12, 12)
+        )
+        prog = build_task_program(
+            RNNTask("lstm", 1152, 4), LoopParams(hu=4, ru=4, rv=64)
+        )
+        state = MappingState(prog=prog, chip=chip)
+        PassManager(list(DEFAULT_PIPELINE[:3])).run(state)
+        edge = state.placer.edge_coord
+        assert edge not in chip.layout.pcus
+        assert any(edge in d.units_pcu for d in state.stages.values())
+        verify_state(state)
+        state.placer.overflow_pcus = 0
+        with pytest.raises(MappingError, match=rf"non-PCU unit \({edge[0]}, {edge[1]}\)"):
             verify_state(state)
 
     def test_verifier_catches_cycle(self):
