@@ -72,6 +72,9 @@ class ServeRequest:
     def __post_init__(self) -> None:
         if not 0.0 <= self.arrival_s < math.inf:
             raise _arrival_error(self.arrival_s)
+        _check_integer("request_id", self.request_id)
+        _check_tenant(self.tenant)
+        _check_integer("priority", self.priority)
         _check_budget_ms("slo_ms", self.slo_ms)
 
     def effective_slo_ms(self, default_slo_ms: float | None = None) -> float | None:
@@ -91,6 +94,19 @@ def _arrival_error(arrival_s: float) -> ServingError:
     if arrival_s < 0:
         return ServingError("arrival_s must be >= 0")
     return ServingError(f"arrival_s must be finite, got {arrival_s!r}")
+
+
+def _check_integer(name: str, value: object) -> None:
+    """Reject a count or integer tag that is not an ``int``, or is a
+    bool, as :func:`~repro.serving.traffic.request_from_json` would."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServingError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_tenant(tenant: object) -> None:
+    """Reject a tenant tag that is not a string."""
+    if not isinstance(tenant, str):
+        raise ServingError(f"tenant must be a string, got {tenant!r}")
 
 
 def _number_error(name: str, value: object) -> str | None:

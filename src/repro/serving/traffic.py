@@ -50,6 +50,8 @@ from repro.serving.request import (
     ServeRequest,
     _arrival_error,
     _check_budget_ms,
+    _check_integer,
+    _check_tenant,
     _number_error,
     _trusted_request,
 )
@@ -112,13 +114,11 @@ def _check_stream_args(
         error = f"start_s must be finite and >= 0, got {start_s!r}"
     if error is not None:
         raise ServingError(error)
-    for name, value in (("n_requests", n_requests), ("priority", priority)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ServingError(f"{name} must be an integer, got {value!r}")
+    _check_integer("n_requests", n_requests)
+    _check_integer("priority", priority)
     if n_requests < 1:
         raise ServingError("n_requests must be >= 1")
-    if not isinstance(tenant, str):
-        raise ServingError(f"tenant must be a string, got {tenant!r}")
+    _check_tenant(tenant)
     _check_budget_ms("slo_ms", slo_ms)
 
 
@@ -693,9 +693,15 @@ def diurnal_arrivals(
         produced = 0
         while produced < n_requests:
             t += float(rng.exponential(1.0 / peak_rate_per_s))
-            rate = base_rate_per_s + swing * (
-                1.0 - math.cos(2.0 * math.pi * t / period_s)
-            ) / 2.0
+            if t == _INF:
+                # No rate at an infinite time: _request_stream rejects
+                # the arrival, at the position poisson's would fail.
+                yield t
+                return
+            phase = 2.0 * math.pi * t / period_s
+            if phase == _INF:  # t / period_s overflows; the rate is periodic
+                phase = 2.0 * math.pi * math.fmod(t, period_s) / period_s
+            rate = base_rate_per_s + swing * (1.0 - math.cos(phase)) / 2.0
             if float(rng.uniform()) * peak_rate_per_s <= rate:
                 produced += 1
                 yield t

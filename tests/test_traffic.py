@@ -374,6 +374,23 @@ class TestRequestValidation:
     def test_infinite_slo_stays_legal(self):
         assert ServeRequest(task=T, slo_ms=math.inf).deadline_s() == math.inf
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # record_trace would write it; replay_trace would refuse it.
+            ("tenant", None, "tenant must be a string, got None"),
+            ("priority", "x", "priority must be an integer, got 'x'"),
+            ("priority", True, "priority must be an integer, got True"),
+            ("request_id", "7", "request_id must be an integer, got '7'"),
+            ("request_id", 1.5, "request_id must be an integer, got 1.5"),
+        ],
+        ids=["tenant-none", "priority-str", "priority-bool", "id-str", "id-float"],
+    )
+    def test_constructor_rejects_wrongly_typed_tags(self, field, value, message):
+        with pytest.raises(ServingError) as caught:
+            ServeRequest(task=T, **{field: value})
+        assert str(caught.value) == message
+
 
 #: (generator, valid keyword arguments) for the up-front argument checks.
 _GENERATORS = {
@@ -830,8 +847,19 @@ class TestStreamPins:
             # The running total itself overflows.
             (poisson_arrivals, dict(rate_per_s=1e-308, seed=3), 2),
             (uniform_arrivals, dict(rate_per_s=1e-308), 1),
+            # A subnormal peak rate: the first gap is already infinite.
+            (
+                diurnal_arrivals,
+                dict(base_rate_per_s=1e-310, peak_rate_per_s=1e-309, period_s=1.0),
+                0,
+            ),
+            (
+                diurnal_arrivals,
+                dict(base_rate_per_s=1e-308, peak_rate_per_s=1e-308, period_s=1.0),
+                3,
+            ),
         ],
-        ids=["poisson-offset", "poisson-total", "uniform"],
+        ids=["poisson-offset", "poisson-total", "uniform", "diurnal-gap", "diurnal-total"],
     )
     def test_overflow_fails_at_the_first_infinite_arrival(
         self, generator, kwargs, n_before
@@ -847,3 +875,16 @@ class TestStreamPins:
         assert len(built) == n_before
         assert [r.request_id for r in built] == list(range(n_before))
         assert all(r.arrival_s < math.inf for r in built)
+
+    def test_diurnal_phase_overflow_keeps_the_periodic_rate(self):
+        # Finite arrivals near 1e307 over a 10 ms period: t / period_s
+        # overflows, but the rate is periodic, so the stream goes on.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reqs = diurnal_arrivals(
+                T, base_rate_per_s=1e-307, peak_rate_per_s=2e-307,
+                period_s=0.01, n_requests=3,
+            )
+        arrivals = [r.arrival_s for r in reqs]
+        assert arrivals == sorted(arrivals)
+        assert all(1e305 < a < math.inf for a in arrivals)
