@@ -137,11 +137,6 @@ class _Pool:
         self.rows, self.cols = rows[k:], cols[k:]
         return list(zip(rows[:k].tolist(), cols[:k].tolist()))
 
-    def extend(self, coords: Iterable[Coord]) -> None:
-        added = _Pool(coords)
-        self.rows = np.concatenate((self.rows, added.rows))
-        self.cols = np.concatenate((self.cols, added.cols))
-
 
 class _Placer:
     """Greedy nearest-available allocation of grid units.
@@ -195,7 +190,7 @@ class _Placer:
 
     def release_pcus(self, coords: list[Coord]) -> None:
         """Return previously taken PCUs to the free pool (pass rewrites)."""
-        self._pcus.extend(c for c in coords if c != self.edge_coord)
+        self.free_pcus += [c for c in coords if c != self.edge_coord]
 
 
 def _overflow_note(placer: _Placer) -> str | None:

@@ -693,13 +693,14 @@ def diurnal_arrivals(
         produced = 0
         while produced < n_requests:
             t += float(rng.exponential(1.0 / peak_rate_per_s))
-            if t == _INF:
-                # No rate at an infinite time: _request_stream rejects
-                # the arrival, at the position poisson's would fail.
-                yield t
-                return
             phase = 2.0 * math.pi * t / period_s
-            if phase == _INF:  # t / period_s overflows; the rate is periodic
+            if phase == _INF:
+                if t == _INF:
+                    # No rate at an infinite time: _request_stream rejects
+                    # the arrival, at the position poisson's would fail.
+                    yield t
+                    return
+                # t / period_s overflows, but the rate is periodic.
                 phase = 2.0 * math.pi * math.fmod(t, period_s) / period_s
             rate = base_rate_per_s + swing * (1.0 - math.cos(phase)) / 2.0
             if float(rng.uniform()) * peak_rate_per_s <= rate:

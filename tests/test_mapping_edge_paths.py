@@ -1,5 +1,6 @@
-"""Edge-path coverage for the mapper: placer overflow, structure
-rejection messages, and centroid rounding determinism."""
+"""Edge-path coverage for the mapper: placer overflow, the numpy placer
+against its list-sorting reference, structure rejection messages, and
+centroid rounding determinism."""
 
 import random
 
