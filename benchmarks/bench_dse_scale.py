@@ -142,7 +142,7 @@ def _scaling(n: int) -> dict:
     for w in WORKER_COUNTS:
         _MEMO.clear()  # cold sweep: workers fork from an empty memo
         t0 = time.perf_counter()
-        search(TUNE_TASK, space=TUNE_SPACE, workers=w)
+        search(TUNE_TASK, space=TUNE_SPACE, workers=w, prune=False)
         tune_elapsed[str(w)] = time.perf_counter() - t0
     return {
         "n_requests": n,

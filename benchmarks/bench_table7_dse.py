@@ -1,19 +1,28 @@
 """Table 7: per-task design parameters via design-space exploration.
 
-Benchmarks the DSE itself (map + cycle-simulate every candidate point)
-and checks the qualitative tuning rule of Section 5.2: small problems
-spend leftover compute on ``hu``; large problems shift it to ``ru``/the
-dot product, and the DSE never loses to the reconstructed paper choice.
+Benchmarks the DSE itself (map + cycle-simulate the candidate points
+its cycle bound cannot rule out) and checks the qualitative tuning rule
+of Section 5.2: small problems spend leftover compute on ``hu``; large
+problems shift it to ``ru``/the dot product, and the DSE never loses to
+the reconstructed paper choice.  The tuner's pruning is exact only if
+its cycle lower bound holds, so this suite checks the bound on every
+point of every DeepBench task, precision, pass config and chip.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.dse import ParameterSpace, paper_params, tune
-from repro.dse.search import _MEMO, evaluate
+from repro.dse.search import _MEMO, build_task_program, evaluate
+from repro.errors import ConfigError
 from repro.harness.report import format_table
 from repro.harness.tables import table7
+from repro.mapping import map_rnn_program
 from repro.plasticine import PlasticineConfig
-from repro.workloads.deepbench import table6_tasks, task
+from repro.plasticine.network import GridLayout
+from repro.plasticine.simulator import simulate_pipeline
+from repro.workloads.deepbench import all_tasks, table6_tasks, task
 
 
 def test_dse_single_task(benchmark):
@@ -117,3 +126,57 @@ def test_dse_respects_resource_wall(benchmark):
     assert infeasible, "the space should contain over-budget points"
     for point in res.feasible_points():
         assert point.total_cycles >= res.best.total_cycles
+
+
+def test_cycle_bound_holds_on_every_point(benchmark, artifact):
+    """The bound the tuner prunes with is at or below the simulated
+    per-step cycles on every candidate of every DeepBench task, at 8, 16
+    and 32 bits, under all four pass configs, on the Table 3 chip, the
+    ISCA'17 preset (where it can plan the task) and the Table 3 units on
+    the 16x8 checkerboard grid."""
+    chips = (
+        PlasticineConfig.rnn_serving(),
+        PlasticineConfig.isca2017(),
+        dataclasses.replace(
+            PlasticineConfig.rnn_serving(),
+            name="plasticine-checkerboard",
+            layout=GridLayout.checkerboard(16, 8),
+        ),
+    )
+    space = ParameterSpace.with_pass_axis()
+
+    def sweep():
+        rows = []
+        for chip in chips:
+            checked, tightest = 0, 0.0
+            for bits in (8, 16, 32):
+                for t in all_tasks():
+                    for params in space.candidates(t, chip, bits):
+                        prog = build_task_program(t, params)
+                        for config in space.pass_configs:
+                            try:
+                                design = map_rnn_program(
+                                    prog, chip, bits=bits, pass_config=config
+                                )
+                            except ConfigError:
+                                continue  # the ISCA'17 PCU at 8/16 bits
+                            sim = simulate_pipeline(design.graph)
+                            cycles = sim.cycles_per_step + sim.step_overhead
+                            assert design.cycle_bound <= cycles, (
+                                chip.name, bits, t.name, params, config
+                            )
+                            checked += 1
+                            tightest = max(tightest, design.cycle_bound / cycles)
+            rows.append([chip.name, checked, f"{tightest:.5f}"])
+        return rows
+
+    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    assert all(checked for _, checked, _ in rows)
+    artifact(
+        "table7_cycle_bound",
+        format_table(
+            ["chip", "points checked", "max bound/simulated"],
+            rows,
+            title="Tuner cycle lower bound vs simulation, every point",
+        ),
+    )

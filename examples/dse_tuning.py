@@ -32,7 +32,7 @@ def main() -> None:
     print(f"DSE for {t.name} on {chip.name} "
           f"({chip.usable_pcus} usable PCUs, {chip.n_pmu} PMUs)\n")
 
-    result = tune(t, chip)
+    result = tune(t, chip, prune=False)
     rows = []
     for point in sorted(result.points, key=lambda p: p.total_cycles):
         rows.append(

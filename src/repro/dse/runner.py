@@ -20,6 +20,10 @@ passes, bigger fleet spaces) gets both speedups for free:
   exactness argument).  Feasible candidates are never aborted, so the
   planner's ``best`` and feasible frontier are unchanged by pruning.
 
+The chip tuner prunes on its own terms, an exact branch-and-bound on a
+per-step cycle lower bound (:func:`repro.dse.search.search`); both
+loops count their pruned candidates in :attr:`DSEStats.pruned`.
+
 Nothing is persisted across processes: every search answers from the
 current mapper and cost models.
 """
@@ -59,9 +63,10 @@ class DSEStats:
     value equality — two runs with different worker counts or memo
     temperatures produce equal results but different stats)."""
 
-    #: Candidate points the search covered (evaluated + memo + pruned).
+    #: Candidate points the search covered (evaluated + memo hits).
     candidates: int = 0
-    #: Points actually mapped-and-simulated (or stream-replayed) fresh.
+    #: Points computed fresh: mapped and simulated, or stopped at the
+    #: tuner's cycle bound; stream-replayed, in full or pruned.
     evaluated: int = 0
     #: Points answered by the in-process
     #: :class:`~repro.serving.engine.EvalMemo`.
@@ -69,7 +74,10 @@ class DSEStats:
     #: Task programs built (hoisted per ``LoopParams``, so typically
     #: one per parameter point rather than one per grid point).
     program_builds: int = 0
-    #: Candidates aborted early by :class:`PruningSummary`.
+    #: Candidates reported pruned: aborted early by
+    #: :class:`PruningSummary` (planner), or stopped after
+    #: ``plan_gates`` because their cycle lower bound is above the
+    #: incumbent's (tuner; memo answers included).
     pruned: int = 0
     #: Requests actually simulated across all candidates (the planner's
     #: pruning savings show up here).

@@ -8,7 +8,10 @@ Three parameter sources, in increasing order of automation:
   the LSTM 1024/1536/2048 rows to within a few cycles).  ``rv = 64``
   (16 lanes x 4-packed fp8) and ``hv = 1`` throughout, exactly as the
   paper states.
-* :func:`tune` — run the DSE and take its optimum.
+* :func:`tune` — run the DSE and take its optimum (an exact
+  branch-and-bound by default: points whose proven cycle bound cannot
+  beat the incumbent stop before placement; ``prune=False`` maps and
+  simulates every candidate).
 * A fixed :class:`~repro.rnn.lstm_loop.LoopParams` the caller supplies.
 
 The paper's qualitative tuning rule (Section 5.2) falls out of the DSE:
@@ -58,6 +61,7 @@ def tune(
     bits: int = 8,
     workers: int | None = None,
     pass_axis: bool = False,
+    prune: bool = True,
 ) -> DSEResult:
     """Run the DSE for a task; thin alias of :func:`repro.dse.search.search`.
 
@@ -68,6 +72,10 @@ def tune(
             (:meth:`ParameterSpace.with_pass_axis
             <repro.dse.space.ParameterSpace.with_pass_axis>`), so the
             result reports which pass config wins for this task.
+        prune: Skip placement, routing and simulation of the points
+            whose cycle lower bound is above the incumbent's cycles
+            (see :func:`~repro.dse.search.search`); they come back
+            ``pruned=True``.  ``False`` evaluates every candidate.
     """
     if pass_axis:
         if space is not None:
@@ -76,4 +84,4 @@ def tune(
                 "ParameterSpace with pass_configs instead of both"
             )
         space = ParameterSpace.with_pass_axis()
-    return search(task, chip, space, bits=bits, workers=workers)
+    return search(task, chip, space, bits=bits, workers=workers, prune=prune)

@@ -14,11 +14,14 @@
   recognize → plan → place → route → fold → report, with optional
   ``fuse_gates`` / ``double_buffer`` optimization passes behind
   :class:`PassConfig`.
+* :mod:`repro.mapping.bound` — the per-step cycle lower bound proven
+  right after ``plan_gates``, which the chip tuner prunes with.
 """
 
 from repro.mapping.pipeline import PipelineGraph, Stage
 from repro.mapping.resources import ResourceReport, resource_report
 from repro.mapping.mapper import MappedDesign, map_rnn_program
+from repro.mapping.bound import CycleLimitExceeded, cycle_lower_bound
 from repro.mapping.passes import (
     MappingPass,
     MappingState,
@@ -31,6 +34,8 @@ from repro.mapping.passes import (
 )
 
 __all__ = [
+    "CycleLimitExceeded",
+    "cycle_lower_bound",
     "PipelineGraph",
     "Stage",
     "ResourceReport",

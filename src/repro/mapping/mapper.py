@@ -102,6 +102,10 @@ class MappedDesign:
     passes_applied: tuple[str, ...] = field(default=(), compare=False)
     #: Per-pass wall-clock timings (observability; see PassManager).
     pass_timings: tuple = field(default=(), repr=False, compare=False)
+    #: The per-step cycle lower bound proven after ``plan_gates``
+    #: (:func:`repro.mapping.bound.cycle_lower_bound`); set by
+    #: :func:`map_rnn_program`, ``None`` for designs built otherwise.
+    cycle_bound: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def ru(self) -> int:
@@ -289,13 +293,16 @@ def map_rnn_program(
     *,
     bits: int = 8,
     pass_config=None,
+    cycle_limit: int | None = None,
 ) -> MappedDesign:
     """Lower a loop-based RNN program onto a Plasticine configuration.
 
     Runs the compiler pass pipeline (:mod:`repro.mapping.passes`); the
     default pipeline is proven bit-identical to the original monolithic
     lowering (kept as :func:`_map_rnn_monolith`) by the differential
-    parity suite.
+    parity suite.  After ``plan_gates`` it proves a per-step cycle lower
+    bound (:func:`~repro.mapping.bound.cycle_lower_bound`), which the
+    design carries as ``cycle_bound``.
 
     Args:
         prog: A program built by :func:`repro.rnn.build_lstm_program` or
@@ -309,13 +316,25 @@ def map_rnn_program(
             default runs the plain pipeline.  A custom pass list, a
             ``trace_hook`` or ``verify=False`` goes through
             :class:`~repro.mapping.passes.PassManager` directly.
+        cycle_limit: Stop after ``plan_gates`` and raise
+            :class:`~repro.mapping.bound.CycleLimitExceeded`, carrying the
+            bound, when the bound is above this many cycles per step:
+            the finished design could not be any faster.
 
     Returns:
         A :class:`MappedDesign` with the placed pipeline graph.
     """
+    from repro.mapping.bound import CycleLimitExceeded, cycle_lower_bound
     from repro.mapping.passes import PassManager
 
-    return PassManager.default(pass_config).run_program(prog, chip, bits=bits).design
+    head, tail = PassManager.default(pass_config).split_after("plan_gates")
+    state = head.run_program(prog, chip, bits=bits)
+    bound = cycle_lower_bound(state, pass_config)
+    if cycle_limit is not None and bound > cycle_limit:
+        raise CycleLimitExceeded(bound, cycle_limit)
+    design = tail.run(state).design
+    design.cycle_bound = bound
+    return design
 
 
 def _map_rnn_monolith(

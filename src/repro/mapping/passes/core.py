@@ -234,6 +234,9 @@ class MappingState:
     units_verified: dict[str, tuple] = field(
         default_factory=dict, repr=False, compare=False
     )
+    #: The stage names and ``(src, dst)`` edge endpoints of the verifier's
+    #: last passing acyclicity check.
+    acyclic_verified: tuple | None = field(default=None, repr=False, compare=False)
 
     # -- IR manipulation helpers -----------------------------------------
 
@@ -339,6 +342,19 @@ class PassManager:
             + DEFAULT_PIPELINE[-1:]
         )
         return cls(names, verify=verify, trace_hook=trace_hook)
+
+    def split_after(self, name: str) -> tuple["PassManager", "PassManager"]:
+        """This pipeline cut after pass ``name``: two managers, each with
+        this one's verifier and trace hook, that run every pass in order
+        when run one after the other over the same state."""
+        names = [p.name for p in self.passes]
+        if name not in names[:-1]:
+            raise MappingError(f"no pass {name!r} to split the pipeline after")
+        cut = names.index(name) + 1
+        return tuple(
+            PassManager(part, verify=self.verify, trace_hook=self.trace_hook)
+            for part in (self.passes[:cut], self.passes[cut:])
+        )
 
     def run(self, state: MappingState) -> MappingState:
         from repro.mapping.passes.verify import verify_state

@@ -619,14 +619,19 @@ def mmpp_arrivals(
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        rates = (quiet_rate_per_s, burst_rate_per_s)
+        scales = (1.0 / quiet_rate_per_s, 1.0 / burst_rate_per_s)
         dwells = (quiet_dwell_s, burst_dwell_s)
         state = 0
         t = 0.0
         state_end = float(rng.exponential(dwells[state]))
         produced = 0
         while produced < n_requests:
-            gap = float(rng.exponential(1.0 / rates[state]))
+            if t == _INF or scales[0] == scales[1] == _INF:
+                # No finite arrival can follow: _request_stream rejects
+                # this one, as it does poisson's.
+                yield _INF
+                return
+            gap = float(rng.exponential(scales[state]))
             if t + gap < state_end:
                 t += gap
                 produced += 1

@@ -245,6 +245,18 @@ class TestVerifierProperties:
         with pytest.raises(MappingError, match="cycle"):
             verify_state(state)
 
+    def test_cycle_closed_in_place_after_a_passing_verify_is_caught(self):
+        # The acyclic check is skipped while the stage names and edge
+        # endpoints equal the last passing check's; an edge rewritten in
+        # place keeps every object the same and must still be re-checked.
+        prog = _random_program(random.Random(6))
+        state = _fresh_state(prog)
+        PassManager(["recognize_rnn", "plan_gates"]).run(state)
+        verify_state(state)
+        state.edge("ew", "writeback").dst = "load_x"
+        with pytest.raises(MappingError, match="stage graph contains a cycle"):
+            verify_state(state)
+
 
 class TestRegistry:
     def test_all_builtin_passes_registered(self):

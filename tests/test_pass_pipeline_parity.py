@@ -226,7 +226,8 @@ PIN_CONFIGS = (
     PassConfig(double_buffer=True),
     PassConfig(fuse_gates=True, double_buffer=True),
 )
-#: The two small DeepBench tasks whose every tune() point is pinned.
+#: The two small DeepBench tasks whose every tune() point is pinned
+#: (the exhaustive sweep, `prune=False`, so every point is simulated).
 PIN_TUNE_TASKS = (("lstm", 256), ("gru", 512))
 
 #: SHA-256 over `design_fingerprint` of every pinned design, and over
@@ -274,7 +275,7 @@ class TestDesignPins:
     def test_tune_points_digest(self):
         h = hashlib.sha256()
         for kind, hidden in PIN_TUNE_TASKS:
-            for p in tune(task(kind, hidden)).points:
+            for p in tune(task(kind, hidden), prune=False).points:
                 record = [
                     p.params.hu, p.params.ru, p.params.rv,
                     p.pass_config.fuse_gates, p.pass_config.double_buffer,

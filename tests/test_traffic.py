@@ -858,8 +858,22 @@ class TestStreamPins:
                 dict(base_rate_per_s=1e-308, peak_rate_per_s=1e-308, period_s=1.0),
                 3,
             ),
+            # Both states' mean gaps overflow: no state can yield.
+            (mmpp_arrivals, dict(quiet_rate_per_s=1e-310, burst_rate_per_s=1e-309), 0),
+            # The state clock itself overflows.
+            (
+                mmpp_arrivals,
+                dict(
+                    quiet_rate_per_s=1e-308, burst_rate_per_s=1e-308,
+                    quiet_dwell_s=1e308, burst_dwell_s=1e308,
+                ),
+                2,
+            ),
         ],
-        ids=["poisson-offset", "poisson-total", "uniform", "diurnal-gap", "diurnal-total"],
+        ids=[
+            "poisson-offset", "poisson-total", "uniform", "diurnal-gap",
+            "diurnal-total", "mmpp-gaps", "mmpp-clock",
+        ],
     )
     def test_overflow_fails_at_the_first_infinite_arrival(
         self, generator, kwargs, n_before
@@ -875,6 +889,19 @@ class TestStreamPins:
         assert len(built) == n_before
         assert [r.request_id for r in built] == list(range(n_before))
         assert all(r.arrival_s < math.inf for r in built)
+
+    def test_mmpp_one_subnormal_rate_still_flips_and_yields(self):
+        # The quiet state's mean gap overflows, so it yields nothing; the
+        # burst state it flips to does.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reqs = mmpp_arrivals(
+                T, quiet_rate_per_s=1e-310, burst_rate_per_s=2.0, n_requests=5
+            )
+        arrivals = [r.arrival_s for r in reqs]
+        assert len(arrivals) == 5
+        assert arrivals == sorted(arrivals)
+        assert all(0 < a < math.inf for a in arrivals)
 
     def test_diurnal_phase_overflow_keeps_the_periodic_rate(self):
         # Finite arrivals near 1e307 over a 10 ms period: t / period_s
