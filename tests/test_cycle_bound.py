@@ -8,8 +8,9 @@
   ``search(prune=False)``; every point it evaluates equals its
   exhaustive counterpart, and it prunes exactly the points after the
   head whose bound is strictly above the head's incumbent.
-* **The memo keeps bounds** — a warm sweep answers pruned points from
-  bound-only records, and ``evaluate()`` treats such a record as a miss.
+* **The memo keeps bounds** — a pruning sweep answers from the full
+  records an exhaustive sweep left, and ``evaluate()`` treats a record
+  holding only a bound as a miss.
 """
 
 import dataclasses
@@ -147,29 +148,17 @@ class TestPruning:
             else:
                 assert got == want
 
-    def test_workers_prune_the_same_points(self):
-        t = task("gru", 2816, 750)
-        _MEMO.clear()
-        sequential = search(t)
-        _MEMO.clear()
-        parallel = search(t, workers=2)
-        assert any(p.pruned for p in sequential.points)
-        assert parallel.points == sequential.points
-        assert parallel.best == sequential.best
-
-    def test_memo_answers_a_pruned_sweep_from_either_kind_of_record(self):
+    def test_exhaustive_records_answer_a_pruning_sweep(self):
+        # Full records carry their bounds, so a pruning sweep after an
+        # exhaustive one reports the same pruned points without mapping.
         t = task("lstm", 1024, 25)
         _MEMO.clear()
         cold = search(t)
-        warm = search(t)
-        assert (warm.stats.memo_hits, warm.stats.program_builds) == (len(warm.points), 0)
-        assert warm.points == cold.points
-        # Full records from an exhaustive sweep carry their bounds, so a
-        # pruning sweep reports the same pruned points without mapping.
         _MEMO.clear()
         search(t, prune=False)
         from_full = search(t)
-        assert from_full.stats.program_builds == 0
+        stats = from_full.stats
+        assert (stats.memo_hits, stats.program_builds) == (len(cold.points), 0)
         assert from_full.points == cold.points
 
     def test_evaluate_treats_a_bound_only_record_as_a_miss(self):
