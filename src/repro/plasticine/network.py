@@ -79,6 +79,16 @@ class GridLayout:
         return self.n_pmu / self.n_pcu
 
     @cached_property
+    def _hash(self) -> int:
+        # Ints only, so a copy pickled into a worker keeps a valid hash.
+        return hash((self.rows, self.cols, self.pcus, self.pmus))
+
+    def __hash__(self) -> int:
+        # Taken once: the chip tuner's memo hashes its chip, and so every
+        # unit coordinate of this layout, twice per design point.
+        return self._hash
+
+    @cached_property
     def pcu_set(self) -> frozenset[Coord]:
         """Every PCU coordinate, for membership tests (built once)."""
         return frozenset(self.pcus)

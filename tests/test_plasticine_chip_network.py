@@ -59,6 +59,24 @@ class TestGridLayout:
         text = GridLayout.rnn_variant(3, 6).ascii_diagram()
         assert text.splitlines()[0] == "PMU PCU PMU PMU PCU PMU"
 
+    def test_cached_hash_agrees_with_equality_in_any_process(self):
+        import pickle
+        import subprocess
+        import sys
+
+        layout = GridLayout.rnn_variant(24, 24)
+        assert hash(layout) == hash(GridLayout.rnn_variant(24, 24))
+        copy = pickle.loads(pickle.dumps(layout))
+        assert copy == layout and hash(copy) == hash(layout)
+        # A worker started apart draws another string-hash seed; an equal
+        # layout it builds must still hash like the cached copy it gets.
+        other = subprocess.run(
+            [sys.executable, "-c", "from repro.plasticine.network import GridLayout;"
+             " print(hash(GridLayout.rnn_variant(24, 24)))"],
+            capture_output=True, text=True, check=True,
+        )
+        assert int(other.stdout) == hash(layout)
+
     @given(rows=st.integers(1, 10), cols=st.integers(1, 10))
     @settings(max_examples=30, deadline=None)
     def test_checkerboard_covers_grid(self, rows, cols):
