@@ -20,6 +20,15 @@ that make that feasible on one machine:
 * **Correctness under speed** — the summary's exact counters (request
   count, SLO attainment, mean sojourn) must match the materialized
   report on the comparison stream.
+* **The mixed lazy path** — three Zipf- and fixed-length tenants merged
+  by ``mix(presorted=True)`` into one EDF/bucket summary stream: its
+  exact counters must equal the summary of the eager ``mix()`` of the
+  same streams, and its peak traced memory must not grow with stream
+  length either.  The memory runs give each tenant its task's own length:
+  the summary keeps one histogram per (tenant, length) class once the
+  class passes its 64-sample reservoir, so with hundreds of Zipf lengths
+  its memory grows until the rarest class has spilled, however the
+  stream is merged.  A parity and memory guard only: no timing floor.
 
 Run under pytest (CI's benchmarks job) or standalone::
 
@@ -49,7 +58,13 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.harness.report import format_table
-from repro.serving import NoneBatcher, ServingEngine, ZipfLength, poisson_arrivals
+from repro.serving import (
+    NoneBatcher,
+    ServingEngine,
+    ZipfLength,
+    mix,
+    poisson_arrivals,
+)
 from repro.workloads.deepbench import task
 
 OUT_JSON = Path(__file__).parent / "out" / "event_loop_scale.json"
@@ -72,6 +87,19 @@ SPEEDUP_FLOOR = 10.0
 #: Alternating rounds of the speedup comparison; each side keeps its
 #: median run, so one noisy window cannot decide the ratio.
 COMPARISON_REPEATS = 5
+
+#: The mixed stream's tenants, (task, lengths, SLO ms, priority, tenant),
+#: each Poisson at MIXED_RATE on one GPU with EDF and bucket batching.
+MIXED_TENANTS = (
+    (task("lstm", 1024, 25), ZipfLength(10, 300), 50.0, 0, "lstm-1024"),
+    (task("gru", 512, 1), ZipfLength(5, 120, alpha=1.5), 20.0, 0, "gru-512"),
+    (TASK, None, 5.0, 1, "lstm-512"),
+)
+MIXED_RATE = 250.0
+MIXED_SERVE = dict(scheduler="edf", batcher="bucket", max_batch=16, mode="summary")
+
+#: Peak-memory growth a 5x longer summary stream may show.
+MEMORY_GROWTH_CEILING = 1.5
 
 
 class _HeapPathNoneBatcher(NoneBatcher):
@@ -196,6 +224,68 @@ def _peak_mb(n: int, mode: str) -> float:
     return peak / 1e6
 
 
+def _mixed_streams(n: int, *, materialize: bool, zipf: bool = True) -> list:
+    return [
+        poisson_arrivals(
+            base,
+            rate_per_s=MIXED_RATE,
+            n_requests=n // len(MIXED_TENANTS),
+            seed=SEED + i,
+            tenant=name,
+            priority=priority,
+            slo_ms=slo_ms,
+            lengths=lengths if zipf else None,
+            materialize=materialize,
+        )
+        for i, (base, lengths, slo_ms, priority, name) in enumerate(MIXED_TENANTS)
+    ]
+
+
+def _mixed_lazy(n: int, *, zipf: bool = True):
+    """The lazily merged mixed stream in summary mode."""
+    return ServingEngine("gpu").serve_stream(
+        mix(*_mixed_streams(n, materialize=False, zipf=zipf), presorted=True),
+        presorted=True,
+        **MIXED_SERVE,
+    )
+
+
+def _exact_counters(summary) -> tuple:
+    return (
+        summary.n_requests,
+        summary.slo_attainment,
+        summary.mean_ms,
+        summary.p99_ms,
+        summary.mean_batch_size,
+        summary.padding_waste_frac,
+        tuple((t, s.n_requests, s.mean_ms) for t, s in summary.per_tenant().items()),
+    )
+
+
+def _mixed(n: int, n_small: int, n_large: int) -> dict:
+    """Parity of the lazy mix with the eager one, and its peak memory."""
+    lazy = _mixed_lazy(n)
+    eager = ServingEngine("gpu").serve_stream(
+        mix(*_mixed_streams(n, materialize=True)), **MIXED_SERVE
+    )
+    peaks = []
+    for size in (n_small, n_large):
+        tracemalloc.start()
+        _mixed_lazy(size, zipf=False)
+        peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        tracemalloc.stop()
+    return {
+        "n_requests": lazy.n_requests,
+        "counters_match": _exact_counters(lazy) == _exact_counters(eager),
+        "mean_batch_size": lazy.mean_batch_size,
+        "slo_attainment": lazy.slo_attainment,
+        "n_small": n_small,
+        "n_large": n_large,
+        "peak_mb": {"small": peaks[0], "large": peaks[1]},
+        "growth": peaks[1] / peaks[0],
+    }
+
+
 def _memory(n_small: int, n_large: int) -> dict:
     summary_small = _peak_mb(n_small, "summary")
     summary_large = _peak_mb(n_large, "summary")
@@ -214,13 +304,16 @@ def _memory(n_small: int, n_large: int) -> dict:
 def run(quick: bool = False) -> dict:
     comparison = _comparison(30_000 if quick else 100_000)
     big = _big_runs(150_000 if quick else 1_000_000)
-    memory = _memory(*((10_000, 50_000) if quick else (20_000, 100_000)))
+    sizes = (10_000, 50_000) if quick else (20_000, 100_000)
+    memory = _memory(*sizes)
+    mixed = _mixed(30_000 if quick else 150_000, *sizes)
     return {
         "quick": quick,
         "workload": f"{TASK.name} poisson@{RATE:.0f}/s seed={SEED}",
         "comparison": comparison,
         "big": big,
         "memory": memory,
+        "mixed": mixed,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1e3,
         "floors": {
             "events_per_s": EVENTS_PER_S_FLOOR,
@@ -250,7 +343,7 @@ def check(metrics: dict) -> list[str]:
             f"the {EVENTS_PER_S_FLOOR:.0f}/s floor"
         )
     mem = metrics["memory"]
-    if mem["summary_growth"] > 1.5:
+    if mem["summary_growth"] > MEMORY_GROWTH_CEILING:
         failures.append(
             f"summary-mode peak memory grew {mem['summary_growth']:.2f}x "
             f"on a {mem['n_large'] / mem['n_small']:.0f}x longer stream "
@@ -265,6 +358,18 @@ def check(metrics: dict) -> list[str]:
     bucket = metrics["big"]["edf_bucket"]
     if not bucket["mean_batch_size"] >= 1.0:
         failures.append("edf/bucket run produced an impossible batch size")
+    mixed = metrics["mixed"]
+    if not mixed["counters_match"]:
+        failures.append(
+            "the mix(presorted=True) summary's counters diverged from the "
+            "eager mix() summary on the same streams"
+        )
+    if mixed["growth"] > MEMORY_GROWTH_CEILING:
+        failures.append(
+            f"mixed summary-mode peak memory grew {mixed['growth']:.2f}x on a "
+            f"{mixed['n_large'] / mixed['n_small']:.0f}x longer stream "
+            f"(must be independent of stream length)"
+        )
     return failures
 
 
@@ -272,6 +377,7 @@ def _render(metrics: dict) -> str:
     cmp_ = metrics["comparison"]
     big = metrics["big"]
     mem = metrics["memory"]
+    mixed = metrics["mixed"]
     rows = [
         [
             f"pre-PR loop (heap, full, no memo) {cmp_['n_requests'] // 1000}k",
@@ -297,6 +403,13 @@ def _render(metrics: dict) -> str:
             "-",
             "O(1)",
         ],
+        [
+            f"summary mix(presorted) 3 tenants {mixed['n_requests'] // 1000}k "
+            f"({'=' if mixed['counters_match'] else '!='} eager mix)",
+            "-",
+            "-",
+            f"{mixed['peak_mb']['large']:.2f} @ {mixed['n_large'] // 1000}k",
+        ],
     ]
     return format_table(
         ["configuration", "events/s", "speedup", "peak MB"],
@@ -304,7 +417,8 @@ def _render(metrics: dict) -> str:
         title=f"Event-loop scale: {metrics['workload']} "
         f"(floors: {SPEEDUP_FLOOR:.0f}x, "
         f"{EVENTS_PER_S_FLOOR:,.0f} ev/s; summary mem growth "
-        f"{mem['summary_growth']:.2f}x vs full {mem['full_growth']:.2f}x)",
+        f"{mem['summary_growth']:.2f}x, mixed {mixed['growth']:.2f}x, vs full "
+        f"{mem['full_growth']:.2f}x)",
     )
 
 

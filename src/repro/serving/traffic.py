@@ -35,6 +35,7 @@ perturbs the arrival times.
 from __future__ import annotations
 
 import heapq
+import inspect
 import json
 import math
 import operator
@@ -396,8 +397,38 @@ def lengths_from_trace(path: str | Path) -> EmpiricalLength:
     )
 
 
+def _length_chunks(
+    chunks: Iterator, lengths: LengthSampler | None, seed: int
+) -> Iterator[tuple]:
+    """Each chunk of arrival times with its drawn lengths (``None``
+    without a sampler).
+
+    Length sampling draws from its own seeded RNG stream
+    (``(seed, _LENGTH_STREAM)``), so attaching a distribution never
+    perturbs the arrival times.  Lengths come from one
+    :meth:`LengthSampler.sample_chunk` call per chunk and equal the
+    historical one-``sample``-per-request sequence.
+    """
+    if lengths is None:
+        for times in chunks:
+            yield None, times
+        return
+    import numpy as np
+
+    rng = np.random.default_rng((seed, _LENGTH_STREAM))
+    for times in chunks:
+        n = len(times)
+        steps = lengths.sample_chunk(rng, n)
+        if len(steps) != n:
+            raise ServingError(
+                f"{type(lengths).__name__}.sample_chunk returned "
+                f"{len(steps)} lengths, {n} were asked for"
+            )
+        yield steps, times
+
+
 def _request_stream(
-    chunks: Iterator[list],
+    chunks: Iterator,
     task: RNNTask,
     start_s: float,
     tenant: str,
@@ -411,34 +442,14 @@ def _request_stream(
     Each request is built by the unchecked ``_trusted_request`` and
     yielded at once: the caller has run :func:`_check_stream_args`, and
     each arrival is range-checked here, so a bad one still fails with the
-    public constructor's error, at its own position.
-
-    Length sampling draws from its own seeded RNG stream
-    (``(seed, _LENGTH_STREAM)``), so attaching a distribution never
-    perturbs the arrival times.  Lengths come from one
-    :meth:`LengthSampler.sample_chunk` call per chunk and equal the
-    historical one-``sample``-per-request sequence.  Each distinct length
-    derives its task variant once per stream.
+    public constructor's error, at its own position.  Each distinct
+    length derives its task variant once per stream.
     """
-    if lengths is not None:
-        import numpy as np
-
-        rng = np.random.default_rng((seed, _LENGTH_STREAM))
-        variant_of = cache(task.with_timesteps)
+    variant_of = cache(task.with_timesteps)
     i = 0
-    for times in chunks:
-        n = len(times)
-        if lengths is None:
-            tasks = repeat(task, n)
-        else:
-            steps = lengths.sample_chunk(rng, n)
-            if len(steps) != n:
-                raise ServingError(
-                    f"{type(lengths).__name__}.sample_chunk returned "
-                    f"{len(steps)} lengths, {n} were asked for"
-                )
-            tasks = map(variant_of, steps)
-        for variant, t in zip(tasks, times):
+    for steps, times in _length_chunks(chunks, lengths, seed):
+        tasks = repeat(task) if steps is None else map(variant_of, steps)
+        for variant, t in zip(tasks, times.tolist()):
             arrival = start_s + t
             if not 0.0 <= arrival < _INF:
                 raise _arrival_error(arrival)
@@ -446,13 +457,151 @@ def _request_stream(
             i += 1
 
 
-def _in_chunks(times: Iterator[float]) -> Iterator[list]:
+def _variants(variant_of, steps) -> tuple:
+    """A chunk's task variants as an object array, how many were built,
+    and the error building the next one raised (``None`` if none did)."""
+    import numpy as np
+
+    try:
+        return np.fromiter(map(variant_of, steps), object, len(steps)), len(steps), None
+    except Exception:
+        pass
+    built, error = [], None
+    for step in steps:
+        try:
+            built.append(variant_of(step))
+        except Exception as exc:
+            error = exc
+            break
+    return np.fromiter(built, object, len(built)), len(built), error
+
+
+def _request_blocks(
+    chunks: Iterator,
+    task: RNNTask,
+    start_s: float,
+    lengths: LengthSampler | None,
+    seed: int,
+) -> Iterator[tuple]:
+    """The block side of a lazy stream: the same chunks as
+    :func:`_request_stream`, as arrays.
+
+    Each block is ``(tasks, arrivals, error)``: an object array of the
+    task of each request :func:`_request_stream` builds from one chunk,
+    a float64 array of their arrivals (offset by ``start_s``, so bit for
+    bit the same floats), and the exception the per-request stream
+    raises right after them, or ``None``.  A block with an error is the
+    last; it holds the requests before the failing one, which may be
+    none.  Arrivals are range-checked once per chunk.  Nothing is raised
+    here: the merge raises each error where the per-request stream would.
+    """
+    import numpy as np
+
+    variant_of = cache(task.with_timesteps)
+    same = np.empty(_CHUNK, dtype=object)
+    same.fill(task)
+    source = _length_chunks(chunks, lengths, seed)
+    while True:
+        try:
+            steps, times = next(source)
+        except StopIteration:
+            return
+        except Exception as exc:
+            # Whatever it is, the per-request stream raises it before the
+            # chunk's first request; the merge re-raises it there.
+            yield same[:0], np.empty(0), exc
+            return
+        with np.errstate(over="ignore"):
+            arrivals = times + start_s
+        if steps is None:
+            tasks, good, error = same[: len(times)], len(times), None
+        else:
+            tasks, good, error = _variants(variant_of, steps)
+        in_range = (arrivals >= 0.0) & (arrivals < _INF)
+        if not in_range.all():
+            bad = int(in_range.argmin())
+            # At one position the task is built first, so its error wins.
+            if bad < good:
+                good, error = bad, _arrival_error(float(arrivals[bad]))
+        yield tasks[:good], arrivals[:good], error
+        if error is not None:
+            return
+
+
+class _LazyStream:
+    """What a generator returns with ``materialize=False``.
+
+    Iterating it hands out the per-request generator itself, so a
+    consumer pays nothing per request for the wrapper.  While no request
+    has been drawn, :func:`mix` may take the stream's blocks
+    (:func:`_request_blocks`) in its place; the per-request side then
+    reads as exhausted.
+    """
+
+    __slots__ = ("_requests", "_blocks", "tags")
+
+    def __init__(
+        self, requests: Iterator[ServeRequest], blocks: Iterator[tuple], tags: tuple
+    ) -> None:
+        self._requests = requests
+        self._blocks = blocks
+        #: ``(tenant, priority, slo_ms)`` of every request.
+        self.tags = tags
+
+    def __iter__(self) -> Iterator[ServeRequest]:
+        return self._requests
+
+    def __next__(self) -> ServeRequest:
+        return next(self._requests)
+
+    def unstarted(self) -> bool:
+        """Whether no request has been drawn yet."""
+        return inspect.getgeneratorstate(self._requests) == inspect.GEN_CREATED
+
+    def take_blocks(self) -> Iterator[tuple]:
+        """The blocks in place of the requests, which are closed."""
+        self._requests.close()
+        return self._blocks
+
+
+def _generated(
+    chunks: Iterator,
+    task: RNNTask,
+    start_s: float,
+    tenant: str,
+    priority: int,
+    slo_ms: float | None,
+    lengths: LengthSampler | None,
+    seed: int,
+    materialize: bool,
+) -> "tuple[ServeRequest, ...] | _LazyStream":
+    """A checked generator's requests: all of them, or a lazy stream.
+
+    ``start_s`` is taken as a float, which is what adding it to a float
+    arrival does to a Python number.
+    """
+    start_s = float(start_s)
+    requests = _request_stream(
+        chunks, task, start_s, tenant, priority, slo_ms, lengths, seed
+    )
+    if materialize:
+        return tuple(requests)
+    return _LazyStream(
+        requests,
+        _request_blocks(chunks, task, start_s, lengths, seed),
+        (tenant, priority, slo_ms),
+    )
+
+
+def _in_chunks(times: Iterator[float]) -> Iterator:
     """A scalar loop's arrival times, handed over :data:`_CHUNK` at a time."""
-    while chunk := list(islice(times, _CHUNK)):
+    import numpy as np
+
+    while (chunk := np.fromiter(islice(times, _CHUNK), float)).size:
         yield chunk
 
 
-def _poisson_times(rate_per_s: float, n_requests: int, seed: int) -> Iterator[list]:
+def _poisson_times(rate_per_s: float, n_requests: int, seed: int) -> Iterator:
     """Exponential inter-arrival times, summed per chunk of :data:`_CHUNK`.
 
     Chunked ``Generator.exponential`` draws are bit-identical to one
@@ -472,7 +621,7 @@ def _poisson_times(rate_per_s: float, n_requests: int, seed: int) -> Iterator[li
             times[0] += t
             np.add.accumulate(times, out=times)
         t = times[-1]
-        yield times.tolist()
+        yield times
 
 
 def poisson_arrivals(
@@ -495,10 +644,12 @@ def poisson_arrivals(
     per-request ``timesteps`` override from its own seeded stream, so
     arrival times are identical with or without it.
 
-    ``materialize=False`` returns a lazy generator producing the *same
+    ``materialize=False`` returns a lazy stream producing the *same
     requests* one at a time (RNG draws are chunked internally), so a
     multi-million-request stream can feed ``serve_stream(...,
-    presorted=True)`` in O(1) memory.
+    presorted=True)`` in O(1) memory.  Iterating it runs a plain
+    generator; ``mix(presorted=True)`` takes an unstarted one by its
+    chunks of arrivals instead.  Every generator's lazy form works so.
 
     Example::
 
@@ -518,18 +669,26 @@ def poisson_arrivals(
     _check_stream_args(
         n_requests, start_s, tenant, priority, slo_ms, rate_per_s=rate_per_s
     )
-    stream = _request_stream(
+    return _generated(
         _poisson_times(rate_per_s, n_requests, seed),
-        task, start_s, tenant, priority, slo_ms, lengths, seed,
+        task, start_s, tenant, priority, slo_ms, lengths, seed, materialize,
     )
-    return tuple(stream) if materialize else stream
 
 
-def _uniform_times(rate_per_s: float, n_requests: int) -> Iterator[list]:
-    """Arrival ``i`` at ``(i + 1) * period``, per chunk of :data:`_CHUNK`."""
+def _uniform_times(rate_per_s: float, n_requests: int) -> Iterator:
+    """Arrival ``i`` at ``(i + 1) * period``, per chunk of :data:`_CHUNK`.
+
+    The float ``i + 1`` is exact, so numpy's product is Python's, which
+    overflows to ``inf`` silently too.
+    """
+    import numpy as np
+
     period = 1.0 / rate_per_s
     for lo in range(0, n_requests, _CHUNK):
-        yield [(i + 1) * period for i in range(lo, min(lo + _CHUNK, n_requests))]
+        times = np.arange(lo + 1, min(lo + _CHUNK, n_requests) + 1, dtype=float)
+        with np.errstate(over="ignore"):
+            times *= period
+        yield times
 
 
 def uniform_arrivals(
@@ -549,7 +708,7 @@ def uniform_arrivals(
 
     ``seed`` only feeds the optional ``lengths`` sampler — the arrival
     times themselves are deterministic.  ``materialize=False`` returns
-    the same stream as a lazy generator.
+    the same stream lazily, as :func:`poisson_arrivals` does.
 
     Example::
 
@@ -563,11 +722,17 @@ def uniform_arrivals(
     _check_stream_args(
         n_requests, start_s, tenant, priority, slo_ms, rate_per_s=rate_per_s
     )
-    stream = _request_stream(
+    return _generated(
         _uniform_times(rate_per_s, n_requests),
-        task, start_s, tenant, priority, slo_ms, lengths, seed,
+        task, start_s, tenant, priority, slo_ms, lengths, seed, materialize,
     )
-    return tuple(stream) if materialize else stream
+
+
+#: Fewest arrivals a quiet and a burst dwell together may expect: the
+#: MMPP loop flips state about twice per such cycle, so below this an
+#: arrival takes over two million flips, and at subnormal dwells the
+#: stream would never finish.
+_MMPP_MIN_ARRIVALS = 1e-6
 
 
 def mmpp_arrivals(
@@ -592,7 +757,9 @@ def mmpp_arrivals(
     times in each state are exponential with the given means, and within
     a state arrivals are Poisson at that state's rate.  The result is the
     bursty traffic real interactive services see: long stretches near the
-    quiet rate punctuated by short storms at the burst rate.
+    quiet rate punctuated by short storms at the burst rate.  Dwells so
+    short that a quiet and a burst dwell together expect fewer than
+    :data:`_MMPP_MIN_ARRIVALS` arrivals raise a ``ServingError`` up front.
 
     Example::
 
@@ -614,13 +781,24 @@ def mmpp_arrivals(
         quiet_dwell_s=quiet_dwell_s,
         burst_dwell_s=burst_dwell_s,
     )
+    scales = (1.0 / quiet_rate_per_s, 1.0 / burst_rate_per_s)
+    dwells = (quiet_dwell_s, burst_dwell_s)
+    # Each arrival costs about 2 / expected state flips.  (With both mean
+    # gaps infinite, the stream fails at its first arrival instead.)
+    expected = quiet_rate_per_s * quiet_dwell_s + burst_rate_per_s * burst_dwell_s
+    if min(scales) < _INF and expected < _MMPP_MIN_ARRIVALS:
+        raise ServingError(
+            f"quiet_dwell_s={quiet_dwell_s!r} and burst_dwell_s={burst_dwell_s!r} "
+            f"are too short for rates of {quiet_rate_per_s!r} and "
+            f"{burst_rate_per_s!r} per s: a quiet and a burst dwell together "
+            f"expect {expected:.3g} arrivals, fewer than {_MMPP_MIN_ARRIVALS:g}, "
+            f"so each arrival would take millions of state flips"
+        )
 
     def times() -> Iterator[float]:
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        scales = (1.0 / quiet_rate_per_s, 1.0 / burst_rate_per_s)
-        dwells = (quiet_dwell_s, burst_dwell_s)
         state = 0
         t = 0.0
         state_end = float(rng.exponential(dwells[state]))
@@ -642,10 +820,10 @@ def mmpp_arrivals(
                 state = 1 - state
                 state_end = t + float(rng.exponential(dwells[state]))
 
-    stream = _request_stream(
-        _in_chunks(times()), task, start_s, tenant, priority, slo_ms, lengths, seed
+    return _generated(
+        _in_chunks(times()), task, start_s, tenant, priority, slo_ms, lengths, seed,
+        materialize,
     )
-    return tuple(stream) if materialize else stream
 
 
 def diurnal_arrivals(
@@ -712,10 +890,10 @@ def diurnal_arrivals(
                 produced += 1
                 yield t
 
-    stream = _request_stream(
-        _in_chunks(times()), task, start_s, tenant, priority, slo_ms, lengths, seed
+    return _generated(
+        _in_chunks(times()), task, start_s, tenant, priority, slo_ms, lengths, seed,
+        materialize,
     )
-    return tuple(stream) if materialize else stream
 
 
 def _renumbered(req: ServeRequest, request_id: int) -> ServeRequest:
@@ -745,7 +923,9 @@ def _lazy_mix(streams: tuple[Iterable[ServeRequest], ...]) -> Iterator[ServeRequ
     ``heapq.merge`` breaks arrival-time ties by stream position, and each
     sorted input stream is already in ``(arrival_s, request_id)`` order,
     so the merged order matches the eager path's
-    ``(arrival_s, stream_idx, request_id)`` sort key exactly.
+    ``(arrival_s, stream_idx, request_id)`` sort key exactly.  It is the
+    reference :func:`_block_mix` is diffed against, and the only lazy
+    merge of traces, tuples, request subclasses and started iterators.
     """
     merged = heapq.merge(
         *(_checked(stream, idx) for idx, stream in enumerate(streams)),
@@ -753,6 +933,104 @@ def _lazy_mix(streams: tuple[Iterable[ServeRequest], ...]) -> Iterator[ServeRequ
     )
     for new_id, req in enumerate(merged):
         yield _renumbered(req, new_id)
+
+
+#: Most pending requests the block merge looks at per stream and window:
+#: small windows keep the arrays it sorts, and the records it builds
+#: ahead of the consumer, small.
+_WINDOW = 256
+
+
+def _block_mix(blocks: list, tags: list[tuple]) -> Iterator[ServeRequest]:
+    """:func:`_lazy_mix` of unstarted generated streams, merged from their
+    ``blocks`` in small numpy windows; ``tags`` holds each stream's
+    ``(tenant, priority, slo_ms)``.
+
+    The order is ``heapq.merge``'s: by ``(arrival, stream index)``, each
+    stream keeping its own order.  A window looks at up to
+    :data:`_WINDOW` pending requests per stream and emits those at or
+    below the smallest ``(last arrival in view, index)`` among streams
+    that can still yield more: nothing such a stream yields later can
+    precede them.  Each request is built once, with its final id.
+
+    A stream's error surfaces where ``heapq.merge`` meets it, which is
+    when it asks that stream for the request after the last good one:
+    right after yielding that request, or before yielding anything (in
+    stream order) if the stream fails at its first.
+    """
+    import numpy as np
+
+    k = len(blocks)
+    by_stream = []  # per tag, an object array of each stream's value
+    for values in zip(*tags):
+        by_stream.append(np.empty(k, dtype=object))
+        by_stream[-1][:] = values
+    tasks: list = [None] * k
+    arrivals: list = [None] * k
+    errors: list = [None] * k
+    pos, size = [0] * k, [0] * k
+    live = [True] * k  # more blocks may come
+    next_id = 0
+    while True:
+        for s in range(k):
+            while live[s] and pos[s] == size[s]:
+                block = next(blocks[s], None)
+                if block is None:
+                    live[s] = False
+                    continue
+                tasks[s], arrivals[s], errors[s] = block
+                pos[s], size[s] = 0, len(arrivals[s])
+                live[s] = errors[s] is None
+        for s in range(k):
+            if errors[s] is not None and pos[s] == size[s]:
+                raise errors[s]
+        ends = [min(p + _WINDOW, n) for p, n in zip(pos, size)]
+        bound, b = _INF, -1
+        for s in range(k):
+            if pos[s] < ends[s] and (live[s] or ends[s] < size[s]):
+                last = arrivals[s][ends[s] - 1]
+                if last < bound:
+                    bound, b = last, s
+        parts = []  # (stream, first, end) of the requests this window emits
+        for s in range(k):
+            p, e = pos[s], ends[s]
+            if p < e and b >= 0 and s != b:
+                side = "right" if s < b else "left"
+                e = p + int(arrivals[s][p:e].searchsorted(bound, side))
+            if p < e:
+                parts.append((s, p, e))
+        if not parts:
+            return
+        if len(parts) == 1:
+            ((s, p, e),) = parts
+            order, when, what = None, arrivals[s][p:e], tasks[s][p:e]
+            columns = [repeat(column[s]) for column in by_stream]
+        else:
+            when = np.concatenate([arrivals[s][p:e] for s, p, e in parts])
+            order = when.argsort(kind="stable")
+            when = when[order]
+            what = np.concatenate([tasks[s][p:e] for s, p, e in parts])[order]
+            counts = [e - p for _, p, e in parts]
+            source = np.repeat([s for s, _, _ in parts], counts)[order]
+            columns = [column[source].tolist() for column in by_stream]
+        n, error, taken = len(when), None, 0
+        for s, p, e in parts:
+            pos[s] = e
+            taken += e - p
+            if errors[s] is not None and e == size[s]:
+                # The stream's last good request ends the window.
+                last = taken - 1
+                if order is not None:
+                    last = int(np.flatnonzero(order == last)[0])
+                if last < n:
+                    n, error = last + 1, errors[s]
+        yield from map(
+            _trusted_request, what[:n].tolist(), when[:n].tolist(),
+            range(next_id, next_id + n), *columns,
+        )
+        next_id += n
+        if error is not None:
+            raise error
 
 
 def mix(
@@ -770,7 +1048,14 @@ def mix(
     time-ordered (every built-in generator is — including their
     ``materialize=False`` lazy forms) and the merge happens lazily with
     O(#streams) memory, returning a generator suitable for
-    ``serve_stream(..., presorted=True)``.
+    ``serve_stream(..., presorted=True)``.  When every input is a
+    distinct generator's lazy stream from which no request has been
+    drawn, the streams are merged from their chunks of arrivals, a few
+    hundred requests per stream at a time, and each request is built
+    once; the merged requests, and any error with the number of requests
+    before it, are the same as merging request by request, which every
+    other input does.  A stream merged from its chunks reads as
+    exhausted afterwards.
 
     Example::
 
@@ -788,6 +1073,13 @@ def mix(
     if not streams:
         raise ServingError("mix needs at least one stream")
     if presorted:
+        if len(set(map(id, streams))) == len(streams) and all(
+            type(stream) is _LazyStream and stream.unstarted() for stream in streams
+        ):
+            return _block_mix(
+                [stream.take_blocks() for stream in streams],
+                [stream.tags for stream in streams],
+            )
         return _lazy_mix(streams)
     tagged = [
         (req.arrival_s, stream_idx, req.request_id, req)

@@ -44,18 +44,6 @@ def fresh_id() -> int:
     return next(_ids)
 
 
-@dataclass(frozen=True)
-class Sym:
-    """A symbolic scalar produced during tracing.
-
-    ``axes`` lists the ids of the loop counters the value varies over —
-    the symbolic analogue of the executor's broadcast axes.
-    """
-
-    name: str
-    axes: tuple[int, ...] = ()
-
-
 @dataclass
 class OpRecord:
     """One scalar operation inside a loop body."""

@@ -3,7 +3,8 @@
 The tracer runs each loop body exactly once with a symbolic counter and
 records a :class:`~repro.spatial.ir.LoopRecord` tree: loop kinds, extents,
 steps, par factors, the operation mix of each body, and which counters
-index each memory access.
+index each memory access.  A traced value carries only its ``axes``; its
+payload is ``None``, since nothing reads it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.spatial.ir import (
     MemAccess,
     OpKind,
     OpRecord,
-    Sym,
     fresh_id,
 )
 from repro.spatial.loops import Range
@@ -94,15 +94,15 @@ class Tracer(Engine):
     def binop(self, kind: str, a: Value, b: Value) -> Value:
         self._record_op(_BINOP_KINDS[kind])
         axes = self._union_axes(a, b)
-        return Value(Sym(f"{kind}#{fresh_id()}", axes), axes)
+        return Value(None, axes)
 
     def unop(self, kind: str, a: Value) -> Value:
         self._record_op(OpKind.NEG)
-        return Value(Sym(f"{kind}#{fresh_id()}", a.axes), a.axes)
+        return Value(None, a.axes)
 
     def read(self, mem, idxs: tuple) -> Value:
         if isinstance(mem, Reg):
-            return Value(Sym(f"{mem.name}#{fresh_id()}", ()), ())
+            return Value(None, ())
         axes = self._union_axes(*idxs) if idxs else ()
         self._cur.accesses.append(
             MemAccess(
@@ -112,7 +112,7 @@ class Tracer(Engine):
                 loop_id=self._cur.loop_id,
             )
         )
-        return Value(Sym(f"{mem.name}#{fresh_id()}", axes), axes)
+        return Value(None, axes)
 
     def write(self, mem, value: Value, idxs: tuple) -> None:
         if isinstance(mem, Reg):
@@ -137,21 +137,21 @@ class Tracer(Engine):
                 loop_id=self._cur.loop_id,
             )
         )
-        return Value(Sym(f"{lut.name}#{fresh_id()}", x.axes), x.axes)
+        return Value(None, x.axes)
 
     def foreach(self, rng: Range, body: Callable, *, sequential: bool, label: str) -> None:
         kind = LoopKind.SEQUENTIAL if sequential else LoopKind.FOREACH
         rec = self._enter(kind, rng, label)
         try:
-            body(Value(Sym(f"i{rec.loop_id}", (rec.loop_id,)), (rec.loop_id,)))
+            body(Value(None, (rec.loop_id,)))
         finally:
             self._exit(rec)
 
     def reduce(self, rng: Range, map_fn: Callable, *, label: str) -> Value:
         rec = self._enter(LoopKind.REDUCE, rng, label)
         try:
-            mapped = map_fn(Value(Sym(f"i{rec.loop_id}", (rec.loop_id,)), (rec.loop_id,)))
+            mapped = map_fn(Value(None, (rec.loop_id,)))
         finally:
             self._exit(rec)
         out_axes = tuple(a for a in mapped.axes if a != rec.loop_id)
-        return Value(Sym(f"red#{rec.loop_id}", out_axes), out_axes)
+        return Value(None, out_axes)

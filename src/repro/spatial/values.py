@@ -1,7 +1,7 @@
 """DSL scalar values with operator overloading.
 
 A :class:`Value` wraps an engine payload — a numpy array under the
-executor, a :class:`~repro.spatial.ir.Sym` under the tracer — together
+executor, ``None`` under the tracer, which reads only the axes — together
 with ``axes``: the ids of the loop counters the value varies over, outer
 to inner.  Arithmetic dispatches to the active engine so the same program
 text drives both tracing and execution.
@@ -22,7 +22,7 @@ class Value:
     """A staged DSL scalar.
 
     Attributes:
-        payload: numpy array (executor) or Sym (tracer) or python number.
+        payload: numpy array (executor), ``None`` (tracer) or python number.
         axes: loop-counter ids this value varies over, in nesting order.
     """
 

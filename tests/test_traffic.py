@@ -915,3 +915,27 @@ class TestStreamPins:
         arrivals = [r.arrival_s for r in reqs]
         assert arrivals == sorted(arrivals)
         assert all(1e305 < a < math.inf for a in arrivals)
+
+
+class TestMmppDwells:
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_dwells_too_short_to_fit_an_arrival_fail_up_front(self, materialize):
+        # Each state lasts about 1e-310 s against mean gaps of 0.5-1 s:
+        # the loop would flip state once per dwell and never yield.
+        with pytest.raises(ServingError) as caught:
+            mmpp_arrivals(
+                T, quiet_rate_per_s=1.0, burst_rate_per_s=2.0,
+                quiet_dwell_s=1e-310, burst_dwell_s=1e-310, n_requests=3,
+                materialize=materialize,
+            )
+        message = str(caught.value)
+        assert "quiet_dwell_s=1e-310" in message
+        assert "burst_dwell_s=1e-310" in message
+
+    def test_one_dwell_long_enough_still_generates(self):
+        reqs = mmpp_arrivals(
+            T, quiet_rate_per_s=1.0, burst_rate_per_s=2000.0,
+            quiet_dwell_s=1e-310, burst_dwell_s=0.05, n_requests=50, seed=2,
+        )
+        arrivals = [r.arrival_s for r in reqs]
+        assert len(arrivals) == 50 and arrivals == sorted(arrivals)
