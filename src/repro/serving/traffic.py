@@ -1001,27 +1001,20 @@ def _block_mix(blocks: list, tags: list[tuple]) -> Iterator[ServeRequest]:
                 parts.append((s, p, e))
         if not parts:
             return
-        if len(parts) == 1:
-            ((s, p, e),) = parts
-            order, when, what = None, arrivals[s][p:e], tasks[s][p:e]
-            columns = [repeat(column[s]) for column in by_stream]
-        else:
-            when = np.concatenate([arrivals[s][p:e] for s, p, e in parts])
-            order = when.argsort(kind="stable")
-            when = when[order]
-            what = np.concatenate([tasks[s][p:e] for s, p, e in parts])[order]
-            counts = [e - p for _, p, e in parts]
-            source = np.repeat([s for s, _, _ in parts], counts)[order]
-            columns = [column[source].tolist() for column in by_stream]
+        when = np.concatenate([arrivals[s][p:e] for s, p, e in parts])
+        order = when.argsort(kind="stable")
+        when = when[order]
+        what = np.concatenate([tasks[s][p:e] for s, p, e in parts])[order]
+        counts = [e - p for _, p, e in parts]
+        source = np.repeat([s for s, _, _ in parts], counts)[order]
+        columns = [column[source].tolist() for column in by_stream]
         n, error, taken = len(when), None, 0
         for s, p, e in parts:
             pos[s] = e
             taken += e - p
             if errors[s] is not None and e == size[s]:
                 # The stream's last good request ends the window.
-                last = taken - 1
-                if order is not None:
-                    last = int(np.flatnonzero(order == last)[0])
+                last = int(np.flatnonzero(order == taken - 1)[0])
                 if last < n:
                     n, error = last + 1, errors[s]
         yield from map(
