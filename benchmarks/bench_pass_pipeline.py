@@ -2,7 +2,8 @@
 
 The Section 4 lowering now runs as a pass pipeline over a mapping IR
 (``repro.mapping.passes``); the original single-function mapper is kept
-as ``_map_rnn_monolith``, the golden reference.  This benchmark guards
+as ``_map_rnn_monolith`` in ``tests/monolith_mapper.py``, the golden
+reference.  This benchmark guards
 the three contracts of that refactor:
 
 * **Golden parity** — the default pipeline's ``MappedDesign`` must be
@@ -37,13 +38,18 @@ from pathlib import Path
 
 # Standalone bootstrap (python benchmarks/bench_pass_pipeline.py
 # without PYTHONPATH=src): put the in-repo package on the path first.
+# The monolith reference lives in tests/, beside the parity suite.
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
+_TESTS = _SRC.parent / "tests"
+if str(_TESTS) not in sys.path:
+    sys.path.append(str(_TESTS))
 
+from monolith_mapper import _map_rnn_monolith
 from repro.dse.search import build_task_program
 from repro.harness.report import format_table
-from repro.mapping.mapper import _map_rnn_monolith, map_rnn_program
+from repro.mapping.mapper import map_rnn_program
 from repro.mapping.passes import PassConfig, PassManager, diff_designs
 from repro.plasticine.chip import PlasticineConfig
 from repro.plasticine.simulator import simulate_pipeline

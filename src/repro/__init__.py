@@ -14,7 +14,8 @@ The package is organized bottom-up:
 * :mod:`repro.serving` — the pluggable serving engine: platform
   registry, compile-once sessions, multi-tenant traffic generation,
   pluggable schedulers, dynamic batching, and autoscaled fleets.
-* :mod:`repro.analysis` — fragmentation / footprint / utilization studies.
+* :mod:`repro.analysis` — fragmentation / footprint studies and the
+  abstract's efficiency claims.
 * :mod:`repro.harness` — regenerates every table and figure of the paper.
 
 Quickstart::

@@ -1,12 +1,13 @@
-"""Computation/memory-layout analyses from Section 3 of the paper.
+"""Computation/memory-layout analyses from Section 3 of the paper, and
+the abstract's efficiency claims.
 
 * :mod:`repro.analysis.fragmentation` — Figure 4: utilization loss from
   2-D tile fragmentation (MVM designs) vs 1-D fragmentation (loop-based).
 * :mod:`repro.analysis.footprint` — Figures 1-3: per-step intermediate
   buffer footprints and traffic of BasicLSTM, cuDNN, Brainwave, and the
   loop-based design.
-* :mod:`repro.analysis.utilization` — effective-FLOPS utilization
-  accounting across platforms.
+* :mod:`repro.analysis.efficiency` — the abstract's geometric-mean
+  speedup, area and power-efficiency ratios against the GPU and Brainwave.
 """
 
 from repro.analysis.fragmentation import (
@@ -21,7 +22,6 @@ from repro.analysis.footprint import (
     cudnn_lstm_footprint,
     loop_based_footprint,
 )
-from repro.analysis.utilization import flops_utilization, utilization_table
 
 __all__ = [
     "mvm_tile_utilization",
@@ -32,6 +32,4 @@ __all__ = [
     "cudnn_lstm_footprint",
     "brainwave_footprint",
     "loop_based_footprint",
-    "flops_utilization",
-    "utilization_table",
 ]

@@ -53,9 +53,6 @@ class EfficiencyReport:
     checks: tuple[ClaimCheck, ...]
     text: str = field(default="")
 
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.checks)
-
 
 def abstract_claims(table6_result=None) -> EfficiencyReport:
     """Evaluate every quantitative claim in the paper's abstract.

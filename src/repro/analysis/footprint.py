@@ -44,10 +44,6 @@ class FootprintReport:
     def total_bytes(self) -> int:
         return self.total_elements * self.element_bytes
 
-    def largest(self) -> tuple[str, int]:
-        name = max(self.buffers, key=lambda k: self.buffers[k])
-        return name, self.buffers[name]
-
 
 def _check_dims(h: int, d: int) -> None:
     if h < 1 or d < 1:

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.platforms import PLATFORMS
-from repro.precision.blocked import BW_BFP, BlockedFloatFormat
 from repro.workloads.deepbench import RNNTask
 
 __all__ = ["BrainwaveConfig", "BrainwaveServingModel", "BrainwaveStepTrace"]
@@ -55,7 +54,6 @@ class BrainwaveConfig:
     clock_ghz: float = PLATFORMS["brainwave"].achieved_clock_ghz
     dispatch_cycles: int = 54
     init_cycles: int = 2600
-    weight_format: BlockedFloatFormat = BW_BFP
 
     def __post_init__(self) -> None:
         if min(self.hv, self.rv, self.ru) < 1:
@@ -71,15 +69,6 @@ class BrainwaveConfig:
         row_tiles = -(-rows // self.hv)
         col_iters = -(-cols // (self.rv * self.ru))
         return row_tiles * col_iters
-
-    def mvm_utilization(self, rows: int, cols: int) -> float:
-        """Fraction of tile FLOPs doing useful work (Figure 4a's 2-D
-        fragmentation: padding on both H and R)."""
-        useful = rows * cols
-        row_tiles = -(-rows // self.hv)
-        col_iters = -(-cols // (self.rv * self.ru))
-        covered = row_tiles * self.hv * col_iters * self.rv * self.ru
-        return useful / covered
 
 
 @dataclass(frozen=True)
@@ -131,16 +120,3 @@ class BrainwaveServingModel:
         trace = self.step_trace(task)
         cycles = self.config.init_cycles + task.total_steps * trace.step_cycles
         return cycles / (self.config.clock_ghz * 1e9)
-
-    def effective_tflops(self, task: RNNTask) -> float:
-        return task.effective_tflops(self.latency_seconds(task))
-
-    def weight_bytes(self, task: RNNTask) -> int:
-        """On-chip weight footprint in blocked floating point (every
-        layer of a stacked model is resident separately)."""
-        return task.layers * self.config.weight_format.storage_bytes(
-            task.shape.weight_count
-        )
-
-    def weights_fit_onchip(self, task: RNNTask, capacity_bytes: int) -> bool:
-        return self.weight_bytes(task) <= capacity_bytes

@@ -56,9 +56,6 @@ class CPUServingModel:
     machine: ProcessorMachine = XEON_SKYLAKE
     fused: bool = True
 
-    def weight_bytes(self, task: RNNTask) -> float:
-        return task.weight_bytes(_BYTES_PER_WEIGHT)
-
     def step_breakdown(self, task: RNNTask) -> CPUStepBreakdown:
         """Decompose one cell step (a stacked model runs one of these per
         layer per time step, each streaming its own layer's weights)."""
@@ -84,6 +81,3 @@ class CPUServingModel:
         """
         step = self.step_breakdown(task).total_s
         return self.machine.init_overhead_s + task.total_steps * step
-
-    def effective_tflops(self, task: RNNTask) -> float:
-        return task.effective_tflops(self.latency_seconds(task))

@@ -51,9 +51,6 @@ class GPUServingModel:
 
     machine: ProcessorMachine = TESLA_V100
 
-    def weight_bytes(self, task: RNNTask) -> float:
-        return task.weight_bytes(_BYTES_PER_WEIGHT)
-
     def step_breakdown(self, task: RNNTask) -> GPUStepBreakdown:
         """One cell step: a stacked model runs one per layer per time
         step, each streaming its own layer's weights from HBM."""
@@ -72,6 +69,3 @@ class GPUServingModel:
         decoder legs included); init is charged once per request."""
         step = self.step_breakdown(task).total_s
         return self.machine.init_overhead_s + task.total_steps * step
-
-    def effective_tflops(self, task: RNNTask) -> float:
-        return task.effective_tflops(self.latency_seconds(task))

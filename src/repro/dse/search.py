@@ -76,10 +76,6 @@ class SearchPoint:
     #: The search's cycle bound ruled this point out before placement.
     pruned: bool = False
 
-    @property
-    def latency_s(self) -> float:
-        return self.total_cycles / 1e9  # points are compared at 1 GHz
-
 
 @dataclass(frozen=True)
 class DSEResult:

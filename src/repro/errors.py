@@ -37,10 +37,6 @@ class MappingError(ReproError):
     """The mapper could not lower a program onto the target chip."""
 
 
-class ResourceError(MappingError):
-    """The mapped design does not fit on the configured chip."""
-
-
 class SimulationError(ReproError):
     """The cycle-level simulator reached an inconsistent state."""
 

@@ -2,8 +2,8 @@
 
 * :mod:`repro.harness.paper_data` — every number the paper publishes
   (Tables 3-7), used as the comparison baseline.
-* :mod:`repro.harness.report` — text-table formatting and
-  paper-vs-measured comparison helpers.
+* :mod:`repro.harness.report` — text-table formatting and the
+  geometric mean the tables aggregate with.
 * :mod:`repro.harness.tables` — regenerate Tables 3, 4, 5, 6, 7.
 * :mod:`repro.harness.figures` — regenerate Figures 1-4, 6, 7 as numeric
   series / diagrams.

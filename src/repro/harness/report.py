@@ -1,14 +1,13 @@
-"""Text-table formatting and paper-vs-measured comparison helpers."""
+"""Text-table formatting and the geometric mean the tables aggregate with."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from repro.errors import ConfigError
 
-__all__ = ["format_table", "geometric_mean", "Comparison", "compare"]
+__all__ = ["format_table", "geometric_mean"]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence], title: str = "") -> str:
@@ -46,32 +45,3 @@ def geometric_mean(values: Sequence[float]) -> float:
     if any(v <= 0 for v in values):
         raise ConfigError("geometric_mean requires positive values")
     return float(math.exp(sum(math.log(v) for v in values) / len(values)))
-
-
-@dataclass(frozen=True)
-class Comparison:
-    """A measured value against the paper's published value."""
-
-    label: str
-    paper: float
-    measured: float
-
-    @property
-    def ratio(self) -> float:
-        return self.measured / self.paper
-
-    @property
-    def rel_error(self) -> float:
-        return self.measured / self.paper - 1.0
-
-    def within(self, tolerance: float) -> bool:
-        return abs(self.rel_error) <= tolerance
-
-    def describe(self) -> str:
-        return f"{self.label}: paper {self.paper:.4g}, measured {self.measured:.4g} ({self.rel_error:+.1%})"
-
-
-def compare(label: str, paper: float, measured: float) -> Comparison:
-    if paper <= 0:
-        raise ConfigError(f"{label}: paper value must be positive")
-    return Comparison(label=label, paper=paper, measured=measured)

@@ -6,9 +6,9 @@
 * :mod:`repro.mapping.resources` — resource accounting (PCUs, PMUs,
   scratchpad bytes) and fit checking.
 * :mod:`repro.mapping.mapper` — the lowering vocabulary (GateGroup,
-  MappedDesign, the greedy placer, structure recognition) plus the
-  legacy monolithic lowering kept as the golden reference.
-* :mod:`repro.mapping.passes` — the compiler pass pipeline that now
+  MappedDesign, the greedy placer, structure recognition) and
+  :func:`map_rnn_program`, which runs the default pass pipeline.
+* :mod:`repro.mapping.passes` — the compiler pass pipeline that
   implements the Section 4 lowering: a ``MappingPass`` registry and a
   ``PassManager`` threading a ``MappingState`` through
   recognize → plan → place → route → fold → report, with optional

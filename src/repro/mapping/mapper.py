@@ -1,14 +1,11 @@
 """Lowering RNN loop nests onto Plasticine (paper Section 4).
 
-The canonical implementation of the lowering now lives in
-:mod:`repro.mapping.passes` as a pass pipeline over a mapping IR;
-:func:`map_rnn_program` here is a thin wrapper that runs the default
-pipeline.  This module keeps the shared lowering vocabulary — the
-:class:`GateGroup` / :class:`MappedDesign` data model, the greedy
-:class:`_Placer`, structure recognition and the latency helpers — plus
-the original single-function lowering as :func:`_map_rnn_monolith`, the
-golden reference that the pass pipeline is differentially tested
-against (``tests/test_pass_pipeline_parity.py``).
+The lowering runs in :mod:`repro.mapping.passes` as a pass pipeline
+over a mapping IR; :func:`map_rnn_program` here is a thin wrapper that
+runs the default pipeline.  This module keeps the lowering vocabulary
+the passes share — the :class:`GateGroup` / :class:`MappedDesign` data
+model, the greedy :class:`_Placer`, structure recognition and the
+latency and footprint helpers.
 
 The mapper recognizes the RNN serving idiom in a traced program:
 
@@ -40,19 +37,18 @@ distances rather than constants.
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import MappingError
-from repro.mapping.pipeline import PipelineGraph, Stage
-from repro.mapping.resources import ResourceReport, resource_report
+from repro.mapping.pipeline import PipelineGraph
+from repro.mapping.resources import ResourceReport
 from repro.plasticine.chip import PlasticineConfig
 from repro.plasticine.network import Coord
 from repro.spatial.builder import Program
-from repro.spatial.ir import LoopKind, LoopRecord, OpKind
+from repro.spatial.ir import LoopKind, LoopRecord
 
 __all__ = ["MappedDesign", "map_rnn_program", "SEQ_SYNC_CYCLES"]
 
@@ -98,7 +94,8 @@ class MappedDesign:
     steps: int
     bits: int
     #: Names of the compiler passes that produced this design, in run
-    #: order; empty for designs built by the legacy monolith.
+    #: order; empty for a design built outside
+    #: :class:`~repro.mapping.passes.PassManager`.
     passes_applied: tuple[str, ...] = field(default=(), compare=False)
     #: Per-pass wall-clock timings (observability; see PassManager).
     pass_timings: tuple = field(default=(), repr=False, compare=False)
@@ -298,11 +295,12 @@ def map_rnn_program(
     """Lower a loop-based RNN program onto a Plasticine configuration.
 
     Runs the compiler pass pipeline (:mod:`repro.mapping.passes`); the
-    default pipeline is proven bit-identical to the original monolithic
-    lowering (kept as :func:`_map_rnn_monolith`) by the differential
-    parity suite.  After ``plan_gates`` it proves a per-step cycle lower
-    bound (:func:`~repro.mapping.bound.cycle_lower_bound`), which the
-    design carries as ``cycle_bound``.
+    default pipeline is held bit-identical to the original
+    single-function lowering, a reference that lives beside the
+    differential parity suite in ``tests/monolith_mapper.py``.  After
+    ``plan_gates`` it proves a per-step cycle lower bound
+    (:func:`~repro.mapping.bound.cycle_lower_bound`), which the design
+    carries as ``cycle_bound``.
 
     Args:
         prog: A program built by :func:`repro.rnn.build_lstm_program` or
@@ -335,169 +333,3 @@ def map_rnn_program(
     design = tail.run(state).design
     design.cycle_bound = bound
     return design
-
-
-def _map_rnn_monolith(
-    prog: Program,
-    chip: PlasticineConfig | None = None,
-    *,
-    bits: int = 8,
-) -> MappedDesign:
-    """The original single-function lowering (pre-pass-pipeline).
-
-    Kept temporarily as the golden reference for the differential parity
-    suite and the CI parity smoke; new behavior goes into the passes.
-    """
-    chip = chip or PlasticineConfig.rnn_serving()
-    root = prog.trace()
-    steps, cell, gates = _find_structure(root)
-
-    hu = cell.par
-    n_iter = cell.issue_count
-    pcu_rv = chip.dot_lanes_per_pcu(bits)
-    timing = chip.pcu.map_reduce_timing(bits)
-
-    graph = PipelineGraph(
-        name=prog.name,
-        n_iterations=n_iter,
-        steps=steps,
-        replicas=hu,
-        step_overhead=SEQ_SYNC_CYCLES,
-    )
-    placer = _Placer(chip)
-    anchor: Coord = (chip.layout.rows // 2, 0)
-
-    # All replicas are physically placed so route latencies reflect the
-    # full design footprint; stage resource counts stay per-replica (the
-    # graph multiplies by `replicas`), and edge routes take the worst
-    # case over the placed units.
-    state_pmu_coords: list[Coord] = []
-    accum_coords: list[Coord] = []
-    graph.add_stage(
-        Stage("load_x", ii=1, latency=chip.hop_latency + 1, coord=anchor)
-    )
-
-    for gate in gates:
-        # One MapReduce unit may span several PCUs if the program's rv
-        # exceeds what one PCU consumes per cycle.
-        pcus_per_unit = max(1, math.ceil(gate.rv / pcu_rv))
-        n_dot_pcus = gate.ru * pcus_per_unit
-        dot_pcus = placer.take_pcus(n_dot_pcus * hu, anchor)
-        # Two PMUs per dot PCU: the weight slice and the [x, h] copy.
-        placer.take_pmus(n_dot_pcus * hu, dot_pcus[0])  # weight slices
-        xh_pmus = placer.take_pmus(n_dot_pcus * hu, dot_pcus[0])
-        state_pmu_coords.extend(xh_pmus)
-
-        dot_coord = _centroid(dot_pcus)
-        dot = graph.add_stage(
-            Stage(
-                f"dot_{gate.name}",
-                ii=gate.issue_blocks,
-                latency=gate.issue_blocks + timing.depth_cycles,
-                n_pcus=n_dot_pcus,
-                n_pmus=2 * n_dot_pcus,
-                coord=dot_coord,
-            )
-        )
-        load_route = max(
-            chip.layout.route_cycles(anchor, p, chip.hop_latency) for p in dot_pcus
-        )
-        graph.connect("load_x", dot.name, load_route)
-
-        # Cross-PCU tree + bias + LUT.
-        accum_pcus_needed = max(1, math.ceil(max(gate.ru - 1, 1) / chip.pcu.stages))
-        accum_pcu = placer.take_pcus(accum_pcus_needed * hu, dot_coord)
-        placer.take_pmus(hu, accum_pcu[0])  # per-replica LUT tables
-        replica0 = dot_pcus[:n_dot_pcus]
-        tree = _tree_latency(replica0, chip) if gate.ru > 1 else 0
-        lut_access = 2  # PMU read: address + data
-        accum = graph.add_stage(
-            Stage(
-                f"accum_{gate.name}",
-                ii=1,
-                latency=tree + 1 + lut_access,  # tree + bias add + LUT
-                n_pcus=accum_pcus_needed,
-                n_pmus=1,
-                coord=accum_pcu[0],
-            )
-        )
-        accum_coords.append(accum_pcu[0])
-        dot_to_accum = max(
-            chip.layout.route_cycles(p, accum_pcu[0], chip.hop_latency)
-            for p in replica0
-        )
-        graph.connect(dot.name, accum.name, dot_to_accum)
-
-    # ---- element-wise fusion stage ----
-    # Ops at cell level, minus what the accumulate stages already did
-    # (per gate: one bias/part-join add chain and one LUT).  Counter
-    # address arithmetic is approximated into the chain (one extra op).
-    cell_ops = {kind: cell.op_count(kind) for kind in OpKind}
-    gate_adds = sum(len(g.reduces) for g in gates)  # part joins + bias adds
-    ew_ops = max(
-        1,
-        sum(cell_ops.get(k, 0) for k in (OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.NEG))
-        - gate_adds
-        + (cell_ops.get(OpKind.LUT, 0) - len(gates)),  # extra LUTs (tanh(c))
-    )
-    ew_pcus_needed = max(1, math.ceil(ew_ops / chip.pcu.stages))
-    ew_anchor = _centroid(accum_coords)
-    ew_pcus = placer.take_pcus(ew_pcus_needed * hu, ew_anchor)
-    extra_luts = max(0, cell_ops.get(OpKind.LUT, 0) - len(gates))
-    # State memory (c for LSTM / h for GRU) + any extra LUT tables.
-    ew_n_pmus = 1 + (1 if extra_luts else 0)
-    placer.take_pmus(ew_n_pmus * hu, ew_pcus[0])
-    ew = graph.add_stage(
-        Stage(
-            "ew",
-            ii=1,
-            latency=ew_ops + (ew_pcus_needed - 1) * 2 * chip.hop_latency,
-            n_pcus=ew_pcus_needed,
-            n_pmus=ew_n_pmus,
-            coord=ew_pcus[0],
-        )
-    )
-    for gate, coord in zip(gates, accum_coords):
-        graph.connect(
-            f"accum_{gate.name}",
-            "ew",
-            chip.layout.route_cycles(coord, ew_pcus[0], chip.hop_latency),
-        )
-
-    # ---- state writeback: broadcast h element to every [x,h] copy ----
-    broadcast = max(
-        chip.layout.route_cycles(ew_pcus[0], pmu, chip.hop_latency)
-        for pmu in state_pmu_coords
-    )
-    graph.add_stage(Stage("writeback", ii=1, latency=broadcast + 1, coord=ew_pcus[0]))
-    graph.connect("ew", "writeback", 0)
-
-    weight_bytes, state_bytes, lut_bytes = _memory_footprint(prog)
-    # The [x,h] vector is replicated per dot PCU for bandwidth.
-    xh_copies = graph.replicas * len(state_pmu_coords)
-    notes = []
-    if xh_copies:
-        state_bytes = state_bytes * (1 + xh_copies)
-        notes.append(f"[x,h] replicated {xh_copies}x for dot-PCU bandwidth")
-    overflow = _overflow_note(placer)
-    if overflow:
-        notes.append(overflow)
-    resources = resource_report(
-        graph,
-        chip,
-        weight_bytes=weight_bytes,
-        state_bytes=state_bytes,
-        lut_bytes=lut_bytes,
-        notes=tuple(notes),
-    )
-    return MappedDesign(
-        program_name=prog.name,
-        chip=chip,
-        graph=graph,
-        resources=resources,
-        gates=gates,
-        hu=hu,
-        n_iterations=n_iter,
-        steps=steps,
-        bits=bits,
-    )

@@ -47,14 +47,6 @@ class ResourceReport:
     def fits_capacity(self) -> bool:
         return self.bytes_used <= self.onchip_bytes
 
-    @property
-    def fits(self) -> bool:
-        return self.fits_compute and self.fits_bandwidth and self.fits_capacity
-
-    @property
-    def capacity_utilization(self) -> float:
-        return self.bytes_used / self.onchip_bytes
-
     def summary(self) -> str:
         flags = []
         if not self.fits_compute:

@@ -30,7 +30,7 @@ def placement_map(design: MappedDesign, max_rows: int | None = None) -> str:
     that ran.  A cell shows the first unit drawn on it, so requests that
     overflowed the grid (synthesized at its edge cell) add nothing.
     Raises :class:`~repro.errors.MappingError` for a design that records
-    no units, such as one built by the legacy monolith.
+    no units, such as a :class:`MappedDesign` built by hand.
     """
     chip = design.chip
     layout = chip.layout

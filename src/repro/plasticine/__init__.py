@@ -6,7 +6,7 @@
   pipeline registers, original vs folded reduction networks, and the
   map-reduce timing law ``2 + log2(lanes) + 1``.
 * :mod:`repro.plasticine.pmu` — Pattern Memory Unit: banked scratchpad
-  with capacity/bandwidth/conflict checks.
+  configuration (capacity, banks, word width) and its read bandwidth.
 * :mod:`repro.plasticine.network` — checkerboard and RNN-variant
   (Figure 7) grid layouts with Manhattan routing.
 * :mod:`repro.plasticine.chip` — whole-chip configurations (Table 3).

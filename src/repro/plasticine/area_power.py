@@ -93,9 +93,3 @@ class AreaPowerModel:
             + activity.pmu_busy * self.pmu_dynamic_w
             + activity.switch_busy * self.switch_dynamic_w
         )
-
-    def performance_per_watt(
-        self, config: PlasticineConfig, tflops: float, activity: ActivityProfile
-    ) -> float:
-        """Effective TFLOPS per watt (the paper's energy-efficiency axis)."""
-        return tflops / self.power_w(config, activity)

@@ -15,7 +15,6 @@ Figure 6(d) fuses 1+2 and 3+4 into single-stage operations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 class Opcode(enum.Enum):
@@ -35,43 +34,6 @@ class Opcode(enum.Enum):
     # Fused forms (Figure 6d).
     FUSED_MUL_4x8_SPLIT = "mul4x8+split"
     FUSED_ADD_2x16_SPLIT = "add2x16+split"
-
-
-@dataclass(frozen=True)
-class OpcodeSpec:
-    """Static properties of one opcode.
-
-    Attributes:
-        opcode: The operation.
-        values_per_fu: Scalar values processed per FU per cycle (packing).
-        is_low_precision: Whether it is one of the Figure 6 additions.
-        is_fused: Whether it is a Figure 6(d) fused two-in-one stage.
-    """
-
-    opcode: Opcode
-    values_per_fu: int
-    is_low_precision: bool
-    is_fused: bool = False
-
-
-_SPECS = {
-    Opcode.ADD_32: OpcodeSpec(Opcode.ADD_32, 1, False),
-    Opcode.MUL_32: OpcodeSpec(Opcode.MUL_32, 1, False),
-    Opcode.SUB_32: OpcodeSpec(Opcode.SUB_32, 1, False),
-    Opcode.MAX_32: OpcodeSpec(Opcode.MAX_32, 1, False),
-    Opcode.MIN_32: OpcodeSpec(Opcode.MIN_32, 1, False),
-    Opcode.MUL_4x8: OpcodeSpec(Opcode.MUL_4x8, 4, True),
-    Opcode.SPLIT_8_16: OpcodeSpec(Opcode.SPLIT_8_16, 4, True),
-    Opcode.ADD_2x16: OpcodeSpec(Opcode.ADD_2x16, 2, True),
-    Opcode.SPLIT_16_32: OpcodeSpec(Opcode.SPLIT_16_32, 2, True),
-    Opcode.FUSED_MUL_4x8_SPLIT: OpcodeSpec(Opcode.FUSED_MUL_4x8_SPLIT, 4, True, True),
-    Opcode.FUSED_ADD_2x16_SPLIT: OpcodeSpec(Opcode.FUSED_ADD_2x16_SPLIT, 2, True, True),
-}
-
-
-def spec(op: Opcode) -> OpcodeSpec:
-    """Look up the static spec of an opcode."""
-    return _SPECS[op]
 
 
 def low_precision_map_reduce_schedule(fused: bool) -> list[Opcode]:

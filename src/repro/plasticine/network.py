@@ -116,16 +116,6 @@ class GridLayout:
             return 0
         return (self.manhattan(a, b) + 1) * hop_latency
 
-    def diameter(self) -> int:
-        """Worst-case Manhattan distance on the grid."""
-        return (self.rows - 1) + (self.cols - 1)
-
-    def nearest_pmus(self, at: Coord, k: int) -> list[Coord]:
-        """The ``k`` PMUs closest to ``at`` (for weight placement)."""
-        if k < 0:
-            raise ConfigError("k must be >= 0")
-        return sorted(self.pmus, key=lambda p: (self.manhattan(at, p), p))[:k]
-
     def ascii_diagram(self, max_rows: int = 6, max_cols: int = 12) -> str:
         """Small ASCII rendering of the layout's upper-left corner."""
         lines = []

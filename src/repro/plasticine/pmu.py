@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigError, ResourceError
+from repro.errors import ConfigError
 
-__all__ = ["PMUConfig", "BankingPlan"]
+__all__ = ["PMUConfig"]
 
 
 @dataclass(frozen=True)
@@ -24,13 +24,11 @@ class PMUConfig:
         banks: Independent banks (parallel word accesses per cycle).
         word_bytes: Bank word width; low-precision packing keeps this at 4
             ("banking and DRAM access granularity remains intact").
-        buffering: Buffer copies for pipelined reuse (2 = double buffered).
     """
 
     capacity_bytes: int = 84 * 1024
     banks: int = 16
     word_bytes: int = 4
-    buffering: int = 2
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
@@ -39,52 +37,8 @@ class PMUConfig:
             raise ConfigError(f"banks must be a power of two >= 1, got {self.banks}")
         if self.word_bytes not in (2, 4, 8):
             raise ConfigError(f"unsupported bank word width: {self.word_bytes}")
-        if self.buffering < 1:
-            raise ConfigError("buffering must be >= 1")
-
-    @property
-    def usable_bytes(self) -> int:
-        """Capacity available to one logical buffer copy."""
-        return self.capacity_bytes // self.buffering
 
     @property
     def bytes_per_cycle(self) -> int:
         """Peak read bandwidth: one word per bank per cycle."""
         return self.banks * self.word_bytes
-
-    def words_per_cycle(self) -> int:
-        return self.banks
-
-    def fits(self, n_bytes: int, *, buffered: bool = False) -> bool:
-        """Whether ``n_bytes`` fit (in one buffer copy when ``buffered``)."""
-        if n_bytes < 0:
-            raise ConfigError("n_bytes must be >= 0")
-        limit = self.usable_bytes if buffered else self.capacity_bytes
-        return n_bytes <= limit
-
-    def plan_banking(self, access_par: int, element_bytes: int) -> "BankingPlan":
-        """Check a stride-1 vector access of ``access_par`` elements/cycle.
-
-        Packed low-precision elements share words, so the word-level
-        parallelism is ``ceil(access_par * element_bytes / word_bytes)``;
-        a conflict-free schedule needs that many banks.
-        """
-        if access_par < 1:
-            raise ConfigError("access_par must be >= 1")
-        if element_bytes < 1:
-            raise ConfigError("element_bytes must be >= 1")
-        words = -(-access_par * element_bytes // self.word_bytes)
-        if words > self.banks:
-            raise ResourceError(
-                f"access needs {words} words/cycle but the PMU has "
-                f"{self.banks} banks"
-            )
-        return BankingPlan(banks_used=words, conflict_free=True)
-
-
-@dataclass(frozen=True)
-class BankingPlan:
-    """Result of a banking feasibility check."""
-
-    banks_used: int
-    conflict_free: bool

@@ -39,12 +39,6 @@ class StageActivity:
     entry_first: int
     exit_last: int
 
-    def occupancy(self, step_cycles: int) -> float:
-        """Fraction of the step this stage spent processing iterations."""
-        if step_cycles <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / step_cycles)
-
 
 @dataclass(frozen=True)
 class SimulationResult:

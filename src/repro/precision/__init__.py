@@ -6,51 +6,25 @@ This subpackage is the numerical substrate for the paper's Section 4.1
 * :mod:`repro.precision.formats` — parametric ``(exponent, mantissa)``
   floating-point format descriptors (fp8 / fp16 / fp32).
 * :mod:`repro.precision.quantize` — vectorized round-to-nearest-even
-  quantization onto a format's representable grid, plus quantized
-  arithmetic helpers used by the DSL interpreter.
+  quantization onto a format's representable grid, which the DSL
+  interpreter applies after every operation under a precision policy.
 * :mod:`repro.precision.blocked` — Microsoft Brainwave's blocked
   floating-point format (one shared 5-bit exponent per ``hv`` values,
   per-value sign and 2-5 bit mantissa).
-* :mod:`repro.precision.packed` — the ``4-float8`` and ``2-float16``
-  packed struct types the paper adds to Spatial (32-bit aligned storage).
 """
 
-from repro.precision.formats import (
-    FP8,
-    FP16,
-    FP32,
-    FloatFormat,
-    format_by_name,
-)
-from repro.precision.quantize import (
-    encode_bits,
-    decode_bits,
-    quantize,
-    quantized_dot,
-    qadd,
-    qmul,
-    ulp,
-)
+from repro.precision.formats import FP8, FP16, FP32, FloatFormat
+from repro.precision.quantize import quantize, ulp
 from repro.precision.blocked import BlockedFloatFormat, BlockedVector, BW_BFP
-from repro.precision.packed import PackedArray, PACKED_4xFP8, PACKED_2xFP16
 
 __all__ = [
     "FloatFormat",
     "FP8",
     "FP16",
     "FP32",
-    "format_by_name",
     "quantize",
-    "encode_bits",
-    "decode_bits",
-    "qadd",
-    "qmul",
-    "quantized_dot",
     "ulp",
     "BlockedFloatFormat",
     "BlockedVector",
     "BW_BFP",
-    "PackedArray",
-    "PACKED_4xFP8",
-    "PACKED_2xFP16",
 ]

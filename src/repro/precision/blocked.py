@@ -47,16 +47,6 @@ class BlockedFloatFormat:
         """Amortized storage bits per value (sign + mantissa + shared exp)."""
         return 1 + self.mantissa_bits + self.exponent_bits / self.block_size
 
-    def storage_bytes(self, n_values: int) -> int:
-        """Bytes to store ``n_values`` values (whole blocks, rounded up)."""
-        if n_values < 0:
-            raise PrecisionError(f"n_values must be >= 0, got {n_values}")
-        n_blocks = -(-n_values // self.block_size)
-        total_bits = n_blocks * (
-            self.exponent_bits + self.block_size * (1 + self.mantissa_bits)
-        )
-        return -(-total_bits // 8)
-
     @property
     def exponent_bias(self) -> int:
         return (1 << (self.exponent_bits - 1)) - 1

@@ -91,19 +91,6 @@ class FloatFormat:
             return self.min_normal
         return float(2.0 ** (self.min_exponent - self.mantissa_bits))
 
-    @property
-    def epsilon(self) -> float:
-        """Distance between 1.0 and the next representable value."""
-        return float(2.0**-self.mantissa_bits)
-
-    def describe(self) -> str:
-        """One-line summary of the format layout and dynamic range."""
-        return (
-            f"{self.name}: 1-{self.exponent_bits}-{self.mantissa_bits} "
-            f"(bias {self.bias}), range [{self.min_subnormal:.3g}, "
-            f"{self.max_value:.3g}], eps {self.epsilon:.3g}"
-        )
-
 
 #: 8-bit 1-4-3 format used for weights and multiplies on Plasticine.
 FP8 = FloatFormat("fp8", exponent_bits=4, mantissa_bits=3)
@@ -113,14 +100,3 @@ FP16 = FloatFormat("fp16", exponent_bits=5, mantissa_bits=10)
 
 #: IEEE single precision (modelled exactly by float64 quantization).
 FP32 = FloatFormat("fp32", exponent_bits=8, mantissa_bits=23)
-
-_REGISTRY = {fmt.name: fmt for fmt in (FP8, FP16, FP32)}
-
-
-def format_by_name(name: str) -> FloatFormat:
-    """Look up a predefined format (``fp8``, ``fp16``, ``fp32``) by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(_REGISTRY))
-        raise PrecisionError(f"unknown format {name!r}; known formats: {known}") from None

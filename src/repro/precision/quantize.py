@@ -14,15 +14,7 @@ import numpy as np
 from repro.errors import PrecisionError
 from repro.precision.formats import FloatFormat
 
-__all__ = [
-    "quantize",
-    "ulp",
-    "encode_bits",
-    "decode_bits",
-    "qadd",
-    "qmul",
-    "quantized_dot",
-]
+__all__ = ["quantize", "ulp"]
 
 
 def _exponents(mag: np.ndarray, fmt: FloatFormat) -> np.ndarray:
@@ -68,128 +60,3 @@ def ulp(x: np.ndarray | float, fmt: FloatFormat) -> np.ndarray:
     mag = np.abs(np.asarray(x, dtype=np.float64))
     e = _exponents(mag, fmt)
     return np.exp2(e - fmt.mantissa_bits)
-
-
-def encode_bits(x: np.ndarray | float, fmt: FloatFormat) -> np.ndarray:
-    """Encode values into raw bit patterns (as ``uint32``).
-
-    The value is first quantized; the result satisfies
-    ``decode_bits(encode_bits(x)) == quantize(x)`` exactly.
-    """
-    q = np.atleast_1d(np.asarray(quantize(x, fmt), dtype=np.float64))
-    sign = (np.signbit(q)).astype(np.uint32)
-    mag = np.abs(q)
-
-    e = _exponents(mag, fmt)
-    subnormal = mag < fmt.min_normal
-    biased = np.where(subnormal, 0, e + fmt.bias).astype(np.uint32)
-
-    mant = np.where(
-        subnormal,
-        np.round(mag / 2.0 ** (fmt.min_exponent - fmt.mantissa_bits)),
-        np.round((mag / np.exp2(e) - 1.0) * (1 << fmt.mantissa_bits)),
-    )
-    mant = mant.astype(np.uint32)
-
-    bits = (
-        (sign << np.uint32(fmt.exponent_bits + fmt.mantissa_bits))
-        | (biased << np.uint32(fmt.mantissa_bits))
-        | mant
-    )
-    bits[mag == 0.0] = sign[mag == 0.0] << np.uint32(
-        fmt.exponent_bits + fmt.mantissa_bits
-    )
-    return bits
-
-
-def decode_bits(bits: np.ndarray, fmt: FloatFormat) -> np.ndarray:
-    """Decode raw bit patterns produced by :func:`encode_bits`."""
-    b = np.asarray(bits, dtype=np.uint64)
-    mant_mask = np.uint64((1 << fmt.mantissa_bits) - 1)
-    exp_mask = np.uint64((1 << fmt.exponent_bits) - 1)
-
-    mant = (b & mant_mask).astype(np.float64)
-    biased = ((b >> np.uint64(fmt.mantissa_bits)) & exp_mask).astype(np.int64)
-    sign = np.where(
-        (b >> np.uint64(fmt.mantissa_bits + fmt.exponent_bits)) & np.uint64(1),
-        -1.0,
-        1.0,
-    )
-
-    normal = biased > 0
-    value = np.where(
-        normal,
-        (1.0 + mant / (1 << fmt.mantissa_bits))
-        * np.exp2(biased - fmt.bias, where=normal, out=np.ones_like(mant)),
-        mant * 2.0 ** (fmt.min_exponent - fmt.mantissa_bits),
-    )
-    return sign * value
-
-
-def qadd(a: np.ndarray | float, b: np.ndarray | float, fmt: FloatFormat) -> np.ndarray:
-    """Add then quantize the result to ``fmt`` (one rounded operation)."""
-    return quantize(np.asarray(a, dtype=np.float64) + np.asarray(b, dtype=np.float64), fmt)
-
-
-def qmul(a: np.ndarray | float, b: np.ndarray | float, fmt: FloatFormat) -> np.ndarray:
-    """Multiply then quantize the result to ``fmt`` (one rounded operation)."""
-    return quantize(np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64), fmt)
-
-
-def quantized_dot(
-    w: np.ndarray,
-    x: np.ndarray,
-    *,
-    mul_fmt: FloatFormat,
-    stage1_fmt: FloatFormat,
-    accum_fmt: FloatFormat,
-    lanes: int = 16,
-) -> float:
-    """Dot product following the paper's mixed-precision datapath.
-
-    Models the Figure 6(d) PCU pipeline: element-wise multiplies in
-    ``mul_fmt`` (8-bit), the first pairwise reduction stage in
-    ``stage1_fmt`` (16-bit), and the remaining reduction plus accumulation
-    across ``lanes``-wide chunks in ``accum_fmt`` (32-bit).
-
-    Args:
-        w, x: 1-D operand vectors of equal length.
-        mul_fmt: Format of the multiplier outputs (weights are quantized
-            to this format too).
-        stage1_fmt: Format of the first reduction stage.
-        accum_fmt: Format of the reduction tree remainder and accumulator.
-        lanes: SIMD width of one PCU chunk.
-
-    Returns:
-        The accumulated dot product as a Python float (an ``accum_fmt``
-        representable value).
-    """
-    w = np.asarray(w, dtype=np.float64).ravel()
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if w.shape != x.shape:
-        raise PrecisionError(f"dot operands differ in length: {w.shape} vs {x.shape}")
-    if lanes < 1:
-        raise PrecisionError(f"lanes must be positive, got {lanes}")
-
-    acc = 0.0
-    for start in range(0, w.size, lanes):
-        chunk_w = quantize(w[start : start + lanes], mul_fmt)
-        chunk_x = quantize(x[start : start + lanes], mul_fmt)
-        prods = qmul(chunk_w, chunk_x, stage1_fmt)
-        # First reduction stage at stage1 precision (pairwise).
-        level = prods
-        if level.size > 1:
-            half = level.size // 2
-            pair = qadd(level[:half], level[half : 2 * half], stage1_fmt)
-            if level.size % 2:
-                pair = np.concatenate([pair, level[-1:]])
-            level = pair
-        # Remaining tree levels at accumulator precision.
-        while level.size > 1:
-            half = level.size // 2
-            pair = qadd(level[:half], level[half : 2 * half], accum_fmt)
-            if level.size % 2:
-                pair = np.concatenate([pair, level[-1:]])
-            level = pair
-        acc = float(qadd(acc, float(level[0]), accum_fmt))
-    return acc

@@ -148,10 +148,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses
-
 
 #: How :class:`StreamReport` reads each grouping field off a response.
 _RESPONSE_FIELDS = {
@@ -494,11 +490,6 @@ class ServingEngine:
         else:
             self.cache_stats.hits += 1
         return result
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-        self._memo.clear()
-        self.cache_stats = CacheStats()
 
     def _as_request(self, request: ServeRequest | RNNTask) -> ServeRequest:
         if isinstance(request, RNNTask):

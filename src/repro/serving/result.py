@@ -55,11 +55,6 @@ class ServingResult:
     def latency_ms(self) -> float:
         return self.latency_s * 1e3
 
-    @property
-    def throughput_rps(self) -> float:
-        """Requests completed per second of execution (batch / latency)."""
-        return self.batch_size / self.latency_s
-
     def speedup_over(self, other: "ServingResult") -> float:
         """How much faster *this* platform is than ``other`` (>1 = faster)."""
         return other.latency_s / self.latency_s

@@ -17,7 +17,8 @@ reproduces the subset the paper uses:
     rounding after every operation (the f8+16+32 datapath).
   - :class:`~repro.spatial.tracer.Tracer` — symbolic execution that
     records the loop-nest IR (extents, par factors, op mix, memory
-    traffic) consumed by :mod:`repro.mapping`.
+    accesses) that :mod:`repro.mapping` lowers and
+    :func:`~repro.spatial.pretty.format_program` prints.
 
 Programs are plain Python functions using these constructs inside a
 :class:`~repro.spatial.builder.Program` context::
@@ -36,7 +37,6 @@ from repro.spatial.ir import LoopKind, LoopRecord, MemAccess, OpKind, OpRecord
 from repro.spatial.loops import Foreach, Range, Reduce, Sequential
 from repro.spatial.memories import LUT, Reg, SRAM
 from repro.spatial.interpreter import PrecisionPolicy
-from repro.spatial.analysis import LoopNestInfo, analyze
 from repro.spatial.pretty import format_program
 
 __all__ = [
@@ -54,7 +54,5 @@ __all__ = [
     "MemAccess",
     "OpKind",
     "OpRecord",
-    "LoopNestInfo",
-    "analyze",
     "format_program",
 ]

@@ -4,7 +4,7 @@ The tracer runs every loop body exactly once with symbolic indices and
 collects a :class:`LoopRecord` tree.  Each record knows its extent, step,
 and par factor, the operations executed per body evaluation, and the
 memory accesses with the counters that index them — everything the mapper
-and the analysis passes need, without keeping Python closures around.
+and the pretty printer read, without keeping Python closures around.
 """
 
 from __future__ import annotations

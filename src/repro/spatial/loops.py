@@ -47,16 +47,6 @@ class Range:
         if self.par <= 0:
             raise DSLError(f"Range par must be positive, got {self.par}")
 
-    @property
-    def iterations(self) -> int:
-        """Number of iterator values, ``ceil(extent / step)``."""
-        return -(-self.extent // self.step)
-
-    @property
-    def issue_count(self) -> int:
-        """Iteration groups after unrolling by ``par``."""
-        return -(-self.iterations // self.par)
-
 
 def Foreach(rng: Range, body: Callable[[Value], None], *, label: str = "") -> None:
     """A data-parallel loop; iterations may be pipelined and unrolled."""

@@ -4,8 +4,7 @@ Handles are declared on a :class:`~repro.spatial.builder.Program` and are
 engine-agnostic — actual storage lives inside the executor.  Each handle
 carries the metadata the hardware layers need: logical shape, storage
 precision, and banking hints (Spatial banks scratchpads to scale memory
-bandwidth with parallelism; the PMU model checks the banking supports the
-requested access parallelism).
+bandwidth with parallelism).
 """
 
 from __future__ import annotations

@@ -149,7 +149,6 @@ class TestCostModel:
         assert batched.effective_tflops == pytest.approx(
             8 * T.effective_tflops(batched.latency_s)
         )
-        assert batched.throughput_rps == pytest.approx(8 / batched.latency_s)
 
     def test_bad_batch_size_rejected(self):
         plat = get_platform("gpu")

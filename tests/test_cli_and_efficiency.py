@@ -56,7 +56,7 @@ class TestAbstractClaims:
     def test_text_rendering(self, report):
         assert "Abstract claims" in report.text
         assert "yes" in report.text
-        assert report.all_hold()
+        assert all(c.holds for c in report.checks)
 
 
 class TestCLI:

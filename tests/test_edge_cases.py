@@ -139,18 +139,13 @@ class TestLargestTask:
         assert plast.latency_ms > bw.latency_ms
         assert 1.3 < plast.latency_s / bw.latency_s < 2.7  # "up to 2x"
 
-    def test_gru2816_overflows_capacity_on_both(self):
-        # 47.6M weights: > 31.5 MB at fp8 on Plasticine, > 30.5 MB in BFP
-        # on Stratix 10 — neither chip truly holds it.
-        from repro.baselines import BrainwaveServingModel
+    def test_gru2816_overflows_plasticine_capacity(self):
+        # 47.6M weights: > 31.5 MB at fp8, so the chip does not truly hold it.
         from repro.serving import ServingEngine
         from repro.workloads.deepbench import task
 
-        t = task("gru", 2816)
-        res = ServingEngine("plasticine").serve(t).result
+        res = ServingEngine("plasticine").serve(task("gru", 2816)).result
         assert not res.design.resources.fits_capacity
-        bw = BrainwaveServingModel()
-        assert not bw.weights_fit_onchip(t, int(30.5 * 2**20))
 
     def test_gru2816_step_latency_sane(self):
         from repro.serving import ServingEngine

@@ -19,7 +19,6 @@ from repro.harness import (
     table7,
 )
 from repro.harness.paper_data import TABLE6, TABLE6_GEOMEAN_SPEEDUPS, paper_row
-from repro.harness.report import compare
 from repro.platforms import PLATFORMS, platform
 from repro.workloads.deepbench import RNNTask
 
@@ -95,15 +94,6 @@ class TestReport:
             geometric_mean([])
         with pytest.raises(ConfigError):
             geometric_mean([1.0, -1.0])
-
-    def test_compare(self):
-        c = compare("x", paper=2.0, measured=2.2)
-        assert c.rel_error == pytest.approx(0.1)
-        assert c.within(0.15)
-        assert not c.within(0.05)
-        assert "+10" in c.describe()
-        with pytest.raises(ConfigError):
-            compare("x", paper=0.0, measured=1.0)
 
 
 class TestStaticTables:

@@ -162,12 +162,12 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             simulate_pipeline(g)
 
-    def test_activity_occupancy(self):
+    def test_activity_busy_cycles(self):
         g = _chain([2, 4], [1, 1], n_iter=10)
         sim = simulate_pipeline(g)
         act = sim.activities["s1"]
         assert act.busy_cycles == 40
-        assert 0 < act.occupancy(sim.cycles_per_step) <= 1
+        assert sim.cycles_per_step > 0
 
     def test_busy_unit_cycles(self):
         g = _chain([1], [0], n_iter=10)
@@ -229,11 +229,11 @@ class TestMapper:
     def test_capacity_overflow_flagged(self):
         design = _lstm_design(h=2048, hu=4, ru=8)
         assert not design.resources.fits_capacity
-        assert design.resources.capacity_utilization > 1.0
+        assert design.resources.bytes_used > design.resources.onchip_bytes
 
     def test_small_fits_everything(self):
-        design = _lstm_design(h=256)
-        assert design.resources.fits
+        res = _lstm_design(h=256).resources
+        assert res.fits_compute and res.fits_bandwidth and res.fits_capacity
 
     def test_rejects_non_rnn_program(self):
         from repro.spatial import Foreach, Program, Range

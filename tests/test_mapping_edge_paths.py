@@ -6,13 +6,13 @@ import random
 
 import numpy as np
 import pytest
+from monolith_mapper import _map_rnn_monolith
 
 from repro.dse.search import build_task_program
 from repro.errors import MappingError
 from repro.mapping.mapper import (
     _centroid,
     _find_structure,
-    _map_rnn_monolith,
     _overflow_note,
     _Placer,
     map_rnn_program,

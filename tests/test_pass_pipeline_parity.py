@@ -17,10 +17,11 @@ import itertools
 import json
 
 import pytest
+from monolith_mapper import _map_rnn_monolith
 
 from repro.dse.search import build_task_program
 from repro.dse.tuner import tune
-from repro.mapping.mapper import _map_rnn_monolith, map_rnn_program
+from repro.mapping.mapper import map_rnn_program
 from repro.mapping.passes import (
     DEFAULT_PIPELINE,
     PassConfig,

@@ -16,10 +16,11 @@ import itertools
 from collections import Counter
 
 import pytest
+from monolith_mapper import _map_rnn_monolith
 from test_pass_pipeline_parity import CHIPS, MATRIX, _program
 
 from repro.errors import MappingError
-from repro.mapping.mapper import _map_rnn_monolith, _Placer, map_rnn_program
+from repro.mapping.mapper import _Placer, map_rnn_program
 from repro.mapping.passes import PassConfig
 from repro.mapping.visualize import placement_map
 

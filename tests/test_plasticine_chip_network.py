@@ -44,17 +44,6 @@ class TestGridLayout:
         assert g.route_cycles((0, 0), (3, 4)) == 8  # hops + fabric entry
         assert g.route_cycles((2, 2), (2, 2)) == 0
 
-    def test_diameter(self):
-        assert GridLayout.rnn_variant(24, 24).diameter() == 46
-
-    def test_nearest_pmus_sorted_by_distance(self):
-        g = GridLayout.rnn_variant(6, 6)
-        near = g.nearest_pmus((0, 1), 3)
-        assert len(near) == 3
-        dists = [g.manhattan((0, 1), p) for p in near]
-        assert dists == sorted(dists)
-        assert dists[0] == 1  # adjacent PMU
-
     def test_ascii_diagram(self):
         text = GridLayout.rnn_variant(3, 6).ascii_diagram()
         assert text.splitlines()[0] == "PMU PCU PMU PMU PCU PMU"
@@ -175,9 +164,3 @@ class TestAreaPower:
         model = AreaPowerModel()
         chip = PlasticineConfig.rnn_serving()
         assert model.power_w(chip, ActivityProfile(0, 0)) == model.static_w
-
-    def test_performance_per_watt(self):
-        model = AreaPowerModel()
-        chip = PlasticineConfig.rnn_serving()
-        ppw = model.performance_per_watt(chip, 15.0, ActivityProfile(100, 200))
-        assert ppw > 0

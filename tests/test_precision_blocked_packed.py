@@ -1,4 +1,4 @@
-"""Unit + property tests for blocked floating point and packed structs."""
+"""Unit + property tests for blocked floating point."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PrecisionError
-from repro.precision import (
-    BW_BFP,
-    BlockedFloatFormat,
-    BlockedVector,
-    PACKED_2xFP16,
-    PACKED_4xFP8,
-    PackedArray,
-)
-from repro.precision.packed import PackedFormat
-from repro.precision.formats import FP8, FloatFormat
+from repro.precision import BW_BFP, BlockedFloatFormat, BlockedVector
 
 
 class TestBlockedFormat:
@@ -28,17 +19,6 @@ class TestBlockedFormat:
         fmt = BlockedFloatFormat(block_size=4, exponent_bits=5, mantissa_bits=5)
         # 1 sign + 5 mantissa + 5/4 shared exponent
         assert fmt.bits_per_value == pytest.approx(6 + 1.25)
-
-    def test_storage_bytes_whole_blocks(self):
-        fmt = BlockedFloatFormat(block_size=4, exponent_bits=5, mantissa_bits=5)
-        # one block: 5 + 4*6 = 29 bits -> 4 bytes
-        assert fmt.storage_bytes(4) == 4
-        assert fmt.storage_bytes(5) == 8  # two blocks, 58 bits
-        assert fmt.storage_bytes(0) == 0
-
-    def test_storage_negative_rejected(self):
-        with pytest.raises(PrecisionError):
-            BW_BFP.storage_bytes(-1)
 
     def test_validation(self):
         with pytest.raises(PrecisionError):
@@ -116,76 +96,3 @@ class TestBlockedVector:
         # Each 4-chunk of each row should match an independent encode.
         expected = BlockedVector.encode(m[1, 4:8], fmt).decode()
         np.testing.assert_array_equal(out[1, 4:8], expected)
-
-
-class TestPackedArray:
-    def test_4xfp8_fills_word(self):
-        assert PACKED_4xFP8.elements_per_word == 4
-        assert PACKED_4xFP8.element_bits == 8
-
-    def test_2xfp16_fills_word(self):
-        assert PACKED_2xFP16.elements_per_word == 2
-        assert PACKED_2xFP16.element_bits == 16
-
-    def test_bad_packing_rejected(self):
-        with pytest.raises(PrecisionError):
-            PackedFormat("bad", FP8, 3)
-        with pytest.raises(PrecisionError):
-            PackedFormat("bad", FloatFormat("f12", 5, 6), 2)
-
-    def test_words_for(self):
-        assert PACKED_4xFP8.words_for(0) == 0
-        assert PACKED_4xFP8.words_for(1) == 1
-        assert PACKED_4xFP8.words_for(4) == 1
-        assert PACKED_4xFP8.words_for(5) == 2
-        assert PACKED_4xFP8.storage_bytes(16) == 16
-
-    def test_pack_unpack_roundtrip_fp8(self):
-        vals = np.array([1.0, -2.0, 0.125, 240.0, 0.0])
-        packed = PackedArray.pack(vals, PACKED_4xFP8)
-        assert len(packed) == 5
-        assert packed.words.size == 2
-        np.testing.assert_array_equal(packed.unpack(), vals)
-
-    def test_pack_quantizes(self):
-        packed = PackedArray.pack(np.array([1.06]), PACKED_4xFP8)
-        assert packed.unpack()[0] == 1.0
-
-    def test_storage_accounting(self):
-        packed = PackedArray.pack(np.zeros(9), PACKED_4xFP8)
-        assert packed.storage_bytes == 12  # three words
-
-    def test_word_access_granularity(self):
-        packed = PackedArray.pack(np.arange(8.0), PACKED_4xFP8)
-        assert isinstance(packed.word(0), int)
-        with pytest.raises(PrecisionError):
-            packed.word(2)
-        with pytest.raises(PrecisionError):
-            packed.word(-1)
-
-    @given(
-        st.lists(
-            st.floats(min_value=-400, max_value=400, allow_nan=False, width=64),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip_equals_quantize(self, xs):
-        from repro.precision import quantize
-
-        v = np.array(xs)
-        packed = PackedArray.pack(v, PACKED_4xFP8)
-        np.testing.assert_array_equal(packed.unpack(), quantize(v, FP8))
-
-    def test_packed_2xfp16_roundtrip(self):
-        rng = np.random.default_rng(4)
-        v = rng.uniform(-60000, 60000, size=33)
-        packed = PackedArray.pack(v, PACKED_2xFP16)
-        expect = v.astype(np.float16).astype(np.float64)
-        np.testing.assert_array_equal(packed.unpack(), expect)
-
-    def test_word_packs_little_endian_lanes(self):
-        # Element 0 occupies the least significant byte.
-        packed = PackedArray.pack(np.array([1.0, 0.0, 0.0, 0.0]), PACKED_4xFP8)
-        assert packed.word(0) == (7 << 3)  # fp8 encoding of 1.0 in low byte

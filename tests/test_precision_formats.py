@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import PrecisionError
-from repro.precision import FP8, FP16, FP32, FloatFormat, format_by_name
+from repro.precision import FP8, FP16, FP32, FloatFormat
 
 
 class TestFormatLayout:
@@ -21,7 +21,6 @@ class TestFormatLayout:
     def test_fp32_matches_ieee_single(self):
         assert FP32.total_bits == 32
         assert FP32.bias == 127
-        assert FP32.epsilon == 2.0**-23
 
     def test_total_bytes_rounds_up(self):
         assert FP8.total_bytes == 1
@@ -45,11 +44,6 @@ class TestFormatLayout:
         fmt = FloatFormat("flush", 4, 3, has_subnormals=False)
         assert fmt.min_subnormal == fmt.min_normal
 
-    def test_describe_mentions_name_and_layout(self):
-        text = FP8.describe()
-        assert "fp8" in text
-        assert "1-4-3" in text
-
 
 class TestFormatValidation:
     def test_rejects_tiny_exponent_field(self):
@@ -64,25 +58,12 @@ class TestFormatValidation:
         with pytest.raises(PrecisionError):
             FloatFormat("bad", exponent_bits=11, mantissa_bits=25)
 
-    def test_lookup_by_name(self):
-        assert format_by_name("fp8") is FP8
-        assert format_by_name("fp16") is FP16
-        assert format_by_name("fp32") is FP32
-
-    def test_lookup_unknown_name(self):
-        with pytest.raises(PrecisionError, match="unknown format"):
-            format_by_name("fp4")
-
 
 class TestFormatRange:
     def test_fp8_max_value(self):
         # 1-4-3 with bias 7 and reserved all-ones exponent:
         # max = 2^7 * (2 - 2^-3) = 240
         assert FP8.max_value == 240.0
-
-    def test_epsilon_matches_mantissa(self):
-        assert FP8.epsilon == 0.125
-        assert FP16.epsilon == 2.0**-10
 
     def test_formats_are_hashable_and_frozen(self):
         s = {FP8, FP16, FP32}

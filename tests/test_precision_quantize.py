@@ -6,18 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PrecisionError
-from repro.precision import (
-    FP8,
-    FP16,
-    FP32,
-    decode_bits,
-    encode_bits,
-    qadd,
-    qmul,
-    quantize,
-    quantized_dot,
-    ulp,
-)
+from repro.precision import FP8, FP16, FP32, quantize, ulp
 
 FORMATS = [FP8, FP16, FP32]
 
@@ -75,6 +64,13 @@ class TestQuantizeBasics:
         theirs = x.astype(np.float16).astype(np.float64)
         np.testing.assert_array_equal(ours, theirs)
 
+    def test_fp16_matches_numpy_half_up_to_max(self):
+        # Draws up to 60000, near fp16's largest finite value (65504),
+        # where the grid spacing is 32.
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-60000, 60000, size=256)
+        np.testing.assert_array_equal(quantize(x, FP16), x.astype(np.float16))
+
     def test_fp32_matches_numpy_single(self):
         rng = np.random.default_rng(1)
         x = rng.uniform(-1e30, 1e30, size=512)
@@ -119,98 +115,8 @@ class TestQuantizeProperties:
         assert e32 <= e16 + 1e-18
         assert e16 <= e8 + 1e-18
 
-    @given(
-        st.lists(
-            st.floats(min_value=-480, max_value=480, allow_nan=False, width=64),
-            min_size=1,
-            max_size=32,
-        )
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_encode_decode_roundtrip(self, xs):
-        x = np.array(xs)
-        q = quantize(x, FP8)
-        back = decode_bits(encode_bits(x, FP8), FP8)
-        np.testing.assert_array_equal(back, q)
-
-
-class TestBitEncoding:
-    def test_one_encodes_with_bias_exponent(self):
-        bits = int(encode_bits(1.0, FP8)[0])
-        # sign=0, exponent=bias=7, mantissa=0 -> 0_0111_000
-        assert bits == (7 << 3)
-
-    def test_sign_bit(self):
-        assert int(encode_bits(-1.0, FP8)[0]) >> 7 == 1
-        assert int(encode_bits(1.0, FP8)[0]) >> 7 == 0
-
-    def test_zero_pattern(self):
-        assert int(encode_bits(0.0, FP8)[0]) == 0
-
-    def test_max_value_pattern(self):
-        bits = int(encode_bits(FP8.max_value, FP8)[0])
-        # exponent field = 2^4 - 2 = 14, mantissa all ones.
-        assert bits == (14 << 3) | 0b111
-
-    def test_subnormal_pattern(self):
-        bits = int(encode_bits(FP8.min_subnormal, FP8)[0])
-        assert bits == 1  # exponent 0, mantissa 1
-
-    def test_fp16_bits_match_numpy(self):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(-60000, 60000, size=256)
-        ours = encode_bits(x, FP16).astype(np.uint16)
-        theirs = x.astype(np.float16).view(np.uint16)
-        np.testing.assert_array_equal(ours, theirs)
-
 
 class TestQuantizedOps:
-    def test_qadd_rounds_result(self):
-        # 1.0 + 0.05 = 1.05 -> nearest FP8 value is 1.0
-        assert qadd(1.0, 0.05, FP8) == 1.0
-
-    def test_qmul_rounds_result(self):
-        # 1.125 * 1.125 = 1.265625 -> nearest FP8 grid point is 1.25
-        assert qmul(1.125, 1.125, FP8) == 1.25
-
-    def test_quantized_dot_matches_exact_for_exact_inputs(self):
-        w = np.array([1.0, 2.0, -1.5, 0.5] * 4)
-        x = np.array([1.0, 0.5, 2.0, -1.0] * 4)
-        out = quantized_dot(w, x, mul_fmt=FP8, stage1_fmt=FP16, accum_fmt=FP32, lanes=16)
-        assert out == pytest.approx(float(w @ x), rel=1e-6)
-
-    def test_quantized_dot_shape_mismatch(self):
-        with pytest.raises(PrecisionError):
-            quantized_dot(
-                np.ones(4), np.ones(5), mul_fmt=FP8, stage1_fmt=FP16, accum_fmt=FP32
-            )
-
-    def test_quantized_dot_bad_lanes(self):
-        with pytest.raises(PrecisionError):
-            quantized_dot(
-                np.ones(4), np.ones(4), mul_fmt=FP8, stage1_fmt=FP16,
-                accum_fmt=FP32, lanes=0,
-            )
-
-    @given(st.integers(min_value=1, max_value=70), st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_quantized_dot_error_bounded(self, n, seed):
-        rng = np.random.default_rng(seed)
-        w = rng.uniform(-1, 1, size=n)
-        x = rng.uniform(-1, 1, size=n)
-        approx = quantized_dot(w, x, mul_fmt=FP8, stage1_fmt=FP16, accum_fmt=FP32)
-        exact = float(w @ x)
-        # fp8 has eps 1/8; worst-case relative error per product ~ 2*eps/2,
-        # amplified by cancellation — bound against sum of |products|.
-        # An input below fp8's smallest subnormal flushes to zero, so each
-        # factor also carries up to min_subnormal/2 of absolute error,
-        # scaled by the other factor's magnitude (|w|,|x| <= 1 here).
-        relative = 0.20 * float(np.abs(w * x).sum())
-        underflow = 0.5 * FP8.min_subnormal * float(
-            (np.abs(w) + np.abs(x)).sum()
-        )
-        assert abs(approx - exact) <= relative + underflow + 1e-6
-
     def test_ulp_scales_with_magnitude(self):
         assert float(ulp(1.0, FP8)) == 0.125
         assert float(ulp(2.0, FP8)) == 0.25

@@ -103,15 +103,6 @@ class TestEngineCache:
         assert engine.cache_stats.misses == 2
         assert engine.cache_stats.hits == 0
 
-    def test_clear_cache_recompiles(self):
-        engine = ServingEngine("cpu")
-        t = task("lstm", 512, 25)
-        first = engine.prepare(t)
-        engine.clear_cache()
-        second = engine.prepare(t)
-        assert first is not second
-        assert engine.cache_stats.misses == 1
-
     def test_platform_instance_with_options_rejected(self):
         with pytest.raises(ServingError, match="by name"):
             ServingEngine(get_platform("cpu"), bits=8)

@@ -17,16 +17,6 @@ from repro.spatial.values import vmax, vmin
 
 
 class TestRange:
-    def test_iterations_ceil(self):
-        assert Range(10).iterations == 10
-        assert Range(10, step=3).iterations == 4
-        assert Range(10, step=5).iterations == 2
-
-    def test_issue_count(self):
-        assert Range(10, par=4).issue_count == 3
-        assert Range(16, par=4).issue_count == 4
-        assert Range(10, step=2, par=2).issue_count == 3
-
     def test_validation(self):
         with pytest.raises(DSLError):
             Range(0)

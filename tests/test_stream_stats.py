@@ -414,13 +414,6 @@ class TestResultMemo:
         with pytest.raises(ConfigError, match="maxsize"):
             ServingEngine("gpu", memo=EvalMemo(maxsize=0))
 
-    def test_clear_cache_clears_memo(self):
-        engine = ServingEngine("gpu")
-        first = engine.result_for(T)
-        engine.clear_cache()
-        assert engine.result_for(T) is not first
-        assert engine.cache_stats.misses == 1
-
     def test_fleet_replicas_share_memo(self):
         fleet = Fleet("gpu", replicas=3)
         arrivals = poisson_arrivals(T, rate_per_s=5000, n_requests=60, seed=0)
