@@ -1,5 +1,6 @@
 """Tests for the pipeline graph, mapper, and cycle-level simulator."""
 
+import dataclasses
 import random
 
 import numpy as np
@@ -162,6 +163,10 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             simulate_pipeline(g)
 
+    def test_no_time_steps_rejected(self):
+        with pytest.raises(SimulationError, match="'chain' has no time steps"):
+            simulate_pipeline(_chain([1], [1], steps=0))
+
     def test_activity_busy_cycles(self):
         g = _chain([2, 4], [1, 1], n_iter=10)
         sim = simulate_pipeline(g)
@@ -234,6 +239,17 @@ class TestMapper:
     def test_small_fits_everything(self):
         res = _lstm_design(h=256).resources
         assert res.fits_compute and res.fits_bandwidth and res.fits_capacity
+
+    def test_summary_flags_each_overflow(self):
+        assert _lstm_design(h=256).resources.summary().endswith("[fits]")
+        over_pcu = _lstm_design(h=1024, hu=5, ru=8).resources.summary()
+        assert "OVER-PCU" in over_pcu and "OVER-CAPACITY" not in over_pcu
+        over_mem = _lstm_design(h=2048, hu=4, ru=8).resources.summary()
+        assert "OVER-CAPACITY" in over_mem and "OVER-PCU" not in over_mem
+        res = _lstm_design(h=256).resources
+        starved = dataclasses.replace(res, pmus_available=res.pmus_used - 1)
+        assert "OVER-PMU" in starved.summary()
+        assert "OVER-PMU" not in res.summary()
 
     def test_rejects_non_rnn_program(self):
         from repro.spatial import Foreach, Program, Range

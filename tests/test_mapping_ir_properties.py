@@ -245,6 +245,70 @@ class TestVerifierProperties:
         with pytest.raises(MappingError, match="cycle"):
             verify_state(state)
 
+    @pytest.mark.parametrize(
+        "n_passes, corrupt, message",
+        [
+            # After recognize_rnn: the recognized structure.
+            (1, lambda s: setattr(s, "cell", None), "structure is incomplete"),
+            (1, lambda s: setattr(s, "gates", ()), "no gate groups recognized"),
+            (1, lambda s: setattr(s, "hu", 0), "hu must be >= 1, got 0"),
+            (1, lambda s: setattr(s, "n_iterations", 0), "n_iterations must be >= 1"),
+            (1, lambda s: setattr(s, "steps", 0), "steps must be >= 1, got 0"),
+            # After plan_gates: the stage skeleton.
+            (2, lambda s: s.stages.clear(), "no stages in the skeleton"),
+            (2, lambda s: setattr(s.stage("ew"), "name", "ew2"),
+             "stage key 'ew' does not match draft 'ew2'"),
+            (2, lambda s: setattr(s.stage("ew"), "ii", 0), "'ew': ii must be >= 1"),
+            (2, lambda s: setattr(s.stage("ew"), "n_pmus", -1),
+             "'ew': negative resource counts"),
+            (2, lambda s: setattr(s.edge("ew", "writeback"), "dst", "ghost"),
+             "edge endpoint 'ghost' is not a stage"),
+            (2, lambda s: setattr(s.edge("ew", "writeback"), "route", -1),
+             "'ew'->'writeback': negative route"),
+            # After place_units: placement and the unit ledger.
+            (3, lambda s: setattr(s, "placer", None), "no placer after place_units"),
+            (3, lambda s: setattr(s.stage("ew"), "coord", None), "'ew' is unplaced"),
+            (3, lambda s: setattr(s, "pmus_allocated", s.pmus_allocated + 1),
+             "PMU ledger not conserved"),
+            (3, lambda s: setattr(
+                s.stage("ew"), "units_pmu",
+                (s.chip.layout.pcus[0],) + tuple(s.stage("ew").units_pmu[1:]),
+            ), "'ew' occupies non-PMU unit"),
+            # After route_edges: every edge routed.
+            (4, lambda s: setattr(s.edge("ew", "writeback"), "route", None),
+             "'ew'->'writeback' is unrouted"),
+            # After report_resources: the frozen design agrees with the IR.
+            (6, lambda s: setattr(s, "design", None), "left the design incomplete"),
+            (6, lambda s: s.graph.stages.pop("ew"),
+             "frozen graph stages differ from the IR drafts"),
+            (6, lambda s: s.graph.edges.pop(), "frozen graph edge count differs"),
+            (6, lambda s: setattr(s, "resources", dataclasses.replace(
+                s.resources, pcus_used=s.resources.pcus_used + 1)),
+             "resource report PCU tally differs"),
+            (6, lambda s: setattr(s, "resources", dataclasses.replace(
+                s.resources, pmus_used=s.resources.pmus_used + 1)),
+             "resource report PMU tally differs"),
+        ],
+        ids=[
+            "no-cell", "no-gates", "hu-zero", "no-iterations", "no-steps",
+            "no-stages", "key-mismatch", "ii-zero", "negative-count",
+            "dangling-edge", "negative-route", "no-placer", "unplaced",
+            "pmu-ledger", "non-pmu-unit", "unrouted", "no-design",
+            "graph-stages", "graph-edges", "pcu-tally", "pmu-tally",
+        ],
+    )
+    def test_verifier_names_each_broken_invariant(self, n_passes, corrupt, message):
+        # A healthy IR after the first n passes verifies; one corrupted
+        # field then fails, naming the last completed pass and the check.
+        prog = build_task_program(RNNTask("lstm", 128, 2), LoopParams(hu=2, ru=2, rv=64))
+        state = _fresh_state(prog)
+        PassManager(list(DEFAULT_PIPELINE[:n_passes])).run(state)
+        verify_state(state)
+        corrupt(state)
+        last = DEFAULT_PIPELINE[n_passes - 1]
+        with pytest.raises(MappingError, match=f"after {last}: .*{message}"):
+            verify_state(state)
+
     def test_cycle_closed_in_place_after_a_passing_verify_is_caught(self):
         # The acyclic check is skipped while the stage names and edge
         # endpoints equal the last passing check's; an edge rewritten in
@@ -256,6 +320,37 @@ class TestVerifierProperties:
         state.edge("ew", "writeback").dst = "load_x"
         with pytest.raises(MappingError, match="stage graph contains a cycle"):
             verify_state(state)
+
+
+class TestStateAccessors:
+    def _planned_state(self) -> MappingState:
+        state = _fresh_state(_random_program(random.Random(8)))
+        PassManager(["recognize_rnn", "plan_gates"]).run(state)
+        return state
+
+    def test_unknown_stage_raises(self):
+        with pytest.raises(MappingError, match="no stage 'ghost' in the mapping IR"):
+            self._planned_state().stage("ghost")
+
+    def test_duplicate_stage_rejected(self):
+        state = self._planned_state()
+        before = dict(state.stages)
+        with pytest.raises(MappingError, match="duplicate stage 'ew'"):
+            state.add_stage(dataclasses.replace(state.stage("ew")))
+        assert state.stages == before
+
+    def test_edge_to_unknown_stage_rejected(self):
+        state = self._planned_state()
+        n_edges = len(state.edges)
+        with pytest.raises(MappingError, match="edge endpoint 'ghost' is not a stage"):
+            state.add_edge("ew", "ghost")
+        assert len(state.edges) == n_edges
+
+    def test_unknown_edge_raises(self):
+        state = self._planned_state()
+        assert state.edge("ew", "writeback").dst == "writeback"
+        with pytest.raises(MappingError, match="no edge 'writeback' -> 'ew'"):
+            state.edge("writeback", "ew")
 
 
 class TestRegistry:

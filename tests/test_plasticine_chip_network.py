@@ -1,5 +1,7 @@
 """Tests for grid layouts, routing, chip configs, and area/power."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,13 @@ from repro.plasticine.network import GridLayout
 
 
 class TestGridLayout:
+    @pytest.mark.parametrize("build", [GridLayout.checkerboard, GridLayout.rnn_variant],
+                             ids=["checkerboard", "rnn_variant"])
+    def test_empty_grid_rejected(self, build):
+        for rows, cols in [(0, 3), (3, 0), (-3, 3)]:
+            with pytest.raises(ConfigError, match="at least 1x1"):
+                build(rows, cols)
+
     def test_rnn_variant_ratio(self):
         # Figure 7 / Table 3: 24x24 grid -> 192 PCU, 384 PMU (2:1).
         g = GridLayout.rnn_variant(24, 24)
@@ -122,6 +131,21 @@ class TestPlasticineConfig:
                 pmu=PlasticineConfig.rnn_serving().pmu,
                 clock_ghz=0,
             )
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"hop_latency": 0}, "hop latency must be >= 1"),
+            ({"reserved_pcus": -1}, "reserved_pcus out of range"),
+            ({"reserved_pcus": 192}, "reserved_pcus out of range"),
+        ],
+        ids=["zero-hop", "negative-reserve", "reserve-every-pcu"],
+    )
+    def test_network_and_reserve_validation(self, kwargs, message):
+        base = PlasticineConfig.rnn_serving()
+        assert base.layout.n_pcu == 192
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(base, **kwargs)
 
 
 class TestAreaPower:

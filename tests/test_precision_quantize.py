@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PrecisionError
-from repro.precision import FP8, FP16, FP32, quantize, ulp
+from repro.precision import FP8, FP16, FP32, FloatFormat, quantize, ulp
 
 FORMATS = [FP8, FP16, FP32]
 
@@ -77,6 +77,50 @@ class TestQuantizeBasics:
         ours = quantize(x, FP32)
         theirs = x.astype(np.float32).astype(np.float64)
         np.testing.assert_array_equal(ours, theirs)
+
+    def test_every_finite_fp16_value_is_on_the_grid(self):
+        # All 63,488 finite half-precision bit patterns, both signs.
+        halves = np.arange(0x10000, dtype=np.uint32).astype(np.uint16).view(np.float16)
+        finite = halves[np.isfinite(halves)].astype(np.float64)
+        assert finite.size == 63_488
+        np.testing.assert_array_equal(quantize(finite, FP16), finite)
+
+    def test_fp16_midpoints_tie_like_numpy_half(self):
+        # Halfway between each pair of neighbouring positive halves, from
+        # the subnormals up to 65504: ties go to the even mantissa.
+        grid = np.arange(0x7C00, dtype=np.uint16).view(np.float16).astype(np.float64)
+        mid = (grid[:-1] + grid[1:]) / 2
+        np.testing.assert_array_equal(quantize(mid, FP16), mid.astype(np.float16))
+
+    def test_fp16_subnormal_range_matches_numpy_half(self):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-FP16.min_normal, FP16.min_normal, size=512)
+        np.testing.assert_array_equal(quantize(x, FP16), x.astype(np.float16))
+        assert FP16.min_subnormal == float(np.finfo(np.float16).smallest_subnormal)
+
+    def test_format_without_subnormals_flushes_below_half_min_normal(self):
+        flush = FloatFormat("flush", 4, 3, has_subnormals=False)
+        tiny = np.array([0.49, 0.25, 0.01]) * flush.min_normal
+        np.testing.assert_array_equal(quantize(tiny, flush), 0.0)
+        np.testing.assert_array_equal(quantize(-tiny, flush), 0.0)
+        # The normal range rounds exactly as in the format with subnormals.
+        normal = np.linspace(flush.min_normal, flush.max_value, 301)
+        np.testing.assert_array_equal(quantize(normal, flush), quantize(normal, FP8))
+
+    @pytest.mark.parametrize(
+        "fmt, eps",
+        [
+            (FP8, 0.125),
+            (FP16, float(np.finfo(np.float16).eps)),
+            (FP32, float(np.finfo(np.float32).eps)),
+        ],
+        ids=["fp8", "fp16", "fp32"],
+    )
+    def test_ulp_of_one_is_machine_epsilon(self, fmt, eps):
+        assert float(ulp(1.0, fmt)) == eps == 2.0**-fmt.mantissa_bits
+        assert quantize(1.0 + eps, fmt) == 1.0 + eps
+        # Half an epsilon above one is a tie, which goes to the even 1.0.
+        assert quantize(1.0 + eps / 2, fmt) == 1.0
 
 
 class TestQuantizeProperties:

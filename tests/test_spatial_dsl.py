@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import DSLBoundsError, DSLError, InterpreterError
-from repro.precision import FP8, FP16
+from repro.precision import FP8, FP16, FP32, quantize
 from repro.spatial import (
     Foreach,
+    OpKind,
     PrecisionPolicy,
     Program,
     Range,
@@ -14,6 +17,17 @@ from repro.spatial import (
     Sequential,
 )
 from repro.spatial.values import vmax, vmin
+
+
+def _one_loop_program(rng: Range) -> Program:
+    prog = Program("one_loop")
+    y = prog.sram("y", (rng.extent,))
+
+    @prog.main
+    def body():
+        Foreach(rng, lambda i: y.write(1.0, i), label="loop")
+
+    return prog
 
 
 class TestRange:
@@ -24,6 +38,22 @@ class TestRange:
             Range(4, step=0)
         with pytest.raises(DSLError):
             Range(4, par=0)
+
+    def test_iterations_ceil(self):
+        # ceil(extent / step) iterator values, in the trace and in execution.
+        for rng, n in [(Range(10), 10), (Range(10, step=3), 4), (Range(10, step=5), 2)]:
+            prog = _one_loop_program(rng)
+            assert prog.trace().find("loop").iterations == n
+            assert prog.run().write_elems["y"] == n
+
+    def test_issue_count(self):
+        # Unrolling by par issues ceil(iterations / par) times.
+        for rng, n in [
+            (Range(10, par=4), 3),
+            (Range(16, par=4), 4),
+            (Range(10, step=2, par=2), 3),
+        ]:
+            assert _one_loop_program(rng).trace().find("loop").issue_count == n
 
 
 class TestProgramDeclaration:
@@ -78,6 +108,44 @@ class TestProgramDeclaration:
     def test_constructs_require_engine(self):
         with pytest.raises(DSLError, match="no active engine"):
             Foreach(Range(4), lambda i: None)
+
+    def test_trace_requires_main(self):
+        with pytest.raises(DSLError, match="has no main body"):
+            Program("p").trace()
+
+    def test_run_data_for_unknown_memory(self):
+        prog = Program("p")
+        prog.sram("m", (4,))
+
+        @prog.main
+        def body():
+            pass
+
+        with pytest.raises(DSLError, match="no memory named 'ghost'"):
+            prog.run(data={"ghost": np.zeros(4)})
+
+    def test_banks_must_be_positive(self):
+        with pytest.raises(DSLError, match="banks must be >= 1"):
+            Program("p").sram("a", (4,), banks=0)
+
+    def test_storage_bytes_follow_dtype(self):
+        prog = Program("p")
+        assert prog.sram("w8", (4, 8), dtype=FP8).storage_bytes() == 32
+        assert prog.sram("w16", (4, 8), dtype=FP16).storage_bytes() == 64
+        assert prog.sram("w32", (4, 8), dtype=FP32).storage_bytes() == 128
+        # Exact float64 storage is costed as 4-byte words unless overridden.
+        exact = prog.sram("exact", (4, 8))
+        assert exact.storage_bytes() == 128
+        assert exact.storage_bytes(1) == 32
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"entries": 1}, "at least 2 entries"), ({"lo": 1.0, "hi": 1.0}, "is empty")],
+        ids=["one-entry", "empty-range"],
+    )
+    def test_lut_validation(self, kwargs, message):
+        with pytest.raises(DSLError, match=message):
+            Program("p").lut("t", np.tanh, **kwargs)
 
 
 def _copy_scale_program(n: int, par: int = 1) -> Program:
@@ -298,6 +366,77 @@ class TestExecutorBasics:
         assert ex.read_elems["x"] == 8
         assert ex.write_elems["y"] == 8
 
+    @pytest.mark.parametrize(
+        "dsl, ref, kind",
+        [
+            (lambda v: v - 1.5, lambda a: a - 1.5, OpKind.SUB),
+            (lambda v: 1.5 - v, lambda a: 1.5 - a, OpKind.SUB),
+            (lambda v: 2.0 + v, lambda a: 2.0 + a, OpKind.ADD),
+            (lambda v: 3.0 * v, lambda a: 3.0 * a, OpKind.MUL),
+            (lambda v: 6.0 / v, lambda a: 6.0 / a, OpKind.DIV),
+            (lambda v: -v, lambda a: -a, OpKind.NEG),
+        ],
+        ids=["sub", "rsub", "radd", "rmul", "rdiv", "neg"],
+    )
+    def test_constant_on_either_side(self, dsl, ref, kind):
+        # A python number on either side of an operator keeps its operand
+        # order, and the trace records the one operation.
+        prog = Program("arith")
+        x = prog.sram("x", (4,))
+        y = prog.sram("y", (4,))
+
+        @prog.main
+        def body():
+            Foreach(Range(4), lambda i: y.write(dsl(x[i]), i), label="loop")
+
+        xs = np.array([0.5, -2.0, 3.0, 8.0])
+        np.testing.assert_array_equal(prog.run(data={"x": xs}).state["y"], ref(xs))
+        loop = prog.trace().find("loop")
+        assert loop.op_count(kind) == 1
+        assert loop.op_count() == 1
+
+    def test_reduce_of_loop_invariant_body_sums_copies(self):
+        prog = Program("invariant")
+        x = prog.sram("x", (3,))
+        y = prog.sram("y", (3,))
+        out = prog.sram("out", (1,))
+
+        @prog.main
+        def body():
+            Foreach(Range(3), lambda i: y.write(Reduce(Range(4), lambda j: x[i] * 2.0), i))
+            out.write(Reduce(Range(5), lambda j: x[0]), 0)
+
+        ex = prog.run(data={"x": np.array([1.0, -2.0, 0.5])})
+        np.testing.assert_array_equal(ex.state["y"], [8.0, -16.0, 4.0])
+        assert ex.state["out"][0] == 5.0
+
+    def test_non_integer_index_raises(self):
+        prog = Program("frac")
+        x = prog.sram("x", (4,))
+        y = prog.sram("y", (4,))
+
+        @prog.main
+        def body():
+            Foreach(Range(4), lambda i: y.write(x[i * 0.5], i))
+
+        with pytest.raises(DSLError, match="non-integer index into SRAM 'x'"):
+            prog.run()
+
+    def test_lut_entries_stored_in_its_dtype(self):
+        prog = Program("lut8")
+        t = prog.lut("tanh", np.tanh, entries=16, dtype=FP8)
+        x = prog.sram("x", (16,))
+        y = prog.sram("y", (16,))
+
+        @prog.main
+        def body():
+            Foreach(Range(16), lambda i: y.write(t(x[i]), i))
+
+        want = quantize(np.tanh(t.grid()), FP8)
+        np.testing.assert_array_equal(t.table(), want)
+        ex = prog.run(data={"x": t.grid()})
+        np.testing.assert_array_equal(ex.state["y"], want)
+
 
 class TestPrecisionPolicyExecution:
     def test_storage_quantization(self):
@@ -350,3 +489,89 @@ class TestPrecisionPolicyExecution:
         pol = PrecisionPolicy.plasticine_mixed()
         assert pol.accum.name == "fp32"
         assert pol.reduce_stage1.name == "fp16"
+
+    @pytest.mark.parametrize(
+        "dsl, exact",
+        [
+            (lambda v: v + 0.05, 1.05),
+            (lambda v: v - 0.05, 0.95),
+            (lambda v: v / 0.9, 1.0 / 0.9),
+        ],
+        ids=["add", "sub", "div"],
+    )
+    def test_elementwise_result_rounds_to_ew(self, dsl, exact):
+        # One rounding of the exact result onto the fp8 grid (1/8 apart
+        # above 1, 1/16 below): 1.05 -> 1.0, 0.95 -> 0.9375, 1.11 -> 1.125.
+        prog = Program("ew8")
+        x = prog.sram("x", (1,))
+        y = prog.sram("y", (1,))
+
+        @prog.main
+        def body():
+            y.write(dsl(x[0]), 0)
+
+        ex = prog.run(policy=PrecisionPolicy(ew=FP8), data={"x": [1.0]})
+        assert ex.state["y"][0] == quantize(exact, FP8)
+        assert ex.state["y"][0] != exact
+
+    def test_only_the_first_tree_level_rounds_at_stage1(self):
+        # Pairs (x0+x2, x1+x3) = (1 + 2^-10, 2^-11) are exact in fp16; their
+        # sum 1 + 3*2^-11 is not, and ties to 1 + 2^-9 when rounded in fp16.
+        prog = Program("tree")
+        x = prog.sram("x", (4,))
+        out = prog.sram("out", (1,))
+
+        @prog.main
+        def body():
+            out.write(Reduce(Range(4), lambda i: x[i] * 1.0), 0)
+
+        data = {"x": np.array([1.0, 2.0**-12, 2.0**-10, 2.0**-12])}
+
+        def run(policy):
+            return prog.run(policy=policy, data=data).state["out"][0]
+
+        assert run(PrecisionPolicy(reduce_stage1=FP16, accum=FP32)) == 1 + 3 * 2.0**-11
+        assert run(PrecisionPolicy(reduce_stage1=FP16, accum=FP16)) == 1 + 2.0**-9
+
+
+def _mixed_dot_program(n: int) -> Program:
+    """``sum_i w[i] * x[i]`` with both operands stored in fp8."""
+    prog = Program("dot8")
+    w = prog.sram("w", (n,), dtype=FP8)
+    x = prog.sram("x", (n,), dtype=FP8)
+    out = prog.sram("out", (1,))
+
+    @prog.main
+    def body():
+        out.write(Reduce(Range(n, par=16), lambda i: w[i] * x[i]), 0)
+
+    return prog
+
+
+class TestMixedPrecisionDot:
+    """The PCU's f8+16+32 dot product: fp8 operands, fp16 products and first
+    reduction stage, fp32 for the rest of the tree."""
+
+    def test_exact_for_exact_inputs(self):
+        w = np.array([1.0, 2.0, -1.5, 0.5] * 4)
+        x = np.array([1.0, 0.5, 2.0, -1.0] * 4)
+        ex = _mixed_dot_program(16).run(
+            policy=PrecisionPolicy.plasticine_mixed(), data={"w": w, "x": x}
+        )
+        assert ex.state["out"][0] == float(w @ x)
+
+    @given(n=st.integers(min_value=1, max_value=70), seed=st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_error_bounded(self, n, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(-1, 1, size=n)
+        x = rng.uniform(-1, 1, size=n)
+        ex = _mixed_dot_program(n).run(
+            policy=PrecisionPolicy.plasticine_mixed(), data={"w": w, "x": x}
+        )
+        # fp8 operands carry up to eps/2 = 1/16 relative error each; a
+        # value below fp8's smallest subnormal flushes to zero, losing up to
+        # min_subnormal/2 scaled by the other factor (|w|, |x| <= 1 here).
+        relative = 0.20 * float(np.abs(w * x).sum())
+        underflow = 0.5 * FP8.min_subnormal * float((np.abs(w) + np.abs(x)).sum())
+        assert abs(ex.state["out"][0] - float(w @ x)) <= relative + underflow + 1e-6

@@ -95,6 +95,22 @@ class TestTracer:
         root = prog.trace()
         assert root.children[0].kind is LoopKind.SEQUENTIAL
 
+    def test_reg_accesses_are_not_memory_traffic(self):
+        # A Reg is a scalar register, not a scratchpad: the trace records
+        # its arithmetic but no memory access for its reads or writes.
+        prog = Program("reg")
+        acc = prog.reg("acc")
+        out = prog.sram("out", (1,))
+
+        @prog.main
+        def body():
+            acc.write(acc.read() + 1.0)
+            out.write(acc.read(), 0)
+
+        root = prog.trace()
+        assert [(a.mem_name, a.is_write) for a in root.accesses] == [("out", True)]
+        assert root.op_count(OpKind.ADD) == 1
+
     def test_iterations_and_issue_count(self):
         root = _mvm_program(10, 16, hu=4).trace()
         h_loop = root.find("h_loop")

@@ -96,6 +96,15 @@ class TestParameterSpace:
         with pytest.raises(DSEError):
             ParameterSpace(ru_choices=())
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"ru_choices": (4, 0)}, "ru must be >= 1"), ({"pass_configs": ()}, "empty pass-config axis")],
+        ids=["ru-zero", "no-pass-configs"],
+    )
+    def test_bad_axis_rejected(self, kwargs, message):
+        with pytest.raises(DSEError, match=message):
+            ParameterSpace(**kwargs)
+
 
 class TestSearch:
     def test_search_small_lstm(self):
